@@ -178,6 +178,7 @@ def ablate_anchors_rows(model: ObjectModel, scenes, *, k_list=DEFAULT_K_LIST,
     direct-coordinate baseline (single anchor, residual = full coordinate
     offset).
     """
+    model.diameter  # cached here, so pickled pool tasks do not recompute it
     rows = []
     for k in k_list:
         anchors = build_anchor_set(model, k)
@@ -211,6 +212,7 @@ def ablate_corr_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
     Returns (csv rows, per-mode mean rotation/translation errors). The
     fused solver is balanced with the actual noise scales.
     """
+    model.diameter  # cached here, so pickled pool tasks do not recompute it
     sigma_m = max(1e-6, math.hypot(residual_sigma, depth_sigma))
     sigma_px = max(0.25, uv_sigma)
     rows = []
@@ -244,6 +246,7 @@ def ablate_k_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
                   jobs: int = 1) -> list[list]:
     """Intrinsic-adjustment sweep: reprojection solving with the raw vs the
     crop-adjusted camera matrix. Rows: k_org then k_crop."""
+    model.diameter  # cached here, so pickled pool tasks do not recompute it
     rows = []
     for intrinsic in ("org", "crop"):
         tasks = []

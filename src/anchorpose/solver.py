@@ -5,15 +5,18 @@ Three routes are provided and jointly exercised by the ablation harness:
 * ``solve_3d3d`` — weighted closed-form least-squares alignment of
   object-frame and camera-frame point sets (SVD with determinant
   correction, so a proper rotation is always returned);
-* ``solve_2d3d`` — Gauss-Newton on pixel reprojection residuals, with the
-  rotation parameterized through its continuous 6D encoding and a
-  step-halving line search that keeps the objective non-increasing;
+* ``solve_2d3d`` — Gauss-Newton on pixel reprojection residuals. The state
+  is (R, t); each step solves the 6x6 normal equations of the analytic
+  Jacobians for a left so(3) x R^3 update R <- exp([w]x) R, t <- t + dt
+  (Sola et al., "A micro Lie theory for state estimation in robotics"), and
+  a step-halving line search keeps the objective strictly decreasing;
 * ``solve_fused`` — joint Gauss-Newton over both residual families,
   balanced by per-family noise scales.
 
 ``ransac`` wraps either route with seeded hypothesize-and-verify outlier
-rejection. All solvers are pure functions of their inputs (and seed), and
-reports carry the route used as ``mode`` metadata.
+rejection; 3d-3d hypotheses are solved and scored in one batched pass. All
+solvers are pure functions of their inputs (and seed), and reports carry the
+route used as ``mode`` metadata.
 """
 
 from __future__ import annotations
@@ -26,15 +29,7 @@ import numpy as np
 from .codec import AnchorSet, decode_points
 from .correspondence import DenseMaps
 from .camera_crop import crop_affine
-from .geom import (
-    NEAR_EPS,
-    DegenerateFrame,
-    Intrinsics,
-    Pose,
-    Rot6D,
-    matrix_to_rot6d,
-    rot6d_to_matrix,
-)
+from .geom import NEAR_EPS, Intrinsics, Pose
 
 
 class NoForeground(ValueError):
@@ -81,6 +76,10 @@ class CorrSet:
             self.img_pts = np.ascontiguousarray(np.asarray(self.img_pts, dtype=np.float64))
             if self.img_pts.shape != (n, 2):
                 raise ValueError("img_pts length/shape mismatch")
+        for name in ("obj_pts", "cam_pts", "img_pts"):
+            pts = getattr(self, name)
+            if pts is not None and not np.all(np.isfinite(pts)):
+                raise ValueError(f"{name} must be finite")
         if self.weights is None:
             self.weights = np.ones(n)
         else:
@@ -146,14 +145,38 @@ def extract_correspondences(maps: DenseMaps, anchors: AnchorSet,
     return CorrSet(obj, maps.grids.cam_xyz[sel].copy(), img, maps.mask[sel].copy())
 
 
+def _spread_ok(pts: np.ndarray) -> np.ndarray:
+    """Whether each (..., N, 3) point set spans more than a line."""
+    centered = pts - pts.mean(axis=-2, keepdims=True)
+    s = np.linalg.svd(centered, compute_uv=False)
+    return s[..., 1] > 1e-9 * np.maximum(s[..., 0], 1e-12)
+
+
 def _check_spread(pts: np.ndarray, minimum: int, exc) -> None:
     """Reject sets that are too small or (near-)collinear."""
     if len(pts) < minimum:
         raise exc(f"need >= {minimum} points, got {len(pts)}")
-    centered = pts - pts.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
-    if not s[1] > 1e-9 * max(s[0], 1e-12):
+    if not _spread_ok(pts):
         raise exc("points are (near-)collinear")
+
+
+def _kabsch(obj: np.ndarray, cam: np.ndarray, w: np.ndarray):
+    """Weighted alignment of (..., N, 3) point sets under normalized (..., N)
+    weights. Returns (R, t) of shapes (..., 3, 3) and (..., 3); the
+    determinant correction makes every R a proper rotation."""
+    o_bar = (w[..., None, :] @ obj)[..., 0, :]
+    c_bar = (w[..., None, :] @ cam)[..., 0, :]
+    do = obj - o_bar[..., None, :]
+    dc = cam - c_bar[..., None, :]
+    h = (do * w[..., None]).swapaxes(-1, -2) @ dc
+    u, _, vt = np.linalg.svd(h)
+    v, ut = vt.swapaxes(-1, -2), u.swapaxes(-1, -2)
+    d = np.sign(np.linalg.det(v @ ut))
+    flip = np.ones(d.shape + (3,))
+    flip[..., 2] = d
+    rot = (v * flip[..., None, :]) @ ut
+    t = c_bar - (rot @ o_bar[..., None])[..., 0]
+    return rot, t
 
 
 def solve_3d3d(corr: CorrSet) -> SolveReport:
@@ -162,15 +185,7 @@ def solve_3d3d(corr: CorrSet) -> SolveReport:
         raise DegenerateConfiguration("3d-3d solving requires cam_pts")
     _check_spread(corr.obj_pts, 3, DegenerateConfiguration)
     w = corr.weights / corr.weights.sum()
-    o_bar = w @ corr.obj_pts
-    c_bar = w @ corr.cam_pts
-    do = corr.obj_pts - o_bar
-    dc = corr.cam_pts - c_bar
-    h = (do * w[:, None]).T @ dc
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    t = c_bar - rot @ o_bar
+    rot, t = _kabsch(corr.obj_pts, corr.cam_pts, w)
     pose = Pose(rot, t)
     resid = pose.apply(corr.obj_pts) - corr.cam_pts
     rmse = float(np.sqrt((w * (resid ** 2).sum(axis=1)).sum()))
@@ -178,90 +193,98 @@ def solve_3d3d(corr: CorrSet) -> SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Newton machinery (rotation via Rot6D updates)
+# Gauss-Newton machinery: state (R, t), left update R <- exp([w]x) R, t <- t + dt.
+# A residual family returns its flat residual vector and, when ``jac`` is
+# true, also the (len, 6) Jacobian with respect to (w, dt).
 
-def _pack(pose: Pose) -> np.ndarray:
-    r6 = matrix_to_rot6d(pose.rotation)
-    return np.concatenate([r6.a1, r6.a2, pose.translation])
-
-
-def _unpack(x: np.ndarray):
-    rot = rot6d_to_matrix(Rot6D(x[0:3], x[3:6]))
-    return rot, x[6:9]
-
-
-def _canonicalize(x: np.ndarray) -> np.ndarray:
-    rot, t = _unpack(x)
-    return np.concatenate([rot[:, 0], rot[:, 1], t])
+def _so3_exp(w: np.ndarray) -> np.ndarray:
+    """Rodrigues' formula; ``np.sinc`` keeps it exact down to w = 0."""
+    theta = math.sqrt(float(w @ w))
+    wx = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    a = np.sinc(theta / np.pi)                     # sin(theta) / theta
+    b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2  # (1 - cos(theta)) / theta^2
+    return np.eye(3) + a * wx + b * (wx @ wx)
 
 
-def _gauss_newton(residual_fn, x0: np.ndarray, max_iters: int,
-                  step_tol: float = 1e-10, canonicalize=None):
-    """Gauss-Newton with a step-halving line search.
+def _metric_residuals(obj, cam, scale, rot, t, jac=False):
+    """Scaled 3d-3d residuals (R a + t - b) * scale, (N, 3) flattened.
 
-    ``residual_fn`` returns a flat residual vector, or None for an invalid
-    state (treated as infinite objective). The lstsq step truncates
-    singular values below 1e-7 of the largest: the 6D rotation encoding is
-    redundant (vector scales do not change the rotation), and finite
-    differencing fills those analytically-null directions with noise that
-    must not be inverted. ``canonicalize`` renormalizes the state after an
-    accepted step without changing the residual. The accepted-objective
-    trace is strictly decreasing. Returns (x, iterations, trace).
+    Jacobian rows: d(R a + t)/d(w, dt) = [-[R a]x, I], times the scale.
     """
+    q = obj @ rot.T
+    r = ((q + t - cam) * scale[:, None]).ravel()
+    if not jac:
+        return r
+    q0, q1, q2 = (q * scale[:, None]).T
+    zero = np.zeros(len(q))
+    j = np.stack([zero, q2, -q1, scale, zero, zero,
+                  -q2, zero, q0, zero, scale, zero,
+                  q1, -q0, zero, zero, zero, scale], axis=1)
+    return r, j.reshape(-1, 6)
 
-    def objective(x):
-        r = residual_fn(x)
-        return (np.inf if r is None else float(r @ r)), r
 
-    x = x0.copy()
-    phi, r = objective(x)
+def _pixel_residuals(obj, img, scale, rot, t, k: Intrinsics, jac=False):
+    """Scaled reprojection residuals (pi(R a + t) - x) * scale, (N, 2) flattened.
+
+    Jacobian rows: g^T [-[R a]x, I] = [(R a) x g, g] for each row g of the
+    pinhole derivative d(u, v)/d(R a + t) = [[fx/z, 0, -fx x/z^2],
+    [0, fy/z, -fy y/z^2]], times the scale. Where the NEAR_EPS depth clamp is
+    active the depth derivative is 0.
+    """
+    q = obj @ rot.T
+    p = q + t
+    z = np.maximum(p[:, 2], NEAR_EPS)
+    uv = np.column_stack([k.fx * p[:, 0] / z + k.cx, k.fy * p[:, 1] / z + k.cy])
+    r = ((uv - img) * scale[:, None]).ravel()
+    if not jac:
+        return r
+    front = p[:, 2] > NEAR_EPS
+    a, b = k.fx / z * scale, k.fy / z * scale
+    cu = np.where(front, -a * p[:, 0] / z, 0.0)
+    cv = np.where(front, -b * p[:, 1] / z, 0.0)
+    q0, q1, q2 = q.T
+    zero = np.zeros(len(q))
+    j = np.stack([q1 * cu, q2 * a - q0 * cu, -q1 * a, a, zero, cu,
+                  q1 * cv - q2 * b, -q0 * cv, q0 * b, zero, b, cv], axis=1)
+    return r, j.reshape(-1, 6)
+
+
+def _gauss_newton(residual_fn, pose: Pose, max_iters: int, step_tol: float = 1e-10):
+    """Gauss-Newton on (R, t) with a step-halving line search.
+
+    Each step solves the 6x6 normal equations for the left so(3) x R^3
+    increment (w, dt). The accepted-objective trace is strictly decreasing.
+    Returns (R, t, iterations, trace).
+    """
+    rot, t = pose.rotation, pose.translation
+    r = residual_fn(rot, t)
+    phi = float(r @ r)
     if not np.isfinite(phi):
         raise Degenerate("initial state is invalid")
     trace = [phi]
-    n = len(x)
     iters = 0
     for it in range(max_iters):
         iters = it + 1
-        jac = np.empty((len(r), n))
-        for j in range(n):
-            h = 1e-7 * max(1.0, abs(x[j]))
-            xp = x.copy(); xp[j] += h
-            xm = x.copy(); xm[j] -= h
-            rp = residual_fn(xp)
-            rm = residual_fn(xm)
-            if rp is not None and rm is not None:
-                jac[:, j] = (rp - rm) / (2.0 * h)
-            elif rp is not None:
-                jac[:, j] = (rp - r) / h
-            elif rm is not None:
-                jac[:, j] = (r - rm) / h
-            else:
-                jac[:, j] = 0.0
-        delta = np.linalg.lstsq(jac, -r, rcond=1e-7)[0]
+        r, jac = residual_fn(rot, t, True)
+        delta = np.linalg.lstsq(jac.T @ jac, -(jac.T @ r), rcond=None)[0]
         alpha = 1.0
         accepted = False
         while alpha >= 2.0 ** -20:
-            phi_new, r_new = objective(x + alpha * delta)
-            if phi_new < phi:
-                x = x + alpha * delta
-                phi, r = phi_new, r_new
+            rot_new = _so3_exp(alpha * delta[:3]) @ rot
+            t_new = t + alpha * delta[3:]
+            r_new = residual_fn(rot_new, t_new)
+            phi_new = float(r_new @ r_new)
+            if phi_new < phi:  # False for NaN: a non-finite trial is rejected
+                rot, t, phi = rot_new, t_new, phi_new
                 trace.append(phi)
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             break
-        if canonicalize is not None:
-            x = canonicalize(x)
         if float(np.linalg.norm(alpha * delta)) < step_tol:
             break
-    return x, iters, trace
-
-
-def _project_rt(pts: np.ndarray, rot: np.ndarray, t: np.ndarray, k: Intrinsics) -> np.ndarray:
-    cam = pts @ rot.T + t
-    z = np.maximum(cam[:, 2], NEAR_EPS)
-    return np.column_stack([k.fx * cam[:, 0] / z + k.cx, k.fy * cam[:, 1] / z + k.cy])
+    return rot, t, iters, trace
 
 
 def solve_2d3d(corr: CorrSet, k: Intrinsics, init: Pose | None = None) -> SolveReport:
@@ -285,18 +308,12 @@ def solve_2d3d(corr: CorrSet, k: Intrinsics, init: Pose | None = None) -> SolveR
     obj = corr.obj_pts
     img = corr.img_pts
 
-    def residuals(x):
-        try:
-            rot, t = _unpack(x)
-        except DegenerateFrame:
-            return None
-        return ((_project_rt(obj, rot, t, k) - img) * sw[:, None]).ravel()
+    def residuals(rot, t, jac=False):
+        return _pixel_residuals(obj, img, sw, rot, t, k, jac)
 
-    x, iters, trace = _gauss_newton(residuals, _pack(init), max_iters=100,
-                                    canonicalize=_canonicalize)
-    rot, t = _unpack(x)
+    rot, t, iters, trace = _gauss_newton(residuals, init, max_iters=100)
     pose = Pose(rot, t)
-    err = _project_rt(obj, rot, t, k) - img
+    err = _pixel_residuals(obj, img, np.ones(len(obj)), rot, t, k).reshape(-1, 2)
     w = corr.weights / corr.weights.sum()
     rmse = float(np.sqrt((w * (err ** 2).sum(axis=1)).sum()))
     return SolveReport(pose, len(corr), rmse, iters, "2d3d", trace)
@@ -320,32 +337,71 @@ def solve_fused(corr: CorrSet, k: Intrinsics, *, sigma_m: float = 0.005,
 
     sw = np.sqrt(corr.weights)
     obj, cam, img = corr.obj_pts, corr.cam_pts, corr.img_pts
+    s_m, s_px = sw / sigma_m, sw / sigma_px
 
-    def residuals(x):
-        try:
-            rot, t = _unpack(x)
-        except DegenerateFrame:
-            return None
-        r_m = ((obj @ rot.T + t - cam) * (sw[:, None] / sigma_m)).ravel()
-        r_px = ((_project_rt(obj, rot, t, k) - img) * (sw[:, None] / sigma_px)).ravel()
-        return np.concatenate([r_m, r_px])
+    def residuals(rot, t, jac=False):
+        m = _metric_residuals(obj, cam, s_m, rot, t, jac)
+        px = _pixel_residuals(obj, img, s_px, rot, t, k, jac)
+        if not jac:
+            return np.concatenate([m, px])
+        return np.concatenate([m[0], px[0]]), np.concatenate([m[1], px[1]])
 
-    x, iters, trace = _gauss_newton(residuals, _pack(init), max_iters=100,
-                                    canonicalize=_canonicalize)
-    rot, t = _unpack(x)
+    rot, t, iters, trace = _gauss_newton(residuals, init, max_iters=100)
     pose = Pose(rot, t)
-    r = residuals(x)
+    r = residuals(rot, t)
     rmse = float(np.sqrt((r @ r) / (5.0 * corr.weights.sum())))
     return SolveReport(pose, len(corr), rmse, iters, "fused", trace)
 
 
-def _residual_norms(corr: CorrSet, pose: Pose, mode: str, k: Intrinsics | None) -> np.ndarray:
-    if mode == "3d3d":
-        return np.linalg.norm(pose.apply(corr.obj_pts) - corr.cam_pts, axis=1)
-    return np.linalg.norm(
-        _project_rt(corr.obj_pts, pose.rotation, pose.translation, k) - corr.img_pts,
-        axis=1,
-    )
+def _best_3d3d(corr: CorrSet, samples: np.ndarray, inlier_tol: float):
+    """All (H, 3) minimal-sample hypotheses at once: batched collinearity
+    test and Kabsch, then residuals scored as (N, H) planes, one GEMM per
+    coordinate. Returns the winner as (count, rmse, index, pose, inlier
+    mask), or None when no hypothesis has an inlier."""
+    obj, cam = corr.obj_pts[samples], corr.cam_pts[samples]
+    w = corr.weights[samples]
+    wsum = w.sum(axis=1)
+    valid = _spread_ok(obj) & (wsum > 0)
+    rot, t = _kabsch(obj, cam, w / np.where(wsum > 0, wsum, 1.0)[:, None])
+    # In place: the planes are the large arrays here.
+    sq = np.zeros((len(corr), len(samples)))
+    err = np.empty_like(sq)
+    for c in range(3):
+        np.matmul(corr.obj_pts, rot[:, c].T, out=err)
+        err += t[:, c]
+        err -= corr.cam_pts[:, c, None]
+        err *= err
+        sq += err
+    inliers = np.sqrt(sq, out=err) < inlier_tol
+    inliers &= valid
+    count = np.count_nonzero(inliers, axis=0)
+    if not count.any():
+        return None
+    sq *= inliers
+    rmse = np.sqrt(sq.sum(axis=0) / np.maximum(count, 1))
+    i = int(np.lexsort((np.arange(len(count)), rmse, -count))[0])
+    return int(count[i]), float(rmse[i]), i, Pose(rot[i], t[i]), inliers[:, i]
+
+
+def _best_2d3d(corr: CorrSet, samples: np.ndarray, inlier_tol: float, k: Intrinsics):
+    """One Gauss-Newton hypothesis per (H, 6) sample; same return as ``_best_3d3d``."""
+    best, unit = None, np.ones(len(corr))
+    for it, sample in enumerate(samples):
+        try:
+            hyp = solve_2d3d(corr.subset(sample), k).pose
+        except (DegenerateConfiguration, Degenerate):
+            continue
+        err = _pixel_residuals(corr.obj_pts, corr.img_pts, unit, hyp.rotation,
+                               hyp.translation, k)
+        norms = np.linalg.norm(err.reshape(-1, 2), axis=1)
+        inliers = norms < inlier_tol
+        count = int(inliers.sum())
+        if count == 0:
+            continue
+        rmse = float(np.sqrt((norms[inliers] ** 2).mean()))
+        if best is None or (count, -rmse, -it) > (best[0], -best[1], -best[2]):
+            best = (count, rmse, it, hyp, inliers)
+    return best
 
 
 def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = 256,
@@ -356,6 +412,8 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = 256,
     (minimal sample 6, tolerance in pixels; requires ``k``). The iteration
     count is fixed, and the best hypothesis is chosen by (inlier count,
     lower rmse, lower hypothesis index), so results are bit-reproducible.
+    All minimal samples are drawn up front; 3d3d hypotheses are solved and
+    scored in one batched pass.
     """
     if mode not in ("3d3d", "2d3d"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -374,43 +432,28 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = 256,
         )
 
     rng = np.random.default_rng(seed)
-    best = None  # (count, rmse, hypothesis index, pose, inlier mask)
-    for it in range(max_iters):
-        sample = rng.choice(n, minimal, replace=False)
-        try:
-            sub = corr.subset(sample)
-            if mode == "3d3d":
-                hyp = solve_3d3d(sub).pose
-            else:
-                hyp = solve_2d3d(sub, k).pose
-        except (DegenerateConfiguration, Degenerate):
-            continue
-        norms = _residual_norms(corr, hyp, mode, k)
-        inliers = norms < inlier_tol
-        count = int(inliers.sum())
-        if count == 0:
-            continue
-        rmse = float(np.sqrt((norms[inliers] ** 2).mean()))
-        if best is None or (count, -rmse, -it) > (best[0], -best[1], -best[2]):
-            best = (count, rmse, it, hyp, inliers)
+    samples = np.array([rng.choice(n, minimal, replace=False) for _ in range(max_iters)],
+                       dtype=np.intp).reshape(max_iters, minimal)
+    if mode == "3d3d":
+        best = _best_3d3d(corr, samples, inlier_tol)
+    else:
+        best = _best_2d3d(corr, samples, inlier_tol, k)
 
     if best is None or best[0] / n < 0.10:
         raise NoConsensus(
             f"best inlier ratio {0 if best is None else best[0] / n:.3f} below 0.10"
         )
 
-    count, _, _, hyp, inliers = best
+    count, rmse, _, pose, inliers = best
     sub = corr.subset(np.nonzero(inliers)[0])
     try:
         if mode == "3d3d":
             refit = solve_3d3d(sub)
         else:
-            refit = solve_2d3d(sub, k, init=hyp)
+            refit = solve_2d3d(sub, k, init=pose)
         pose, rmse = refit.pose, refit.rmse
     except (DegenerateConfiguration, Degenerate):
-        pose = hyp
-        norms = _residual_norms(corr, pose, mode, k)
-        rmse = float(np.sqrt((norms[inliers] ** 2).mean()))
+        pass
     return SolveReport(pose, count, rmse, max_iters, mode)
 
 

@@ -11,6 +11,10 @@ from anchorpose.solver import (
     DegenerateConfiguration,
     NoConsensus,
     NoForeground,
+    _best_3d3d,
+    _metric_residuals,
+    _pixel_residuals,
+    _so3_exp,
     extract_correspondences,
     pose_error,
     ransac,
@@ -293,6 +297,153 @@ class TestRansac:
         assert rot < 1e-4 and trans < 1e-5
 
 
+def _draws(n, iters, seed):
+    """The minimal samples ``ransac(..., "3d3d", max_iters=iters, seed=seed)`` draws."""
+    rng = np.random.default_rng(seed)
+    return np.array([rng.choice(n, 3, replace=False) for _ in range(iters)])
+
+
+def _reference_best_3d3d(corr, samples, tol):
+    """Per-hypothesis loop that batched 3d3d scoring must reproduce.
+
+    Returns the winner as (count, rmse, index, pose, inlier mask) and the
+    number of samples skipped as degenerate."""
+    best, skipped = None, 0
+    for it, sample in enumerate(samples):
+        try:
+            hyp = solve_3d3d(corr.subset(sample)).pose
+        except DegenerateConfiguration:
+            skipped += 1
+            continue
+        norms = np.linalg.norm(hyp.apply(corr.obj_pts) - corr.cam_pts, axis=1)
+        inliers = norms < tol
+        count = int(inliers.sum())
+        if count == 0:
+            continue
+        rmse = float(np.sqrt((norms[inliers] ** 2).mean()))
+        if best is None or (count, -rmse, -it) > (best[0], -best[1], -best[2]):
+            best = (count, rmse, it, hyp, inliers)
+    return best, skipped
+
+
+class TestBatchedRansac3d3d:
+    @pytest.mark.parametrize("case", ["outliers", "collinear"])
+    def test_matches_reference_loop(self, case):
+        rng = np.random.default_rng(40)
+        pose = _rand_pose(rng)
+        if case == "outliers":
+            n = 200
+            obj = rng.uniform(-0.06, 0.06, (n, 3))
+        else:
+            # 12 of 20 points on one line: about a fifth of the draws are collinear
+            n = 20
+            obj = rng.uniform(-0.06, 0.06, (n, 3))
+            obj[:12] = np.outer(np.linspace(-0.05, 0.05, 12), [0.3, -0.5, 0.8])
+        cam = pose.apply(obj) + rng.normal(0, 0.001, (n, 3))
+        if case == "outliers":
+            out = rng.choice(n, 60, replace=False)  # 30% gross outliers
+            cam[out] = pose.apply(rng.uniform(-0.06, 0.06, (60, 3)))
+        corr = CorrSet(obj, cam, weights=rng.uniform(0.5, 1.0, n))
+        samples = _draws(n, 128, seed=5)
+
+        ref, skipped = _reference_best_3d3d(corr, samples, 0.005)
+        count, rmse, index, hyp, inliers = _best_3d3d(corr, samples, 0.005)
+        assert (count, index) == (ref[0], ref[2])
+        assert rmse == pytest.approx(ref[1], rel=1e-12)
+        np.testing.assert_array_equal(inliers, ref[4])
+        assert hyp.rotation.tobytes() == ref[3].rotation.tobytes()
+        assert hyp.translation.tobytes() == ref[3].translation.tobytes()
+        assert (skipped > 0) == (case == "collinear")
+
+        rep = ransac(corr, "3d3d", inlier_tol=0.005, max_iters=128, seed=5)
+        refit = solve_3d3d(corr.subset(np.nonzero(ref[4])[0])).pose
+        assert rep.inlier_count == ref[0]
+        assert rep.pose.rotation.tobytes() == refit.rotation.tobytes()
+        assert rep.pose.translation.tobytes() == refit.translation.tobytes()
+
+    def test_ties_go_to_the_lower_index(self):
+        rng = np.random.default_rng(43)
+        pose, corr = _clean_corr(rng, n=30)
+        corr = CorrSet(corr.obj_pts, corr.cam_pts + rng.normal(0, 0.001, (30, 3)))
+        a, b = _draws(30, 2, seed=1)
+        count, rmse, index, _, _ = _best_3d3d(corr, np.array([a, b, a, b]), 0.005)
+        assert index in (0, 1)
+
+    def test_zero_weight_samples_skipped(self):
+        # 1 of the 20 three-point subsets of 6 carries no weight at all
+        rng = np.random.default_rng(45)
+        pose, corr = _clean_corr(rng, n=6)
+        corr = CorrSet(corr.obj_pts, corr.cam_pts, weights=[0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        samples = _draws(6, 64, seed=0)
+        assert (corr.weights[samples].sum(axis=1) == 0).any()
+        rep = ransac(corr, "3d3d", inlier_tol=0.005, max_iters=64, seed=0)
+        assert rep.inlier_count == 6
+        rot, trans = pose_error(rep.pose, pose)
+        assert rot < 1e-6 and trans < 1e-8
+
+    def test_all_samples_collinear_no_consensus(self):
+        rng = np.random.default_rng(44)
+        obj = np.outer(np.linspace(-0.05, 0.05, 10), [0.3, -0.5, 0.8])
+        corr = CorrSet(obj, _rand_pose(rng).apply(obj))
+        with pytest.raises(NoConsensus):
+            ransac(corr, "3d3d", inlier_tol=0.005, max_iters=32, seed=0)
+
+    def test_support_below_ten_percent_no_consensus(self):
+        rng = np.random.default_rng(41)
+        n = 50
+        obj = rng.uniform(-0.06, 0.06, (n, 3))
+        cam = rng.uniform(-0.3, 0.3, (n, 3)) + [0.0, 0.0, 1.0]
+        # the first drawn sample plus one more point agree on a pose: 4 of 50
+        first = _draws(n, 1, seed=0)[0]
+        support = np.append(first, np.setdiff1d(np.arange(n), first)[0])
+        cam[support] = _rand_pose(rng).apply(obj[support])
+        corr = CorrSet(obj, cam)
+        best = _best_3d3d(corr, _draws(n, 64, seed=0), 0.005)
+        assert best is not None and 0 < best[0] < 0.1 * n
+        with pytest.raises(NoConsensus):
+            ransac(corr, "3d3d", inlier_tol=0.005, max_iters=64, seed=0)
+
+
+def _central_jacobian(fn, rot, t, h=1e-6):
+    """Central differences of fn under the left update exp([w]x) R, t + dt."""
+    cols = []
+    for j in range(6):
+        d = np.zeros(6)
+        d[j] = h
+        plus = fn(_so3_exp(d[:3]) @ rot, t + d[3:])
+        minus = fn(_so3_exp(-d[:3]) @ rot, t - d[3:])
+        cols.append((plus - minus) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("family", ["metric", "pixel"])
+def test_analytic_jacobian_matches_central_differences(family):
+    rng = np.random.default_rng(42)
+    pose = _rand_pose(rng)
+    rot, t = pose.rotation, pose.translation
+    n = 40
+    cam = np.column_stack([rng.uniform(-0.2, 0.2, (n, 2)), rng.uniform(0.5, 1.5, n)])
+    cam[:3, 2] = -0.3  # behind the camera: the NEAR_EPS depth clamp is active
+    obj = (cam - t) @ rot
+    scale = rng.uniform(0.5, 2.0, n)
+    if family == "metric":
+        target = cam + rng.normal(0, 0.01, (n, 3))
+
+        def fn(r, tr, jac=False):
+            return _metric_residuals(obj, target, scale, r, tr, jac)
+    else:
+        target = rng.uniform(0.0, 640.0, (n, 2))
+
+        def fn(r, tr, jac=False):
+            return _pixel_residuals(obj, target, scale, r, tr, K, jac)
+
+    res, jac = fn(rot, t, True)
+    np.testing.assert_array_equal(res, fn(rot, t))
+    num = _central_jacobian(fn, rot, t)
+    rel = np.abs(jac - num).max(axis=1) / np.abs(jac).max(axis=1)
+    assert rel.max() < 1e-6
+
+
 class TestSolveFused:
     def test_noise_free_matches_3d3d(self):
         rng = np.random.default_rng(16)
@@ -350,6 +501,16 @@ class TestCorrSetValidation:
     def test_needs_some_observation(self):
         with pytest.raises(ValueError):
             CorrSet(np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("field, bad", [("obj_pts", np.nan), ("cam_pts", np.inf),
+                                            ("img_pts", -np.inf)])
+    def test_non_finite_points_rejected(self, field, bad):
+        rng = np.random.default_rng(0)
+        arrays = {"obj_pts": rng.normal(size=(4, 3)), "cam_pts": rng.normal(size=(4, 3)),
+                  "img_pts": rng.normal(size=(4, 2))}
+        arrays[field][2, 1] = bad
+        with pytest.raises(ValueError, match=field):
+            CorrSet(**arrays)
 
     def test_weight_rules(self):
         obj = np.random.default_rng(0).normal(size=(4, 3))
