@@ -100,11 +100,32 @@ def _child_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _pmap(fn, items, jobs: int):
+_shared = None  # the sweep inputs, set once in each pool worker (never in the caller)
+
+
+def _set_shared(shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _call_shared(task):
+    fn, item = task
+    return fn(_shared, item)
+
+
+def _pmap(fn, shared, items, jobs: int) -> list:
+    """``[fn(shared, it) for it in items]``, on ``jobs`` worker processes when
+    ``jobs > 1``.
+
+    ``shared`` (the model, anchors and scenes) reaches each worker once,
+    through the pool initializer, so a task sends only its small ``item``
+    rather than megabytes of depth images.
+    """
     if jobs <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
+        return [fn(shared, it) for it in items]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_set_shared,
+                             initargs=(shared,)) as ex:
+        return list(ex.map(_call_shared, [(fn, it) for it in items]))
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +182,10 @@ def scene_eval_record(model: ObjectModel, anchors: AnchorSet, scene: synth.Scene
     )
 
 
-def _anchor_sweep_task(args):
-    model, anchors, scene, res, noise = args
-    return scene_eval_record(model, anchors, scene, res=res, noise=noise, mode="3d3d")
+def _anchor_sweep_task(shared, item):
+    model, scenes, res = shared
+    anchors, i, noise = item
+    return scene_eval_record(model, anchors, scenes[i], res=res, noise=noise, mode="3d3d")
 
 
 def ablate_anchors_rows(model: ObjectModel, scenes, *, k_list=DEFAULT_K_LIST,
@@ -178,29 +200,30 @@ def ablate_anchors_rows(model: ObjectModel, scenes, *, k_list=DEFAULT_K_LIST,
     direct-coordinate baseline (single anchor, residual = full coordinate
     offset).
     """
-    model.diameter  # cached here, so pickled pool tasks do not recompute it
-    rows = []
-    for k in k_list:
-        anchors = build_anchor_set(model, k)
+    model.diameter  # cached here, so pool workers do not recompute it
+    anchor_sets = [build_anchor_set(model, k) for k in k_list]
+    tasks = []
+    for k, anchors in zip(k_list, anchor_sets):
         sigma = absolute_sigma if absolute_sigma is not None else noise_rel * anchors.covering_radius
-        tasks = []
-        for i, scene in enumerate(scenes):
+        for i in range(len(scenes)):
             noise = NoiseSpec(residual_sigma=sigma, label_flip_prob=0.0,
                               residual_bias_sigma=sigma,
                               seed=_child_seed(seed, k, i))
-            tasks.append((model, anchors, scene, res, noise))
-        records = _pmap(_anchor_sweep_task, tasks, jobs)
-        summary = evaluate_batch(records)[-1]
+            tasks.append((anchors, i, noise))
+    records = _pmap(_anchor_sweep_task, (model, scenes, res), tasks, jobs)
+    rows = []
+    for j, (k, anchors) in enumerate(zip(k_list, anchor_sets)):
+        summary = evaluate_batch(records[j * len(scenes):(j + 1) * len(scenes)])[-1]
         rows.append([str(k), anchors.covering_radius, summary["add01d_pct"],
                      summary["adds_auc_mixed"], summary["deg10cm10_pct"]])
     return rows
 
 
-def _corr_sweep_task(args):
-    model, anchors, scene, res, noise, mode, sigma_m, sigma_px, solver_seed = args
-    rec = scene_eval_record(model, anchors, scene, res=res, noise=noise, mode=mode,
-                            sigma_m=sigma_m, sigma_px=sigma_px, solver_seed=solver_seed)
-    return rec
+def _corr_sweep_task(shared, item):
+    model, anchors, scenes, res = shared
+    i, noise, mode, sigma_m, sigma_px, solver_seed = item
+    return scene_eval_record(model, anchors, scenes[i], res=res, noise=noise, mode=mode,
+                             sigma_m=sigma_m, sigma_px=sigma_px, solver_seed=solver_seed)
 
 
 def ablate_corr_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
@@ -212,20 +235,22 @@ def ablate_corr_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
     Returns (csv rows, per-mode mean rotation/translation errors). The
     fused solver is balanced with the actual noise scales.
     """
-    model.diameter  # cached here, so pickled pool tasks do not recompute it
+    model.diameter  # cached here, so pool workers do not recompute it
     sigma_m = max(1e-6, math.hypot(residual_sigma, depth_sigma))
     sigma_px = max(0.25, uv_sigma)
-    rows = []
-    stats = {}
-    for mode in ("2d3d", "3d3d", "fused"):
-        tasks = []
-        for i, scene in enumerate(scenes):
+    modes = ("2d3d", "3d3d", "fused")
+    tasks = []
+    for mode in modes:
+        for i in range(len(scenes)):
             noise = NoiseSpec(residual_sigma=residual_sigma, label_flip_prob=0.0,
                               depth_sigma=depth_sigma, uv_sigma=uv_sigma,
                               seed=_child_seed(seed, 17, i))
-            tasks.append((model, anchors, scene, res, noise, mode,
-                          sigma_m, sigma_px, _child_seed(seed, 23, i)))
-        records = _pmap(_corr_sweep_task, tasks, jobs)
+            tasks.append((i, noise, mode, sigma_m, sigma_px, _child_seed(seed, 23, i)))
+    all_records = _pmap(_corr_sweep_task, (model, anchors, scenes, res), tasks, jobs)
+    rows = []
+    stats = {}
+    for j, mode in enumerate(modes):
+        records = all_records[j * len(scenes):(j + 1) * len(scenes)]
         summary = evaluate_batch(records)[-1]
         mean_rot = float(np.mean([r.rot_deg for r in records]))
         mean_trans = float(np.mean([r.trans_m for r in records]))
@@ -235,9 +260,10 @@ def ablate_corr_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
     return rows, stats
 
 
-def _k_sweep_task(args):
-    model, anchors, scene, res, noise, intrinsic = args
-    return scene_eval_record(model, anchors, scene, res=res, noise=noise,
+def _k_sweep_task(shared, item):
+    model, anchors, scenes, res = shared
+    i, noise, intrinsic = item
+    return scene_eval_record(model, anchors, scenes[i], res=res, noise=noise,
                              mode="2d3d", intrinsic=intrinsic)
 
 
@@ -246,15 +272,18 @@ def ablate_k_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
                   jobs: int = 1) -> list[list]:
     """Intrinsic-adjustment sweep: reprojection solving with the raw vs the
     crop-adjusted camera matrix. Rows: k_org then k_crop."""
-    model.diameter  # cached here, so pickled pool tasks do not recompute it
-    rows = []
-    for intrinsic in ("org", "crop"):
-        tasks = []
-        for i, scene in enumerate(scenes):
+    model.diameter  # cached here, so pool workers do not recompute it
+    intrinsics = ("org", "crop")
+    tasks = []
+    for intrinsic in intrinsics:
+        for i in range(len(scenes)):
             noise = NoiseSpec(residual_sigma=0.0, label_flip_prob=0.0,
                               uv_sigma=uv_sigma, seed=_child_seed(seed, 29, i))
-            tasks.append((model, anchors, scene, res, noise, intrinsic))
-        records = _pmap(_k_sweep_task, tasks, jobs)
+            tasks.append((i, noise, intrinsic))
+    all_records = _pmap(_k_sweep_task, (model, anchors, scenes, res), tasks, jobs)
+    rows = []
+    for j, intrinsic in enumerate(intrinsics):
+        records = all_records[j * len(scenes):(j + 1) * len(scenes)]
         summary = evaluate_batch(records)[-1]
         rows.append([f"k_{intrinsic}", summary["add01d_pct"], summary["adds_auc_mixed"],
                      summary["deg10cm10_pct"],

@@ -169,6 +169,20 @@ class TestAblations:
                          "--scenes", str(bench), "--res", "32", "--k", "16"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("cmd, extra", [
+        ("ablate-anchors", ["--k-list", "1", "8"]),
+        ("ablate-corr", ["--k", "16"]),
+        ("ablate-k", ["--k", "16"]),
+    ])
+    def test_jobs2_csv_equals_serial(self, bench, tmp_path, cmd, extra):
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert main([cmd, "--seed", "3", "--out", str(out), "--scenes", str(bench),
+                         "--res", "32", "--jobs", jobs, *extra]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestDeterminismAndErrors:
     def test_gen_rerun_identical_tree(self, tmp_path):
