@@ -30,6 +30,10 @@ class EmptyIntersection(ValueError):
     """The crop window does not overlap the image."""
 
 
+class MalformedImage(ValueError):
+    """A PFM/PGM file with a bad header, a short body or non-finite values."""
+
+
 @dataclass(frozen=True)
 class Roi:
     """A crop window in the original image plus the square output resolution.
@@ -227,15 +231,22 @@ def read_pfm(path) -> np.ndarray:
         raw = f.read()
     parts = raw.split(b"\n", 3)
     if len(parts) < 4:
-        raise ValueError("truncated PFM header")
+        raise MalformedImage("truncated PFM header")
     magic, dims, scale, body = parts
     if magic not in (b"Pf", b"PF"):
-        raise ValueError(f"bad PFM magic {magic!r}")
-    w, h = (int(x) for x in dims.split())
-    scale = float(scale)
+        raise MalformedImage(f"bad PFM magic {magic!r}")
+    try:
+        w, h = (int(x) for x in dims.split())
+        scale = float(scale)
+    except ValueError as exc:
+        raise MalformedImage(f"bad PFM header: {exc}") from None
     dtype = "<f4" if scale < 0 else ">f4"
     channels = 3 if magic == b"PF" else 1
     count = w * h * channels
+    if len(body) < 4 * count:
+        raise MalformedImage(f"PFM body holds {len(body)} of {4 * count} bytes")
     arr = np.frombuffer(body, dtype=dtype, count=count).astype(np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise MalformedImage("PFM holds non-finite values")
     shape = (h, w, 3) if channels == 3 else (h, w)
     return np.flipud(arr.reshape(shape)).copy()

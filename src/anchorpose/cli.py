@@ -577,7 +577,7 @@ _EXIT_CODES: list[tuple[tuple, int]] = [
       solver.NoConsensus, geom.PointBehindCamera, geom.NonPositiveDepth,
       geom.DegenerateFrame, geom.NotARotation, camera_crop.EmptyIntersection,
       correspondence.NonFinite, codec.IndexOutOfRange), 4),
-    ((mesh.ParseError, mesh.UnsupportedPlyVariant), 3),
+    ((mesh.ParseError, mesh.UnsupportedPlyVariant, camera_crop.MalformedImage), 3),
     ((OSError, json.JSONDecodeError), 3),
     ((ValueError,), 2),
 ]

@@ -9,14 +9,17 @@ Three routes are provided and jointly exercised by the ablation harness:
   is (R, t); each step solves the 6x6 normal equations of the analytic
   Jacobians for a left so(3) x R^3 update R <- exp([w]x) R, t <- t + dt
   (Sola et al., "A micro Lie theory for state estimation in robotics"), and
-  a step-halving line search keeps the objective strictly decreasing;
+  a step-halving line search keeps the objective strictly decreasing. The
+  solve stops once the step's predicted decrease is below the rounding
+  error of the objective;
 * ``solve_fused`` — joint Gauss-Newton over both residual families,
   balanced by per-family noise scales.
 
 ``ransac`` wraps either route with seeded hypothesize-and-verify outlier
-rejection; 3d-3d hypotheses are solved and scored in one batched pass. All
-solvers are pure functions of their inputs (and seed), and reports carry the
-route used as ``mode`` metadata.
+rejection. All minimal samples are drawn in one vectorized pass, and 3d-3d
+hypotheses are solved and scored in one batched pass. All solvers are pure
+functions of their inputs (and seed), and reports carry the route used as
+``mode`` metadata.
 """
 
 from __future__ import annotations
@@ -249,12 +252,19 @@ def _pixel_residuals(obj, img, scale, rot, t, k: Intrinsics, jac=False):
     return r, j.reshape(-1, 6)
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def _gauss_newton(residual_fn, pose: Pose, max_iters: int, step_tol: float = 1e-10):
     """Gauss-Newton on (R, t) with a step-halving line search.
 
     Each step solves the 6x6 normal equations for the left so(3) x R^3
-    increment (w, dt). The accepted-objective trace is strictly decreasing.
-    Returns (R, t, iterations, trace).
+    increment (w, dt). The solve stops before the line search once the
+    predicted decrease -g.delta is not above len(r) * eps * phi, the
+    worst-case rounding error of the sum phi (Madsen, Nielsen & Tingleff,
+    "Methods for Non-Linear Least Squares Problems", 2004, sec. 3). The
+    accepted-objective trace is strictly decreasing. Returns
+    (R, t, iterations, trace).
     """
     rot, t = pose.rotation, pose.translation
     r = residual_fn(rot, t)
@@ -266,7 +276,11 @@ def _gauss_newton(residual_fn, pose: Pose, max_iters: int, step_tol: float = 1e-
     for it in range(max_iters):
         iters = it + 1
         r, jac = residual_fn(rot, t, True)
-        delta = np.linalg.lstsq(jac.T @ jac, -(jac.T @ r), rcond=None)[0]
+        g = jac.T @ r
+        delta = np.linalg.lstsq(jac.T @ jac, -g, rcond=None)[0]
+        # Converged: no step can show a decrease this far below phi's rounding.
+        if not -float(g @ delta) > len(r) * _EPS * phi:
+            break
         alpha = 1.0
         accepted = False
         while alpha >= 2.0 ** -20:
@@ -353,6 +367,22 @@ def solve_fused(corr: CorrSet, k: Intrinsics, *, sigma_m: float = 0.005,
     return SolveReport(pose, len(corr), rmse, iters, "fused", trace)
 
 
+def _draw_samples(rng: np.random.Generator, n: int, m: int, h: int) -> np.ndarray:
+    """(h, m) uniform ordered draws of m distinct indices in [0, n).
+
+    Column c draws from the n - c indices left and is bumped past the
+    earlier picks in ascending order, which maps it onto the c-th
+    complement without replacement.
+    """
+    samples = np.empty((h, m), dtype=np.intp)
+    for c in range(m):
+        pick = rng.integers(0, n - c, h)
+        for earlier in np.sort(samples[:, :c], axis=1).T:
+            pick += pick >= earlier
+        samples[:, c] = pick
+    return samples
+
+
 def _best_3d3d(corr: CorrSet, samples: np.ndarray, inlier_tol: float):
     """All (H, 3) minimal-sample hypotheses at once: batched collinearity
     test and Kabsch, then residuals scored as (N, H) planes, one GEMM per
@@ -412,8 +442,8 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = 256,
     (minimal sample 6, tolerance in pixels; requires ``k``). The iteration
     count is fixed, and the best hypothesis is chosen by (inlier count,
     lower rmse, lower hypothesis index), so results are bit-reproducible.
-    All minimal samples are drawn up front; 3d3d hypotheses are solved and
-    scored in one batched pass.
+    All minimal samples are drawn up front in one vectorized pass; 3d3d
+    hypotheses are solved and scored in one batched pass.
     """
     if mode not in ("3d3d", "2d3d"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -431,9 +461,7 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = 256,
             f"need >= {minimal} correspondences, got {n}"
         )
 
-    rng = np.random.default_rng(seed)
-    samples = np.array([rng.choice(n, minimal, replace=False) for _ in range(max_iters)],
-                       dtype=np.intp).reshape(max_iters, minimal)
+    samples = _draw_samples(np.random.default_rng(seed), n, minimal, max_iters)
     if mode == "3d3d":
         best = _best_3d3d(corr, samples, inlier_tol)
     else:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera_crop import DepthImage, Roi, read_pfm, write_pfm
+from .camera_crop import DepthImage, MalformedImage, Roi, read_pfm, write_pfm
 from .geom import NEAR_EPS, Intrinsics, Pose, backproject
 from .mesh import ObjectModel
 
@@ -415,12 +415,14 @@ def make_benchmark(model: ObjectModel, config: SceneConfig, n_scenes: int,
 
 def tight_roi(scene: SceneSample, out_res: int) -> Roi:
     """Square RoI around the visible object pixels."""
-    vs, us = np.nonzero(scene.vis_mask)
+    vs = np.flatnonzero(scene.vis_mask.any(axis=1))
     if len(vs) == 0:
         raise ObjectOutOfView("scene has no visible pixels")
-    side = float(max(us.max() - us.min() + 1, vs.max() - vs.min() + 1))
-    return Roi((float(us.min()) + float(us.max())) / 2.0,
-               (float(vs.min()) + float(vs.max())) / 2.0,
+    v0, v1 = vs[0], vs[-1]
+    us = np.flatnonzero(scene.vis_mask[v0:v1 + 1].any(axis=0))
+    u0, u1 = us[0], us[-1]
+    side = float(max(u1 - u0 + 1, v1 - v0 + 1))
+    return Roi((float(u0) + float(u1)) / 2.0, (float(v0) + float(v1)) / 2.0,
                side, side, out_res)
 
 
@@ -438,8 +440,10 @@ def read_pgm(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
     if m is None:
-        raise ValueError("not a supported binary PGM")
+        raise MalformedImage("not a supported binary PGM")
     w, h, maxval = (int(x) for x in m.groups())
+    if len(raw) - m.end() < w * h:
+        raise MalformedImage(f"PGM body holds {len(raw) - m.end()} of {w * h} bytes")
     data = np.frombuffer(raw[m.end():], dtype=np.uint8, count=w * h)
     return (data.reshape(h, w) > maxval // 2)
 

@@ -6,6 +6,7 @@ from anchorpose.camera_crop import (
     DepthImage,
     EmptyIntersection,
     FUSION_RES,
+    MalformedImage,
     Roi,
     adjust_intrinsics,
     crop_affine,
@@ -189,3 +190,16 @@ class TestPfm:
         assert raw.startswith(b"Pf\n2 2\n-1.0\n")
         body = np.frombuffer(raw.split(b"-1.0\n", 1)[1], dtype="<f4")
         np.testing.assert_array_equal(body, [3.0, 4.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("raw", [
+        b"Pf\n2 2\n",                                        # truncated header
+        b"P6\n2 2\n-1.0\n" + bytes(16),                        # bad magic
+        b"Pf\n2 x\n-1.0\n" + bytes(16),                        # bad dimensions
+        b"Pf\n2 2\n-1.0\n" + bytes(15),                        # short body
+        b"Pf\n2 2\n-1.0\n" + np.array([0, np.nan, 1, 2], "<f4").tobytes(),
+        b"Pf\n2 2\n-1.0\n" + np.array([0, 1, -np.inf, 2], "<f4").tobytes(),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, raw):
+        (tmp_path / "bad.pfm").write_bytes(raw)
+        with pytest.raises(MalformedImage):
+            read_pfm(tmp_path / "bad.pfm")

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anchorpose.cli import exit_code_for, main, IdMismatch
-from anchorpose.camera_crop import Roi, adjust_intrinsics, crop_affine
+from anchorpose.camera_crop import Roi, adjust_intrinsics, crop_affine, read_pfm, write_pfm
 from anchorpose.correspondence import ground_truth_maps
 from anchorpose.solver import extract_correspondences, solve_2d3d, pose_error
 from anchorpose.codec import build_anchor_set
@@ -114,6 +115,36 @@ class TestPipeline:
         assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(maps),
                      "--anchors", str(anchors), "--mode", "2d3d", "--ransac",
                      "--inlier-tol", "2.0", "--max-iters", "32"]) == 0
+
+
+def _truncate(path: Path) -> None:
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
+
+
+class TestMalformedFiles:
+    """Broken input files exit 3, the README's I/O-or-parse code."""
+
+    @pytest.mark.parametrize("name", ["depth.pfm", "vis_mask.pgm"])
+    def test_truncated_scene_file(self, pipeline, tmp_path, name):
+        root, bench, anchors, *_ = pipeline
+        copy = tmp_path / "bench"
+        shutil.copytree(bench, copy)
+        _truncate(next(copy.glob(f"*/{name}")))
+        code = main(["encode", "--seed", "7", "--out", str(tmp_path / "maps"),
+                     "--scenes", str(copy), "--anchors", str(anchors), "--res", "32"])
+        assert code == 3
+
+    def test_nan_residual_on_foreground(self, pipeline, tmp_path):
+        root, bench, anchors, maps, *_ = pipeline
+        single = tmp_path / "maps"
+        shutil.copytree(sorted(d for d in maps.iterdir() if d.is_dir())[0], single)
+        residual = read_pfm(single / "residual.pfm")
+        residual[read_pfm(single / "mask.pfm") > 0.5] = np.nan
+        write_pfm(single / "residual.pfm", residual)
+        code = main(["solve", "--seed", "7", "--out", str(tmp_path / "p.json"),
+                     "--maps", str(single), "--anchors", str(anchors), "--mode", "fused"])
+        assert code == 3
 
 
 @pytest.fixture(scope="module")

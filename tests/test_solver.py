@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+from anchorpose import solver
 from anchorpose.camera_crop import adjust_intrinsics, crop_affine
 from anchorpose.correspondence import NoiseSpec, corrupt, ground_truth_maps
 from anchorpose.geom import Intrinsics, Pose
@@ -12,6 +14,7 @@ from anchorpose.solver import (
     NoConsensus,
     NoForeground,
     _best_3d3d,
+    _draw_samples,
     _metric_residuals,
     _pixel_residuals,
     _so3_exp,
@@ -299,8 +302,7 @@ class TestRansac:
 
 def _draws(n, iters, seed):
     """The minimal samples ``ransac(..., "3d3d", max_iters=iters, seed=seed)`` draws."""
-    rng = np.random.default_rng(seed)
-    return np.array([rng.choice(n, 3, replace=False) for _ in range(iters)])
+    return _draw_samples(np.random.default_rng(seed), n, 3, iters)
 
 
 def _reference_best_3d3d(corr, samples, tol):
@@ -394,14 +396,93 @@ class TestBatchedRansac3d3d:
         obj = rng.uniform(-0.06, 0.06, (n, 3))
         cam = rng.uniform(-0.3, 0.3, (n, 3)) + [0.0, 0.0, 1.0]
         # the first drawn sample plus one more point agree on a pose: 4 of 50
-        first = _draws(n, 1, seed=0)[0]
+        samples = _draws(n, 64, seed=0)
+        first = samples[0]
         support = np.append(first, np.setdiff1d(np.arange(n), first)[0])
         cam[support] = _rand_pose(rng).apply(obj[support])
         corr = CorrSet(obj, cam)
-        best = _best_3d3d(corr, _draws(n, 64, seed=0), 0.005)
+        best = _best_3d3d(corr, samples, 0.005)
         assert best is not None and 0 < best[0] < 0.1 * n
         with pytest.raises(NoConsensus):
             ransac(corr, "3d3d", inlier_tol=0.005, max_iters=64, seed=0)
+
+
+class TestDrawSamples:
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_rows_hold_distinct_indices_in_range(self, m):
+        for n in (m, m + 1, 50, 5000):
+            samples = _draw_samples(np.random.default_rng(n), n, m, 2000)
+            assert samples.shape == (2000, m) and samples.dtype == np.intp
+            assert samples.min() >= 0 and samples.max() < n
+            assert (np.diff(np.sort(samples, axis=1), axis=1) > 0).all()
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_same_seed_same_array(self, m):
+        a = _draw_samples(np.random.default_rng(8), 40, m, 128)
+        b = _draw_samples(np.random.default_rng(8), 40, m, 128)
+        c = _draw_samples(np.random.default_rng(9), 40, m, 128)
+        assert np.array_equal(a, b) and not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_n_equal_to_m_gives_permutations(self, m):
+        samples = _draw_samples(np.random.default_rng(3), m, m, 500)
+        assert (np.sort(samples, axis=1) == np.arange(m)).all()
+        assert len({tuple(row) for row in samples}) > 1
+
+    def test_ordered_triples_uniform(self):
+        draws = 100_000
+        samples = _draw_samples(np.random.default_rng(2024), 6, 3, draws)
+        counts = np.bincount(samples @ [36, 6, 1], minlength=216)
+        seen = counts[counts > 0]
+        assert len(seen) == 120  # 6 * 5 * 4 ordered triples, all hit
+        expected = draws / 120
+        stat = float(((seen - expected) ** 2 / expected).sum())
+        assert chi2.sf(stat, df=119) > 1e-3
+
+
+def _noisy_fused_corr(seed, n=1000):
+    """A fused set with 5 mm metric and 1 px pixel noise."""
+    rng = np.random.default_rng(seed)
+    pose = _rand_pose(rng)
+    obj = rng.uniform(-0.06, 0.06, (n, 3))
+    cam = pose.apply(obj)
+    img = _projected(cam, K) + rng.normal(0, 1.0, (n, 2))
+    return pose, CorrSet(obj, cam + rng.normal(0, 0.005, (n, 3)), img,
+                         rng.uniform(0.5, 1.0, n))
+
+
+class TestGaussNewtonStopRule:
+    def _counting_solve(self, monkeypatch, corr, **kw):
+        """solve_fused, also returning the lengths of the residual-only runs
+        that follow each Jacobian evaluation (one run per line search)."""
+        runs = []
+        inner = solver._gauss_newton
+
+        def gauss_newton(residual_fn, pose, max_iters, **gn_kw):
+            def counted(rot, t, jac=False):
+                if jac:
+                    runs.append(0)
+                elif runs:
+                    runs[-1] += 1
+                return residual_fn(rot, t, jac)
+            return inner(counted, pose, max_iters, **gn_kw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_gauss_newton", gauss_newton)
+            return solve_fused(corr, K, **kw), runs
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_converges_without_confirming_line_search(self, monkeypatch, seed):
+        pose, corr = _noisy_fused_corr(100 + seed)
+        init = _perturbed(pose, np.random.default_rng(seed), deg=3.0, dt=0.02)
+        rep, runs = self._counting_solve(monkeypatch, corr, init=init)
+        assert max(runs) < 21  # no line search halved 20 times without a decrease
+        assert rep.iterations <= 6
+        assert all(b < a for a, b in zip(rep.trace, rep.trace[1:]))
+
+        again, runs = self._counting_solve(monkeypatch, corr, init=rep.pose)
+        assert again.iterations <= 1 and runs == [0]
+        assert pose_error(again.pose, rep.pose)[0] < 1e-6
 
 
 def _central_jacobian(fn, rot, t, h=1e-6):

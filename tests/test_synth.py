@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from anchorpose.camera_crop import MalformedImage, Roi
 from anchorpose.geom import Intrinsics, Pose
 from anchorpose.mesh import ObjectModel
 from anchorpose.synth import (
@@ -200,6 +202,13 @@ class TestSceneIo:
         assert (tmp_path / "m.pgm").read_bytes().startswith(b"P5\n17 13\n255\n")
         np.testing.assert_array_equal(read_pgm(tmp_path / "m.pgm"), mask)
 
+    @pytest.mark.parametrize("raw", [b"P2\n2 2\n255\n" + bytes(4),
+                                     b"P5\n2 2\n255\n" + bytes(3)])
+    def test_pgm_malformed_rejected(self, tmp_path, raw):
+        (tmp_path / "m.pgm").write_bytes(raw)
+        with pytest.raises(MalformedImage):
+            read_pgm(tmp_path / "m.pgm")
+
     def test_tight_roi_square_around_mask(self):
         model = make_model("blob", 2500, 0.12, 3)
         cfg = small_config(14)
@@ -209,6 +218,41 @@ class TestSceneIo:
         assert roi.size_u == roi.size_v
         assert roi.size_u == max(xs.max() - xs.min() + 1, ys.max() - ys.min() + 1)
         assert roi.center_u == (xs.min() + xs.max()) / 2.0
+
+
+def _nonzero_roi(mask, out_res):
+    """Full-frame np.nonzero reference for tight_roi."""
+    vs, us = np.nonzero(mask)
+    side = float(max(us.max() - us.min() + 1, vs.max() - vs.min() + 1))
+    return Roi((float(us.min()) + float(us.max())) / 2.0,
+               (float(vs.min()) + float(vs.max())) / 2.0, side, side, out_res)
+
+
+def _masks():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        h, w = rng.integers(1, 40, 2)
+        mask = rng.random((h, w)) < rng.uniform(0.001, 0.5)
+        if mask.any():
+            yield mask
+    for h, w, v, u in [(1, 1, 0, 0), (9, 7, 4, 3), (9, 7, 0, 0), (9, 7, 8, 6), (9, 7, 0, 6)]:
+        mask = np.zeros((h, w), dtype=bool)
+        mask[v, u] = True  # single pixel, also on corners
+        yield mask
+    edges = np.zeros((12, 20), dtype=bool)
+    edges[0, 5], edges[11, 7], edges[3, 0], edges[4, 19] = True, True, True, True
+    yield edges
+    yield np.ones((5, 8), dtype=bool)
+
+
+def test_tight_roi_matches_nonzero_reference():
+    for i, mask in enumerate(_masks()):
+        assert tight_roi(SimpleNamespace(vis_mask=mask), 32) == _nonzero_roi(mask, 32), i
+
+
+def test_tight_roi_empty_mask_out_of_view():
+    with pytest.raises(ObjectOutOfView):
+        tight_roi(SimpleNamespace(vis_mask=np.zeros((6, 9), dtype=bool)), 32)
 
 
 def test_scene_config_validation():
