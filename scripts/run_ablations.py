@@ -26,20 +26,18 @@ def run(argv=None):
     args = ap.parse_args(argv)
 
     bench = args.out / "bench"
-    common = ["--seed", str(args.seed), "--jobs", str(args.jobs)]
+    seed = ["--seed", str(args.seed)]
+    sweep = seed + ["--scenes", str(bench), "--jobs", str(args.jobs)]
     steps = [
         ["gen", "--out", str(bench), "--shape", args.shape,
          "--scenes", str(args.scenes), "--width", "320", "--height", "240",
-         "--fx", "300", "--fy", "300", "--depth-range", "0.7", "1.4"],
-        ["ablate-anchors", "--out", str(args.out / "anchor_sweep.csv"),
-         "--scenes", str(bench)],
-        ["ablate-corr", "--out", str(args.out / "corr_sweep.csv"),
-         "--scenes", str(bench)],
-        ["ablate-k", "--out", str(args.out / "k_sweep.csv"),
-         "--scenes", str(bench)],
+         "--fx", "300", "--fy", "300", "--depth-range", "0.7", "1.4", *seed],
+        ["ablate-anchors", "--out", str(args.out / "anchor_sweep.csv"), *sweep],
+        ["ablate-corr", "--out", str(args.out / "corr_sweep.csv"), *sweep],
+        ["ablate-k", "--out", str(args.out / "k_sweep.csv"), *sweep],
     ]
     for step in steps:
-        code = cli(step + common)
+        code = cli(step)
         if code != 0:
             return code
     for name in ("anchor_sweep.csv", "corr_sweep.csv", "k_sweep.csv"):

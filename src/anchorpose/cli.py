@@ -1,9 +1,12 @@
 """Command-line front end: generate, code, corrupt, solve, evaluate, ablate.
 
 Every subcommand is a pure function of its on-disk inputs, flags, and the
-required --seed, so reruns produce byte-identical CSV/JSON outputs. The
-ablation harnesses used by the subcommands are exposed as plain functions
-(`ablate_anchors_rows` etc.) so they can also run on in-memory benchmarks.
+required --seed, so reruns produce byte-identical CSV/JSON outputs. The three
+ablations (`ablate_anchors_rows`, `ablate_corr_rows`, `ablate_k_rows`) are
+plain functions over in-memory benchmarks: each builds its list of variants
+(anchor set, solver mode, intrinsics, fused sigmas) and hands them to one
+sweep driver, which scores every (variant, scene) task through
+`scene_eval_record` on `--jobs` worker processes.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,22 +60,6 @@ DEFAULT_K_LIST = (1, 4, 8, 16, 32, 64, 128)
 
 class IdMismatch(ValueError):
     """Predicted poses and ground-truth scenes disagree on ids."""
-
-
-@dataclass
-class RunConfig:
-    """Bag of subcommand parameters filled from the parsed arguments."""
-
-    seed: int
-    out: Path
-    jobs: int = 1
-    params: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.params[key]
-
-    def get(self, key, default=None):
-        return self.params.get(key, default)
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +115,47 @@ def _pmap(fn, shared, items, jobs: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Scene pipeline harness shared by solve/eval/ablate paths
+# Scene pipeline shared by the solve/eval commands and the sweeps
 
-def _cap_correspondences(corr: solver.CorrSet, max_n: int) -> solver.CorrSet:
-    if len(corr) <= max_n:
+MAX_CORR = 800  # sweeps solve from at most this many evenly spaced correspondences
+
+
+def _cap_correspondences(corr: solver.CorrSet) -> solver.CorrSet:
+    if len(corr) <= MAX_CORR:
         return corr
-    idx = np.unique(np.round(np.linspace(0, len(corr) - 1, max_n)).astype(np.intp))
+    idx = np.unique(np.round(np.linspace(0, len(corr) - 1, MAX_CORR)).astype(np.intp))
     return corr.subset(idx)
+
+
+def _solve(corr: solver.CorrSet, mode: str, k: Intrinsics | None, *, sigma_m: float,
+           sigma_px: float, seed: int,
+           ransac_args: tuple[float, int] | None = None) -> solver.SolveReport:
+    """One pose solve in ``mode`` (3d3d, 2d3d or fused) with camera ``k``.
+
+    ``ransac_args`` = (inlier_tol, max_iters) runs a 3d3d or 2d3d solve under
+    seeded RANSAC; the fused solver runs its own robust initialization.
+    """
+    if mode not in ("3d3d", "2d3d", "fused"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode != "3d3d" and k is None:
+        raise ValueError(f"{mode} solving needs intrinsics in the maps manifest")
+    if ransac_args is not None and mode != "fused":
+        return ransac(corr, mode, *ransac_args, seed, k=k)
+    if mode == "3d3d":
+        return solve_3d3d(corr)
+    if mode == "2d3d":
+        return solve_2d3d(corr, k)
+    return solve_fused(corr, k, sigma_m=sigma_m, sigma_px=sigma_px, seed=seed)
+
+
+def _score(model: ObjectModel, pose: Pose, scene: synth.SceneSample) -> EvalRecord:
+    rot, trans = pose_error(pose, scene.gt_pose)
+    return EvalRecord(
+        scene.object_id,
+        add_metric(model, pose, scene.gt_pose),
+        adds_metric(model, pose, scene.gt_pose),
+        rot, trans, model.diameter, model.symmetric,
+    )
 
 
 def _failure_record(model: ObjectModel) -> EvalRecord:
@@ -146,9 +166,10 @@ def _failure_record(model: ObjectModel) -> EvalRecord:
 def scene_eval_record(model: ObjectModel, anchors: AnchorSet, scene: synth.SceneSample,
                       *, res: int, noise: NoiseSpec, mode: str,
                       intrinsic: str = "crop", sigma_m: float = 0.005,
-                      sigma_px: float = 1.0, solver_seed: int = 0,
-                      max_corr: int = 800) -> EvalRecord:
-    """Encode, corrupt, solve, and score one scene.
+                      sigma_px: float = 1.0, solver_seed: int = 0) -> EvalRecord:
+    """Encode, corrupt, solve (from at most ``MAX_CORR`` correspondences), and
+    score one scene. ``intrinsic`` picks the crop-adjusted ("crop") or the
+    raw ("org") camera matrix.
 
     Unsolvable scenes (no foreground after corruption, degenerate sets)
     yield a deterministic worst-case record instead of raising, so sweeps
@@ -157,35 +178,44 @@ def scene_eval_record(model: ObjectModel, anchors: AnchorSet, scene: synth.Scene
     roi = tight_roi(scene, res)
     maps = ground_truth_maps(scene, anchors, roi)
     noisy = corrupt(maps, noise)
-    k_crop = adjust_intrinsics(scene.intrinsics, crop_affine(roi))
+    k = (adjust_intrinsics(scene.intrinsics, crop_affine(roi)) if intrinsic == "crop"
+         else scene.intrinsics)
     try:
-        corr = _cap_correspondences(extract_correspondences(noisy, anchors), max_corr)
-        if mode == "3d3d":
-            report = solve_3d3d(corr)
-        elif mode == "2d3d":
-            k_use = k_crop if intrinsic == "crop" else scene.intrinsics
-            report = solve_2d3d(corr, k_use)
-        elif mode == "fused":
-            report = solve_fused(corr, k_crop, sigma_m=sigma_m, sigma_px=sigma_px,
-                                 seed=solver_seed)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        corr = _cap_correspondences(extract_correspondences(noisy, anchors))
+        report = _solve(corr, mode, k, sigma_m=sigma_m, sigma_px=sigma_px, seed=solver_seed)
     except (solver.NoForeground, solver.DegenerateConfiguration,
             solver.Degenerate, solver.NoConsensus):
         return _failure_record(model)
-    rot, trans = pose_error(report.pose, scene.gt_pose)
-    return EvalRecord(
-        scene.object_id,
-        add_metric(model, report.pose, scene.gt_pose),
-        adds_metric(model, report.pose, scene.gt_pose),
-        rot, trans, model.diameter, model.symmetric,
-    )
+    return _score(model, report.pose, scene)
 
 
-def _anchor_sweep_task(shared, item):
-    model, scenes, res = shared
-    anchors, i, noise = item
-    return scene_eval_record(model, anchors, scenes[i], res=res, noise=noise, mode="3d3d")
+def _sweep_task(shared, item) -> EvalRecord:
+    model, scenes, variants, res = shared
+    j, i, noise, solver_seed = item
+    return scene_eval_record(model, scene=scenes[i], res=res, noise=noise,
+                             solver_seed=solver_seed, **variants[j])
+
+
+def _sweep(model: ObjectModel, scenes, variants: list[dict], task_noise, *,
+           res: int, jobs: int) -> list[list[EvalRecord]]:
+    """Score every (variant, scene) task in one pool; records grouped by variant.
+
+    A variant is a dict of ``scene_eval_record`` keywords: ``anchors`` and
+    ``mode``, and optionally ``intrinsic``, ``sigma_m`` and ``sigma_px``.
+    ``task_noise(j, i)`` gives the (NoiseSpec, solver seed) of variant ``j``
+    on scene ``i``. Tasks run variant-major, and the model, scenes and
+    variants (with their anchor sets) reach each worker once.
+    """
+    model.diameter  # cached here, so pool workers do not recompute it
+    n = len(scenes)
+    items = [(j, i, *task_noise(j, i)) for j in range(len(variants)) for i in range(n)]
+    records = _pmap(_sweep_task, (model, scenes, variants, res), items, jobs)
+    return [records[j * n:(j + 1) * n] for j in range(len(variants))]
+
+
+def _summary_cells(records) -> list:
+    summary = evaluate_batch(records)[-1]
+    return [summary["add01d_pct"], summary["adds_auc_mixed"], summary["deg10cm10_pct"]]
 
 
 def ablate_anchors_rows(model: ObjectModel, scenes, *, k_list=DEFAULT_K_LIST,
@@ -200,30 +230,18 @@ def ablate_anchors_rows(model: ObjectModel, scenes, *, k_list=DEFAULT_K_LIST,
     direct-coordinate baseline (single anchor, residual = full coordinate
     offset).
     """
-    model.diameter  # cached here, so pool workers do not recompute it
     anchor_sets = [build_anchor_set(model, k) for k in k_list]
-    tasks = []
-    for k, anchors in zip(k_list, anchor_sets):
-        sigma = absolute_sigma if absolute_sigma is not None else noise_rel * anchors.covering_radius
-        for i in range(len(scenes)):
-            noise = NoiseSpec(residual_sigma=sigma, label_flip_prob=0.0,
-                              residual_bias_sigma=sigma,
-                              seed=_child_seed(seed, k, i))
-            tasks.append((anchors, i, noise))
-    records = _pmap(_anchor_sweep_task, (model, scenes, res), tasks, jobs)
-    rows = []
-    for j, (k, anchors) in enumerate(zip(k_list, anchor_sets)):
-        summary = evaluate_batch(records[j * len(scenes):(j + 1) * len(scenes)])[-1]
-        rows.append([str(k), anchors.covering_radius, summary["add01d_pct"],
-                     summary["adds_auc_mixed"], summary["deg10cm10_pct"]])
-    return rows
 
+    def task_noise(j, i):
+        radius = anchor_sets[j].covering_radius
+        sigma = absolute_sigma if absolute_sigma is not None else noise_rel * radius
+        return NoiseSpec(residual_sigma=sigma, label_flip_prob=0.0, residual_bias_sigma=sigma,
+                         seed=_child_seed(seed, k_list[j], i)), 0
 
-def _corr_sweep_task(shared, item):
-    model, anchors, scenes, res = shared
-    i, noise, mode, sigma_m, sigma_px, solver_seed = item
-    return scene_eval_record(model, anchors, scenes[i], res=res, noise=noise, mode=mode,
-                             sigma_m=sigma_m, sigma_px=sigma_px, solver_seed=solver_seed)
+    variants = [{"anchors": anchors, "mode": "3d3d"} for anchors in anchor_sets]
+    records = _sweep(model, scenes, variants, task_noise, res=res, jobs=jobs)
+    return [[str(k), anchors.covering_radius, *_summary_cells(recs)]
+            for k, anchors, recs in zip(k_list, anchor_sets, records)]
 
 
 def ablate_corr_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
@@ -235,36 +253,25 @@ def ablate_corr_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
     Returns (csv rows, per-mode mean rotation/translation errors). The
     fused solver is balanced with the actual noise scales.
     """
-    model.diameter  # cached here, so pool workers do not recompute it
     sigma_m = max(1e-6, math.hypot(residual_sigma, depth_sigma))
     sigma_px = max(0.25, uv_sigma)
     modes = ("2d3d", "3d3d", "fused")
-    tasks = []
-    for mode in modes:
-        for i in range(len(scenes)):
-            noise = NoiseSpec(residual_sigma=residual_sigma, label_flip_prob=0.0,
-                              depth_sigma=depth_sigma, uv_sigma=uv_sigma,
-                              seed=_child_seed(seed, 17, i))
-            tasks.append((i, noise, mode, sigma_m, sigma_px, _child_seed(seed, 23, i)))
-    all_records = _pmap(_corr_sweep_task, (model, anchors, scenes, res), tasks, jobs)
-    rows = []
-    stats = {}
-    for j, mode in enumerate(modes):
-        records = all_records[j * len(scenes):(j + 1) * len(scenes)]
-        summary = evaluate_batch(records)[-1]
-        mean_rot = float(np.mean([r.rot_deg for r in records]))
-        mean_trans = float(np.mean([r.trans_m for r in records]))
+    variants = [{"anchors": anchors, "mode": mode, "sigma_m": sigma_m, "sigma_px": sigma_px}
+                for mode in modes]
+
+    def task_noise(j, i):
+        return NoiseSpec(residual_sigma=residual_sigma, label_flip_prob=0.0,
+                         depth_sigma=depth_sigma, uv_sigma=uv_sigma,
+                         seed=_child_seed(seed, 17, i)), _child_seed(seed, 23, i)
+
+    rows, stats = [], {}
+    for mode, recs in zip(modes, _sweep(model, scenes, variants, task_noise,
+                                        res=res, jobs=jobs)):
+        mean_rot = float(np.mean([r.rot_deg for r in recs]))
+        mean_trans = float(np.mean([r.trans_m for r in recs]))
         stats[mode] = {"mean_rot_deg": mean_rot, "mean_trans_m": mean_trans}
-        rows.append([mode, summary["add01d_pct"], summary["adds_auc_mixed"],
-                     summary["deg10cm10_pct"], mean_rot, mean_trans])
+        rows.append([mode, *_summary_cells(recs), mean_rot, mean_trans])
     return rows, stats
-
-
-def _k_sweep_task(shared, item):
-    model, anchors, scenes, res = shared
-    i, noise, intrinsic = item
-    return scene_eval_record(model, anchors, scenes[i], res=res, noise=noise,
-                             mode="2d3d", intrinsic=intrinsic)
 
 
 def ablate_k_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
@@ -272,51 +279,42 @@ def ablate_k_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
                   jobs: int = 1) -> list[list]:
     """Intrinsic-adjustment sweep: reprojection solving with the raw vs the
     crop-adjusted camera matrix. Rows: k_org then k_crop."""
-    model.diameter  # cached here, so pool workers do not recompute it
     intrinsics = ("org", "crop")
-    tasks = []
-    for intrinsic in intrinsics:
-        for i in range(len(scenes)):
-            noise = NoiseSpec(residual_sigma=0.0, label_flip_prob=0.0,
-                              uv_sigma=uv_sigma, seed=_child_seed(seed, 29, i))
-            tasks.append((i, noise, intrinsic))
-    all_records = _pmap(_k_sweep_task, (model, anchors, scenes, res), tasks, jobs)
-    rows = []
-    for j, intrinsic in enumerate(intrinsics):
-        records = all_records[j * len(scenes):(j + 1) * len(scenes)]
-        summary = evaluate_batch(records)[-1]
-        rows.append([f"k_{intrinsic}", summary["add01d_pct"], summary["adds_auc_mixed"],
-                     summary["deg10cm10_pct"],
-                     float(np.mean([r.rot_deg for r in records]))])
-    return rows
+    variants = [{"anchors": anchors, "mode": "2d3d", "intrinsic": intrinsic}
+                for intrinsic in intrinsics]
+
+    def task_noise(j, i):
+        return NoiseSpec(residual_sigma=0.0, label_flip_prob=0.0, uv_sigma=uv_sigma,
+                         seed=_child_seed(seed, 29, i)), 0
+
+    records = _sweep(model, scenes, variants, task_noise, res=res, jobs=jobs)
+    return [[f"k_{intrinsic}", *_summary_cells(recs), float(np.mean([r.rot_deg for r in recs]))]
+            for intrinsic, recs in zip(intrinsics, records)]
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_gen(cfg: RunConfig) -> int:
-    out = Path(cfg.out)
+def cmd_gen(args: argparse.Namespace) -> int:
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    model = make_model(cfg["shape"], cfg["points"], cfg["scale"], cfg.seed)
+    model = make_model(args.shape, args.points, args.scale, args.seed)
     write_ply(out / "model.ply", model.points)
     save_registry([{
         "id": model.id, "path": "model.ply",
         "symmetric": model.symmetric, "mm_to_m": False,
     }], out / "registry.json")
 
-    levels = cfg["occlusion_levels"]
+    levels = args.occlusion_levels
     config = SceneConfig(
-        seed=cfg.seed,
-        width=cfg["width"], height=cfg["height"],
-        intrinsics=Intrinsics(cfg["fx"], cfg["fy"], cfg["width"] / 2.0, cfg["height"] / 2.0),
-        depth_range=tuple(cfg["depth_range"]),
-        depth_sigma=cfg["depth_sigma"],
+        seed=args.seed,
+        width=args.width, height=args.height,
+        intrinsics=Intrinsics(args.fx, args.fy, args.width / 2.0, args.height / 2.0),
+        depth_range=tuple(args.depth_range),
+        depth_sigma=args.depth_sigma,
     )
-    scenes = make_benchmark(model, config, cfg["scenes"], levels)
-    counts = [cfg["scenes"] // len(levels)] * len(levels)
-    for i in range(cfg["scenes"] % len(levels)):
-        counts[i] += 1
-    level_of = [lv for lv, c in zip(levels, counts) for _ in range(c)]
+    scenes = make_benchmark(model, config, args.scenes, levels)
+    level_of = [levels[li] for li, _ in synth.level_slots(args.scenes, len(levels))]
 
     entries = []
     for i, scene in enumerate(scenes):
@@ -329,10 +327,10 @@ def cmd_gen(cfg: RunConfig) -> int:
         })
     _write_json(out / "manifest.json", {
         "config": {
-            "shape": cfg["shape"], "points": cfg["points"], "scale": cfg["scale"],
-            "seed": cfg.seed, "width": cfg["width"], "height": cfg["height"],
-            "fx": cfg["fx"], "fy": cfg["fy"], "depth_range": list(cfg["depth_range"]),
-            "depth_sigma": cfg["depth_sigma"], "occlusion_levels": list(levels),
+            "shape": args.shape, "points": args.points, "scale": args.scale,
+            "seed": args.seed, "width": args.width, "height": args.height,
+            "fx": args.fx, "fy": args.fy, "depth_range": list(args.depth_range),
+            "depth_sigma": args.depth_sigma, "occlusion_levels": list(levels),
         },
         "scenes": entries,
     })
@@ -349,20 +347,20 @@ def _registry_id_for(model_path: Path):
     return None
 
 
-def cmd_anchors(cfg: RunConfig) -> int:
-    model_path = Path(cfg["model"])
-    object_id = cfg.get("object_id")
-    symmetric, mm_to_m = False, cfg.get("mm_to_m", False)
+def cmd_anchors(args: argparse.Namespace) -> int:
+    model_path = args.model
+    object_id = args.object_id
+    symmetric, mm_to_m = False, args.mm_to_m
     if object_id is None:
         hit = _registry_id_for(model_path)
         if hit is not None:
             object_id, symmetric, mm_to_m = hit
     model = mesh.load_ply(model_path, mm_to_m=mm_to_m, model_id=object_id,
                           symmetric=symmetric)
-    anchors = build_anchor_set(model, cfg["k"])
-    save_anchor_set(anchors, cfg.out)
+    anchors = build_anchor_set(model, args.k)
+    save_anchor_set(anchors, args.out)
     print(f"{anchors.k} anchors for {model.id}: covering radius "
-          f"{anchors.covering_radius:.6f} m -> {cfg.out}")
+          f"{anchors.covering_radius:.6f} m -> {args.out}")
     return 0
 
 
@@ -376,15 +374,14 @@ def _load_benchmark_dir(scenes_dir: Path):
     return manifest, scenes, models
 
 
-def cmd_encode(cfg: RunConfig) -> int:
-    scenes_dir = Path(cfg["scenes"])
-    anchors = load_anchor_set(cfg["anchors"])
-    _, scenes, _ = _load_benchmark_dir(scenes_dir)
-    out = Path(cfg.out)
+def cmd_encode(args: argparse.Namespace) -> int:
+    anchors = load_anchor_set(args.anchors)
+    _, scenes, _ = _load_benchmark_dir(args.scenes)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for scene_id, scene in scenes:
-        roi = tight_roi(scene, cfg["res"])
+        roi = tight_roi(scene, args.res)
         maps = ground_truth_maps(scene, anchors, roi)
         save_dense_maps(maps, out / scene_id, extra={
             "scene_id": scene_id,
@@ -393,7 +390,7 @@ def cmd_encode(cfg: RunConfig) -> int:
             "gt_pose": scene.gt_pose.to_json(),
         })
         entries.append({"id": scene_id, "dir": scene_id})
-    _write_json(out / "manifest.json", {"maps": entries, "res": cfg["res"]})
+    _write_json(out / "manifest.json", {"maps": entries, "res": args.res})
     print(f"encoded {len(entries)} scenes -> {out}")
     return 0
 
@@ -408,21 +405,21 @@ def _maps_dirs(root: Path):
     raise FileNotFoundError(f"no manifest.json under {root}")
 
 
-def cmd_corrupt(cfg: RunConfig) -> int:
-    dirs = _maps_dirs(Path(cfg["maps"]))
-    out = Path(cfg.out)
+def cmd_corrupt(args: argparse.Namespace) -> int:
+    dirs = _maps_dirs(args.maps)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     entries, loss_rows = [], []
     for i, d in enumerate(sorted(dirs)):
         maps, manifest = load_dense_maps(d)
         noise = NoiseSpec(
-            residual_sigma=cfg["residual_sigma"],
-            label_flip_prob=cfg["label_flip"],
-            mask_flip_prob=cfg["mask_flip"],
-            depth_sigma=cfg["depth_sigma"],
-            uv_sigma=cfg["uv_sigma"],
-            residual_bias_sigma=cfg["residual_bias_sigma"],
-            seed=_child_seed(cfg.seed, i),
+            residual_sigma=args.residual_sigma,
+            label_flip_prob=args.label_flip,
+            mask_flip_prob=args.mask_flip,
+            depth_sigma=args.depth_sigma,
+            uv_sigma=args.uv_sigma,
+            residual_bias_sigma=args.residual_bias_sigma,
+            seed=_child_seed(args.seed, i),
         )
         noisy = corrupt(maps, noise)
         scene_id = manifest.get("scene_id", d.name)
@@ -450,9 +447,9 @@ def cmd_corrupt(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    dirs = _maps_dirs(Path(cfg["maps"]))
-    anchors = load_anchor_set(cfg["anchors"])
+def cmd_solve(args: argparse.Namespace) -> int:
+    dirs = _maps_dirs(args.maps)
+    anchors = load_anchor_set(args.anchors)
     results = []
     for i, d in enumerate(sorted(dirs)):
         maps, manifest = load_dense_maps(d)
@@ -461,43 +458,23 @@ def cmd_solve(cfg: RunConfig) -> int:
         if "intrinsics" in manifest:
             k_org = Intrinsics.from_json(manifest["intrinsics"])
             k_crop = adjust_intrinsics(k_org, crop_affine(maps.grids.roi))
-        mode = cfg["mode"]
-        seed = _child_seed(cfg.seed, i)
-        if mode == "3d3d":
-            if cfg.get("ransac"):
-                report = ransac(corr, "3d3d", cfg["inlier_tol"], cfg["max_iters"], seed)
-            else:
-                report = solve_3d3d(corr)
-        elif mode == "2d3d":
-            if k_crop is None:
-                raise ValueError("2d3d solving needs intrinsics in the maps manifest")
-            if cfg.get("ransac"):
-                report = ransac(corr, "2d3d", cfg["inlier_tol"], cfg["max_iters"], seed,
-                                k=k_crop)
-            else:
-                report = solve_2d3d(corr, k_crop)
-        elif mode == "fused":
-            if k_crop is None:
-                raise ValueError("fused solving needs intrinsics in the maps manifest")
-            report = solve_fused(corr, k_crop, sigma_m=cfg["sigma_m"],
-                                 sigma_px=cfg["sigma_px"], seed=seed)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        report = _solve(corr, args.mode, k_crop, sigma_m=args.sigma_m, sigma_px=args.sigma_px,
+                        seed=_child_seed(args.seed, i),
+                        ransac_args=(args.inlier_tol, args.max_iters) if args.ransac else None)
         entry = {"scene_id": manifest.get("scene_id", d.name)}
         if "object_id" in manifest:
             entry["object_id"] = manifest["object_id"]
         entry.update(report.to_json())
         results.append(entry)
-    _write_json(cfg.out, results)
-    print(f"solved {len(results)} map sets -> {cfg.out}")
+    _write_json(args.out, results)
+    print(f"solved {len(results)} map sets -> {args.out}")
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    with open(cfg["pred"]) as f:
+def cmd_eval(args: argparse.Namespace) -> int:
+    with open(args.pred) as f:
         preds = json.load(f)
-    scenes_dir = Path(cfg["scenes"])
-    _, scenes, models = _load_benchmark_dir(scenes_dir)
+    _, scenes, models = _load_benchmark_dir(args.scenes)
     gt = dict(scenes)
     pred_ids = [p["scene_id"] for p in preds]
     if sorted(pred_ids) != sorted(gt):
@@ -507,23 +484,15 @@ def cmd_eval(cfg: RunConfig) -> int:
         scene = gt[p["scene_id"]]
         if p.get("object_id", scene.object_id) != scene.object_id:
             raise IdMismatch(f"object id mismatch for scene {p['scene_id']}")
-        model = models[scene.object_id]
-        pose = Pose.from_json(p["pose"])
-        rot, trans = pose_error(pose, scene.gt_pose)
-        records.append(EvalRecord(
-            scene.object_id,
-            add_metric(model, pose, scene.gt_pose),
-            adds_metric(model, pose, scene.gt_pose),
-            rot, trans, model.diameter, model.symmetric,
-        ))
+        records.append(_score(models[scene.object_id], Pose.from_json(p["pose"]), scene))
     rows = evaluate_batch(records)
-    write_summary_csv(rows, cfg.out)
+    write_summary_csv(rows, args.out)
     print(format_summary_table(rows))
     return 0
 
 
-def _scenes_and_model(cfg: RunConfig):
-    _, scenes, models = _load_benchmark_dir(Path(cfg["scenes"]))
+def _scenes_and_model(args: argparse.Namespace):
+    _, scenes, models = _load_benchmark_dir(args.scenes)
     ids = {s.object_id for _, s in scenes}
     if len(ids) != 1:
         raise ValueError("ablation sweeps expect a single-object benchmark")
@@ -531,38 +500,38 @@ def _scenes_and_model(cfg: RunConfig):
     return [s for _, s in scenes], model
 
 
-def cmd_ablate_anchors(cfg: RunConfig) -> int:
-    scenes, model = _scenes_and_model(cfg)
+def cmd_ablate_anchors(args: argparse.Namespace) -> int:
+    scenes, model = _scenes_and_model(args)
     rows = ablate_anchors_rows(
-        model, scenes, k_list=cfg["k_list"], noise_rel=cfg["noise_rel"],
-        absolute_sigma=cfg.get("absolute_sigma"), seed=cfg.seed,
-        res=cfg["res"], jobs=cfg.jobs,
+        model, scenes, k_list=args.k_list, noise_rel=args.noise_rel,
+        absolute_sigma=args.absolute_sigma, seed=args.seed,
+        res=args.res, jobs=args.jobs,
     )
-    _write_csv(cfg.out, "K,covering_radius,add01d_pct,auc,deg10cm10_pct", rows)
-    print(f"anchor sweep ({len(rows)} rows) -> {cfg.out}")
+    _write_csv(args.out, "K,covering_radius,add01d_pct,auc,deg10cm10_pct", rows)
+    print(f"anchor sweep ({len(rows)} rows) -> {args.out}")
     return 0
 
 
-def cmd_ablate_corr(cfg: RunConfig) -> int:
-    scenes, model = _scenes_and_model(cfg)
-    anchors = build_anchor_set(model, cfg["k"])
+def cmd_ablate_corr(args: argparse.Namespace) -> int:
+    scenes, model = _scenes_and_model(args)
+    anchors = build_anchor_set(model, args.k)
     rows, _ = ablate_corr_rows(
-        model, anchors, scenes, residual_sigma=cfg["residual_sigma"],
-        depth_sigma=cfg["depth_sigma"], uv_sigma=cfg["uv_sigma"],
-        seed=cfg.seed, res=cfg["res"], jobs=cfg.jobs,
+        model, anchors, scenes, residual_sigma=args.residual_sigma,
+        depth_sigma=args.depth_sigma, uv_sigma=args.uv_sigma,
+        seed=args.seed, res=args.res, jobs=args.jobs,
     )
-    _write_csv(cfg.out, "mode,add01d_pct,auc,deg10cm10_pct,mean_rot_deg,mean_trans_m", rows)
-    print(f"correspondence sweep -> {cfg.out}")
+    _write_csv(args.out, "mode,add01d_pct,auc,deg10cm10_pct,mean_rot_deg,mean_trans_m", rows)
+    print(f"correspondence sweep -> {args.out}")
     return 0
 
 
-def cmd_ablate_k(cfg: RunConfig) -> int:
-    scenes, model = _scenes_and_model(cfg)
-    anchors = build_anchor_set(model, cfg["k"])
-    rows = ablate_k_rows(model, anchors, scenes, uv_sigma=cfg["uv_sigma"],
-                         seed=cfg.seed, res=cfg["res"], jobs=cfg.jobs)
-    _write_csv(cfg.out, "intrinsic,add01d_pct,auc,deg10cm10_pct,mean_rot_deg", rows)
-    print(f"intrinsic sweep -> {cfg.out}")
+def cmd_ablate_k(args: argparse.Namespace) -> int:
+    scenes, model = _scenes_and_model(args)
+    anchors = build_anchor_set(model, args.k)
+    rows = ablate_k_rows(model, anchors, scenes, uv_sigma=args.uv_sigma,
+                         seed=args.seed, res=args.res, jobs=args.jobs)
+    _write_csv(args.out, "intrinsic,add01d_pct,auc,deg10cm10_pct,mean_rot_deg", rows)
+    print(f"intrinsic sweep -> {args.out}")
     return 0
 
 
@@ -594,7 +563,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, required=True, help="master RNG seed")
     common.add_argument("--out", type=Path, required=True, help="output path")
-    common.add_argument("--jobs", type=int, default=1, help="parallel scene workers")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    sweep.add_argument("--scenes", type=Path, required=True)
+    sweep.add_argument("--res", type=int, default=camera_crop.CORR_RES)
+    sweep.add_argument("--jobs", type=int, default=1, help="parallel scene workers")
 
     p = argparse.ArgumentParser(prog="anchorpose", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -646,26 +618,20 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--pred", type=Path, required=True)
     v.add_argument("--scenes", type=Path, required=True)
 
-    aa = sub.add_parser("ablate-anchors", parents=[common], help="anchor-count sweep CSV")
-    aa.add_argument("--scenes", type=Path, required=True)
+    aa = sub.add_parser("ablate-anchors", parents=[sweep], help="anchor-count sweep CSV")
     aa.add_argument("--k-list", type=int, nargs="+", default=list(DEFAULT_K_LIST))
     aa.add_argument("--noise-rel", type=float, default=0.08)
     aa.add_argument("--absolute-sigma", type=float, default=None)
-    aa.add_argument("--res", type=int, default=camera_crop.CORR_RES)
 
-    ac = sub.add_parser("ablate-corr", parents=[common], help="correspondence-family sweep CSV")
-    ac.add_argument("--scenes", type=Path, required=True)
+    ac = sub.add_parser("ablate-corr", parents=[sweep], help="correspondence-family sweep CSV")
     ac.add_argument("--k", type=int, default=codec.DEFAULT_ANCHOR_COUNT)
     ac.add_argument("--residual-sigma", type=float, default=0.001)
     ac.add_argument("--depth-sigma", type=float, default=0.001)
     ac.add_argument("--uv-sigma", type=float, default=2.0)
-    ac.add_argument("--res", type=int, default=camera_crop.CORR_RES)
 
-    ak = sub.add_parser("ablate-k", parents=[common], help="intrinsic-adjustment sweep CSV")
-    ak.add_argument("--scenes", type=Path, required=True)
+    ak = sub.add_parser("ablate-k", parents=[sweep], help="intrinsic-adjustment sweep CSV")
     ak.add_argument("--k", type=int, default=codec.DEFAULT_ANCHOR_COUNT)
     ak.add_argument("--uv-sigma", type=float, default=0.5)
-    ak.add_argument("--res", type=int, default=camera_crop.CORR_RES)
     return p
 
 
@@ -684,11 +650,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("command", "seed", "out", "jobs")}
-    cfg = RunConfig(seed=args.seed, out=args.out, jobs=args.jobs, params=params)
     try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - map every failure to an exit code
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

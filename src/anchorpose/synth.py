@@ -397,20 +397,24 @@ def sample_scene(model: ObjectModel, config: SceneConfig, target_level: float,
     )
 
 
+def level_slots(n_scenes: int, n_levels: int) -> list[tuple[int, int]]:
+    """(occlusion level index, slot within the level) of each benchmark scene.
+
+    The scenes form consecutive blocks, one per level; the first
+    ``n_scenes % n_levels`` blocks hold one scene more.
+    """
+    return [(li, slot) for li in range(n_levels)
+            for slot in range(n_scenes // n_levels + (li < n_scenes % n_levels))]
+
+
 def make_benchmark(model: ObjectModel, config: SceneConfig, n_scenes: int,
                    occlusion_levels=(1.0,)) -> list[SceneSample]:
-    """n_scenes scenes split round-robin over the occlusion targets."""
+    """n_scenes scenes split over the occlusion targets as ``level_slots`` says."""
     if n_scenes < 1:
         raise ValueError("n_scenes must be >= 1")
     levels = list(occlusion_levels)
-    counts = [n_scenes // len(levels)] * len(levels)
-    for i in range(n_scenes % len(levels)):
-        counts[i] += 1
-    scenes = []
-    for li, (level, cnt) in enumerate(zip(levels, counts)):
-        for slot in range(cnt):
-            scenes.append(sample_scene(model, config, level, li, slot))
-    return scenes
+    return [sample_scene(model, config, levels[li], li, slot)
+            for li, slot in level_slots(n_scenes, len(levels))]
 
 
 def tight_roi(scene: SceneSample, out_res: int) -> Roi:

@@ -237,6 +237,13 @@ class TestDeterminismAndErrors:
                      "--scenes", "1", "--points", "700"])
         assert code == 3
 
+    def test_jobs_rejected_outside_sweeps(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--seed", "1", "--out", str(tmp_path / "b"), "--scenes", "1",
+                  "--jobs", "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "b").exists()
+
     def test_exit_code_table(self):
         assert exit_code_for(IdMismatch("x")) == 5
         assert exit_code_for(synth.BinUnfillable("x")) == 6
