@@ -24,12 +24,9 @@ from .geom import (
 from .mesh import ObjectModel, bbox, diameter, fps, load_ply
 from .codec import (
     AnchorSet,
-    RegionLabel,
-    ResidualCode,
     build_anchor_set,
-    decode,
-    encode,
-    region_label,
+    decode_points,
+    encode_points,
 )
 from .camera_crop import (
     DepthImage,

@@ -17,10 +17,8 @@ import numpy as np
 
 from .geom import CropAffine, Intrinsics, backproject_grid
 
-# Default working resolutions: dense correspondence maps and the coarser
-# fusion resolution.
+# Default resolution of the dense correspondence maps.
 CORR_RES = 64
-FUSION_RES = 32
 
 DZI_SHIFT_RATIO = 0.25
 DZI_ZOOM = 1.5

@@ -127,20 +127,31 @@ def _cap_correspondences(corr: solver.CorrSet) -> solver.CorrSet:
     return corr.subset(idx)
 
 
+# RANSAC inlier tolerance per mode when --inlier-tol is not given: meters of
+# 3d-3d alignment error, pixels of reprojection error.
+DEFAULT_INLIER_TOL = {"3d3d": 0.01, "2d3d": 2.0}
+
+
 def _solve(corr: solver.CorrSet, mode: str, k: Intrinsics | None, *, sigma_m: float,
            sigma_px: float, seed: int,
-           ransac_args: tuple[float, int] | None = None) -> solver.SolveReport:
+           ransac_args: tuple[float | None, int] | None = None) -> solver.SolveReport:
     """One pose solve in ``mode`` (3d3d, 2d3d or fused) with camera ``k``.
 
     ``ransac_args`` = (inlier_tol, max_iters) runs a 3d3d or 2d3d solve under
-    seeded RANSAC; the fused solver runs its own robust initialization.
+    seeded RANSAC, with ``DEFAULT_INLIER_TOL`` for a None tolerance. The
+    fused solver runs its own robust initialization, so it rejects them.
     """
     if mode not in ("3d3d", "2d3d", "fused"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode != "3d3d" and k is None:
-        raise ValueError(f"{mode} solving needs intrinsics in the maps manifest")
-    if ransac_args is not None and mode != "fused":
-        return ransac(corr, mode, *ransac_args, seed, k=k)
+        raise ValueError(f"{mode} solving needs intrinsics in the maps file")
+    if ransac_args is not None:
+        if mode == "fused":
+            raise ValueError("RANSAC needs mode 3d3d or 2d3d; the fused solver "
+                             "runs its own robust initialization")
+        tol, max_iters = ransac_args
+        return ransac(corr, mode, DEFAULT_INLIER_TOL[mode] if tol is None else tol,
+                      max_iters, seed, k=k)
     if mode == "3d3d":
         return solve_3d3d(corr)
     if mode == "2d3d":
@@ -383,35 +394,40 @@ def cmd_encode(args: argparse.Namespace) -> int:
     for scene_id, scene in scenes:
         roi = tight_roi(scene, args.res)
         maps = ground_truth_maps(scene, anchors, roi)
-        save_dense_maps(maps, out / scene_id, extra={
+        name = f"{scene_id}.npz"
+        save_dense_maps(maps, out / name, extra={
             "scene_id": scene_id,
             "object_id": scene.object_id,
             "intrinsics": scene.intrinsics.to_json(),
             "gt_pose": scene.gt_pose.to_json(),
         })
-        entries.append({"id": scene_id, "dir": scene_id})
+        entries.append({"id": scene_id, "file": name})
     _write_json(out / "manifest.json", {"maps": entries, "res": args.res})
     print(f"encoded {len(entries)} scenes -> {out}")
     return 0
 
 
-def _maps_dirs(root: Path):
-    if (root / "manifest.json").exists():
-        with open(root / "manifest.json") as f:
-            manifest = json.load(f)
-        if manifest.get("format") == correspondence.MAPS_FORMAT:
-            return [root]
-        return [root / e["dir"] for e in manifest["maps"]]
-    raise FileNotFoundError(f"no manifest.json under {root}")
+def _maps_files(path: Path) -> list[Path]:
+    """``path`` itself when it is one maps file, else the files listed in the
+    ``manifest.json`` of the maps directory ``path``."""
+    if path.is_file():
+        return [path]
+    with open(path / "manifest.json") as f:
+        manifest = json.load(f)
+    try:
+        return [path / e["file"] for e in manifest["maps"]]
+    except (KeyError, TypeError) as exc:
+        raise correspondence.MalformedMaps(
+            f"{path / 'manifest.json'} does not list maps files: {exc!r}") from exc
 
 
 def cmd_corrupt(args: argparse.Namespace) -> int:
-    dirs = _maps_dirs(args.maps)
+    files = _maps_files(args.maps)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     entries, loss_rows = [], []
-    for i, d in enumerate(sorted(dirs)):
-        maps, manifest = load_dense_maps(d)
+    for i, path in enumerate(sorted(files)):
+        maps, meta = load_dense_maps(path)
         noise = NoiseSpec(
             residual_sigma=args.residual_sigma,
             label_flip_prob=args.label_flip,
@@ -422,21 +438,21 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
             seed=_child_seed(args.seed, i),
         )
         noisy = corrupt(maps, noise)
-        scene_id = manifest.get("scene_id", d.name)
-        extra = {k: manifest[k] for k in ("scene_id", "object_id", "intrinsics", "gt_pose")
-                 if k in manifest}
-        save_dense_maps(noisy, out / d.name, extra=extra)
-        entries.append({"id": scene_id, "dir": d.name})
+        scene_id = meta.get("scene_id", path.stem)
+        extra = {k: meta[k] for k in ("scene_id", "object_id", "intrinsics", "gt_pose")
+                 if k in meta}
+        save_dense_maps(noisy, out / path.name, extra=extra)
+        entries.append({"id": scene_id, "file": path.name})
 
         lm = loss_mask(noisy.mask, maps.mask)
-        lc = loss_coarse(noisy.region_probs, maps.region_argmax, noisy.mask)
+        lc = loss_coarse(noisy.region_probs, maps.classes, noisy.mask)
         lf = loss_fine(noisy.residual, maps.residual, maps.mask)
         lt = None
-        if "gt_pose" in manifest:
+        if "gt_pose" in meta:
             try:
                 corr = extract_correspondences(noisy, maps.anchors)
                 rot, trans = pose_error(solve_3d3d(corr).pose,
-                                        Pose.from_json(manifest["gt_pose"]))
+                                        Pose.from_json(meta["gt_pose"]))
                 lt = loss_total(lc, lf, lm, math.radians(rot) + trans)
             except (solver.NoForeground, solver.DegenerateConfiguration):
                 lt = None
@@ -448,22 +464,22 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    dirs = _maps_dirs(args.maps)
+    files = _maps_files(args.maps)
     anchors = load_anchor_set(args.anchors)
     results = []
-    for i, d in enumerate(sorted(dirs)):
-        maps, manifest = load_dense_maps(d)
+    for i, path in enumerate(sorted(files)):
+        maps, meta = load_dense_maps(path)
         corr = extract_correspondences(maps, anchors)
         k_crop = None
-        if "intrinsics" in manifest:
-            k_org = Intrinsics.from_json(manifest["intrinsics"])
+        if "intrinsics" in meta:
+            k_org = Intrinsics.from_json(meta["intrinsics"])
             k_crop = adjust_intrinsics(k_org, crop_affine(maps.grids.roi))
         report = _solve(corr, args.mode, k_crop, sigma_m=args.sigma_m, sigma_px=args.sigma_px,
                         seed=_child_seed(args.seed, i),
                         ransac_args=(args.inlier_tol, args.max_iters) if args.ransac else None)
-        entry = {"scene_id": manifest.get("scene_id", d.name)}
-        if "object_id" in manifest:
-            entry["object_id"] = manifest["object_id"]
+        entry = {"scene_id": meta.get("scene_id", path.stem)}
+        if "object_id" in meta:
+            entry["object_id"] = meta["object_id"]
         entry.update(report.to_json())
         results.append(entry)
     _write_json(args.out, results)
@@ -546,7 +562,8 @@ _EXIT_CODES: list[tuple[tuple, int]] = [
       solver.NoConsensus, geom.PointBehindCamera, geom.NonPositiveDepth,
       geom.DegenerateFrame, geom.NotARotation, camera_crop.EmptyIntersection,
       correspondence.NonFinite, codec.IndexOutOfRange), 4),
-    ((mesh.ParseError, mesh.UnsupportedPlyVariant, camera_crop.MalformedImage), 3),
+    ((mesh.ParseError, mesh.UnsupportedPlyVariant, camera_crop.MalformedImage,
+      correspondence.MalformedMaps), 3),
     ((OSError, json.JSONDecodeError), 3),
     ((ValueError,), 2),
 ]
@@ -609,7 +626,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--anchors", type=Path, required=True)
     s.add_argument("--mode", choices=("3d3d", "2d3d", "fused"), default="fused")
     s.add_argument("--ransac", action="store_true")
-    s.add_argument("--inlier-tol", type=float, default=0.01)
+    s.add_argument("--inlier-tol", type=float, default=None,
+                   help="RANSAC inlier tolerance (default: 0.01 m for 3d3d, 2.0 px for 2d3d)")
     s.add_argument("--max-iters", type=int, default=256)
     s.add_argument("--sigma-m", type=float, default=0.005)
     s.add_argument("--sigma-px", type=float, default=1.0)

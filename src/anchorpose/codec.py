@@ -65,31 +65,6 @@ class AnchorSet:
         )
 
 
-@dataclass(frozen=True)
-class ResidualCode:
-    """Coarse/fine split of one coordinate: anchor class plus offset."""
-
-    anchor_index: int
-    residual: np.ndarray  # (3,) meters
-
-
-@dataclass(frozen=True)
-class RegionLabel:
-    """One-hot vector of length K+1; index K means background."""
-
-    one_hot: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.one_hot, dtype=np.float64)
-        if v.ndim != 1 or not ((v == 1).sum() == 1 and ((v == 0) | (v == 1)).all()):
-            raise ValueError("one_hot must contain exactly one 1 and 0 elsewhere")
-        object.__setattr__(self, "one_hot", v)
-
-    @property
-    def index(self) -> int:
-        return int(np.argmax(self.one_hot))
-
-
 def build_anchor_set(model: ObjectModel, k: int = DEFAULT_ANCHOR_COUNT) -> AnchorSet:
     """FPS anchors plus the covering radius over all model points."""
     anchors = fps(model, k)
@@ -113,45 +88,22 @@ def nearest_anchor(points: np.ndarray, anchors: np.ndarray):
     return idx, dist
 
 
-def encode(point, anchors: AnchorSet) -> ResidualCode:
-    """Encode a point as (nearest anchor index, point - anchor)."""
-    p = np.asarray(point, dtype=np.float64)
-    idx, _ = nearest_anchor(p[None, :], anchors.anchors)
-    j = int(idx[0])
-    return ResidualCode(j, p - anchors.anchors[j])
-
-
 def encode_points(points, anchors: AnchorSet):
-    """Vectorized encode: returns (indices (N,), residuals (N, 3))."""
+    """Encode (N, 3) points as (nearest anchor indices (N,), point - anchor (N, 3))."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     idx, _ = nearest_anchor(pts, anchors.anchors)
     return idx, pts - anchors.anchors[idx]
 
 
-def decode(code: ResidualCode, anchors: AnchorSet) -> np.ndarray:
-    """Reconstruct the coordinate: anchor + residual."""
-    j = code.anchor_index
-    if not 0 <= j < anchors.k:
-        raise IndexOutOfRange(f"anchor index {j} not in [0, {anchors.k})")
-    return anchors.anchors[j] + code.residual
-
-
 def decode_points(indices, residuals, anchors: AnchorSet) -> np.ndarray:
-    """Vectorized decode of (N,) indices and (N, 3) residuals."""
+    """Reconstruct anchor + residual from (N,) indices and (N, 3) residuals.
+
+    The background index K is not decodable.
+    """
     idx = np.asarray(indices)
     if idx.size and (idx.min() < 0 or idx.max() >= anchors.k):
         raise IndexOutOfRange(f"anchor index outside [0, {anchors.k})")
     return anchors.anchors[idx] + np.asarray(residuals, dtype=np.float64)
-
-
-def region_label(point, anchors: AnchorSet) -> RegionLabel:
-    """One-hot region label; pass ``None`` for background (index K)."""
-    one_hot = np.zeros(anchors.k + 1)
-    if point is None:
-        one_hot[anchors.k] = 1.0
-    else:
-        one_hot[encode(point, anchors).anchor_index] = 1.0
-    return RegionLabel(one_hot)
 
 
 def save_anchor_set(anchors: AnchorSet, path) -> None:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .camera_crop import GridMaps, cell_sample_grid, crop_affine, make_grid_maps, read_pfm, write_pfm, Roi
+from .camera_crop import GridMaps, Roi, cell_sample_grid, crop_affine, make_grid_maps
 from .codec import AnchorSet, encode_points
 from .synth import SceneSample
 
@@ -35,40 +36,53 @@ class NonFinite(ValueError):
 
 @dataclass
 class DenseMaps:
-    """Per-cell mask, region probabilities, anchor coords, and residuals.
+    """Per-cell mask, region class and residual over one crop grid.
 
-    Ground-truth maps have a binary mask and one-hot region rows; corrupted
-    maps keep the same layout. ``anchors`` records the coding anchor set the
-    maps were built against.
+    ``classes`` holds each cell's nearest-anchor index in [0, K), or K for
+    background. Ground-truth maps have a binary mask; corrupted maps keep
+    the same layout. ``anchors`` records the coding anchor set the maps
+    were built against.
     """
 
-    mask: np.ndarray          # (R, R) float64 in [0, 1]
-    region_probs: np.ndarray  # (R, R, K+1) float64, rows on the simplex
-    anchor_xyz: np.ndarray    # (R, R, 3) float64, zeros for background cells
-    residual: np.ndarray      # (R, R, 3) float64
+    mask: np.ndarray      # (R, R) float64 in [0, 1]
+    classes: np.ndarray   # (R, R) integer in [0, K]; K is background
+    residual: np.ndarray  # (R, R, 3) float64
     grids: GridMaps
     anchors: AnchorSet
 
     def __post_init__(self):
         r = self.grids.out_res
-        kp1 = self.anchors.k + 1
-        if self.mask.shape != (r, r):
-            raise ValueError("mask shape inconsistent with grids")
-        if self.region_probs.shape != (r, r, kp1):
-            raise ValueError("region_probs shape inconsistent with anchors/grids")
-        if self.anchor_xyz.shape != (r, r, 3) or self.residual.shape != (r, r, 3):
-            raise ValueError("anchor_xyz/residual must be (R, R, 3)")
-        sums = self.region_probs.sum(axis=-1)
-        if self.region_probs.min() < 0 or np.abs(sums - 1.0).max() > 1e-6:
-            raise ValueError("region_probs rows must be a probability simplex")
+        if self.mask.shape != (r, r) or self.classes.shape != (r, r):
+            raise ValueError("mask/classes shape inconsistent with grids")
+        if self.residual.shape != (r, r, 3):
+            raise ValueError("residual must be (R, R, 3)")
+        if not np.issubdtype(self.classes.dtype, np.integer):
+            raise ValueError(f"classes must be integers, got {self.classes.dtype}")
+        if self.classes.min() < 0 or self.classes.max() > self.k:
+            raise ValueError(f"classes outside [0, {self.k}]")
+        for name, a in (("mask", self.mask), ("residual", self.residual),
+                        ("uv", self.grids.uv), ("cam_xyz", self.grids.cam_xyz)):
+            if not np.issubdtype(a.dtype, np.floating) or not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite floats")
 
     @property
     def k(self) -> int:
         return self.anchors.k
 
     @property
-    def region_argmax(self) -> np.ndarray:
-        return np.argmax(self.region_probs, axis=-1)
+    def region_probs(self) -> np.ndarray:
+        """(R, R, K+1) float64 one-hot rows of ``classes``, built on each read;
+        kept because ``loss_coarse`` scores probabilities and the benchmark
+        harness (``perfbench``) sizes this array."""
+        probs = np.zeros(self.classes.shape + (self.k + 1,))
+        np.put_along_axis(probs, self.classes[..., None], 1.0, axis=-1)
+        return probs
+
+    @property
+    def anchor_xyz(self) -> np.ndarray:
+        """(R, R, 3) anchor of each cell's class, zeros for background; kept
+        only because the benchmark harness (``perfbench``) reads it."""
+        return np.vstack([self.anchors.anchors, np.zeros((1, 3))])[self.classes]
 
 
 @dataclass(frozen=True)
@@ -102,10 +116,9 @@ class NoiseSpec:
 def ground_truth_maps(scene: SceneSample, anchors: AnchorSet, roi: Roi) -> DenseMaps:
     """Supervision targets for one scene crop.
 
-    Cells whose sample pixel is a visible object pixel get mask 1, the
+    Cells whose sample pixel is a visible object pixel get mask 1 and the
     region class and residual of the camera point mapped back into the
-    object frame, and that class's anchor coordinate; everything else is
-    background (class K).
+    object frame; everything else is background (class K).
     """
     if scene.object_id != anchors.object_id:
         raise ObjectMismatch(
@@ -118,22 +131,16 @@ def ground_truth_maps(scene: SceneSample, anchors: AnchorSet, roi: Roi) -> Dense
     fg = grids.valid & vis
 
     r = roi.out_res
-    kp1 = anchors.k + 1
     classes = np.full((r, r), anchors.k, dtype=np.intp)
-    anchor_xyz = np.zeros((r, r, 3))
     residual = np.zeros((r, r, 3))
     if fg.any():
         pose = scene.gt_pose
         obj_pts = (grids.cam_xyz[fg] - pose.translation) @ pose.rotation
-        idx, res = encode_points(obj_pts, anchors)
-        classes[fg] = idx
-        anchor_xyz[fg] = anchors.anchors[idx]
-        residual[fg] = res
+        classes[fg], residual[fg] = encode_points(obj_pts, anchors)
 
     return DenseMaps(
         mask=fg.astype(np.float64),
-        region_probs=np.eye(kp1)[classes],
-        anchor_xyz=anchor_xyz,
+        classes=classes,
         residual=residual,
         grids=grids,
         anchors=anchors,
@@ -159,7 +166,7 @@ def corrupt(maps: DenseMaps, noise: NoiseSpec) -> DenseMaps:
     if noise.residual_bias_sigma > 0:
         residual[masked] += noise.residual_bias_sigma * bias
 
-    classes = maps.region_argmax.copy()
+    classes = maps.classes.copy()
     flip_draw = rng.random((r, r))
     resampled = rng.integers(0, k + 1, (r, r))
     if noise.label_flip_prob > 0:
@@ -188,14 +195,9 @@ def corrupt(maps: DenseMaps, noise: NoiseSpec) -> DenseMaps:
         uv[..., 0] += (noise.uv_sigma / a.scale_u) * uv_noise[..., 0]
         uv[..., 1] += (noise.uv_sigma / a.scale_v) * uv_noise[..., 1]
 
-    anchor_xyz = np.zeros((r, r, 3))
-    fg = classes < k
-    anchor_xyz[fg] = maps.anchors.anchors[classes[fg]]
-
     return DenseMaps(
         mask=mask,
-        region_probs=np.eye(k + 1)[classes],
-        anchor_xyz=anchor_xyz,
+        classes=classes,
         residual=residual,
         grids=GridMaps(uv, cam_xyz, maps.grids.valid.copy(), maps.grids.roi),
         anchors=maps.anchors,
@@ -271,67 +273,42 @@ def write_loss_csv(rows, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Directory serialization: PFM planes plus a JSON manifest
+# Serialization: one uncompressed .npz per scene, arrays stored as they are
 
-MAPS_FORMAT = "anchorpose-maps-v1"
-
-
-def save_dense_maps(maps: DenseMaps, dirpath, extra: dict | None = None) -> None:
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    planes = {
-        "mask": "mask.pfm",
-        "residual": "residual.pfm",
-        "anchor_xyz": "anchor_xyz.pfm",
-        "uv": "uv.pfm",
-        "cam_xyz": "cam_xyz.pfm",
-        "valid": "valid.pfm",
-        "region": [f"region_{i:03d}.pfm" for i in range(maps.k + 1)],
-    }
-    write_pfm(d / planes["mask"], maps.mask)
-    write_pfm(d / planes["residual"], maps.residual)
-    write_pfm(d / planes["anchor_xyz"], maps.anchor_xyz)
-    uv3 = np.concatenate([maps.grids.uv, np.zeros(maps.grids.uv.shape[:2] + (1,))], axis=-1)
-    write_pfm(d / planes["uv"], uv3)
-    write_pfm(d / planes["cam_xyz"], maps.grids.cam_xyz)
-    write_pfm(d / planes["valid"], maps.grids.valid.astype(np.float64))
-    for i, name in enumerate(planes["region"]):
-        write_pfm(d / name, maps.region_probs[..., i])
-    manifest = {
-        "format": MAPS_FORMAT,
-        "res": maps.grids.out_res,
-        "k": maps.k,
-        "anchors": maps.anchors.to_json(),
-        "roi": maps.grids.roi.to_json(),
-        "planes": planes,
-    }
-    if extra:
-        manifest.update(extra)
-    with open(d / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+MAPS_FORMAT = "anchorpose-maps-v2"
 
 
-def load_dense_maps(dirpath):
-    """Returns (DenseMaps, manifest dict). Region rows are renormalized to
-    absorb float32 storage quantization."""
-    d = Path(dirpath)
-    with open(d / "manifest.json") as f:
-        manifest = json.load(f)
-    if manifest.get("format") != MAPS_FORMAT:
-        raise ValueError(f"unexpected maps format {manifest.get('format')!r}")
-    planes = manifest["planes"]
-    anchors = AnchorSet.from_json(manifest["anchors"])
-    roi = Roi.from_json(manifest["roi"])
-    mask = read_pfm(d / planes["mask"])
-    residual = read_pfm(d / planes["residual"])
-    anchor_xyz = read_pfm(d / planes["anchor_xyz"])
-    uv = read_pfm(d / planes["uv"])[..., :2]
-    cam_xyz = read_pfm(d / planes["cam_xyz"])
-    valid = read_pfm(d / planes["valid"]) > 0.5
-    region = np.stack([read_pfm(d / name) for name in planes["region"]], axis=-1)
-    region = np.maximum(region, 0.0)
-    region /= np.maximum(region.sum(axis=-1, keepdims=True), 1e-300)
-    cam_xyz[~valid] = 0.0
-    grids = GridMaps(uv, cam_xyz, valid, roi)
-    return DenseMaps(mask, region, anchor_xyz, residual, grids, anchors), manifest
+class MalformedMaps(ValueError):
+    """A dense-maps file that cannot be read or fails validation."""
+
+
+def save_dense_maps(maps: DenseMaps, path, extra: dict | None = None) -> None:
+    """Write ``maps`` to the ``.npz`` file ``path``, losslessly.
+
+    The arrays keep their dtypes; ``meta`` is a JSON string holding the
+    format tag, the anchor set, the crop and the ``extra`` keys.
+    """
+    meta = {"format": MAPS_FORMAT, "anchors": maps.anchors.to_json(),
+            "roi": maps.grids.roi.to_json(), **(extra or {})}
+    g = maps.grids
+    np.savez(path, classes=maps.classes, mask=maps.mask, residual=maps.residual,
+             uv=g.uv, cam_xyz=g.cam_xyz, valid=g.valid,
+             meta=np.array(json.dumps(meta, sort_keys=True)))
+
+
+def load_dense_maps(path):
+    """Returns (DenseMaps, meta dict). Raises ``MalformedMaps`` for a file
+    that is not a readable maps ``.npz`` or whose arrays fail validation."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            a = {name: z[name] for name in
+                 ("classes", "mask", "residual", "uv", "cam_xyz", "valid", "meta")}
+        meta = json.loads(str(a["meta"]))
+        if not isinstance(meta, dict) or meta.get("format") != MAPS_FORMAT:
+            raise ValueError(f"meta is not an {MAPS_FORMAT} header")
+        grids = GridMaps(a["uv"], a["cam_xyz"], a["valid"], Roi.from_json(meta["roi"]))
+        maps = DenseMaps(a["mask"], a["classes"], a["residual"], grids,
+                         AnchorSet.from_json(meta["anchors"]))
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedMaps(f"{path}: {exc}") from exc
+    return maps, meta

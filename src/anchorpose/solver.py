@@ -139,7 +139,7 @@ def extract_correspondences(maps: DenseMaps, anchors: AnchorSet,
         raise ValueError(
             f"maps coded against {maps.anchors.object_id!r}, got {anchors.object_id!r}"
         )
-    classes = maps.region_argmax
+    classes = maps.classes
     sel = (maps.mask > mask_threshold) & (classes < anchors.k) & maps.grids.valid
     if not sel.any():
         raise NoForeground("no cell passes mask/class/validity selection")

@@ -244,7 +244,7 @@ def test_c8_loss_sanity():
     model, anchors, scene, roi = scene_bundle(77)
     maps = ground_truth_maps(scene, anchors, roi)
     lm = loss_mask(maps.mask, maps.mask)
-    lc = loss_coarse(maps.region_probs, maps.region_argmax, maps.mask)
+    lc = loss_coarse(maps.region_probs, maps.classes, maps.mask)
     lf = loss_fine(maps.residual, maps.residual, maps.mask)
     lt = loss_total(lc, lf, lm, 0.0)
 

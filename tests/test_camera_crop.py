@@ -5,7 +5,6 @@ from anchorpose.camera_crop import (
     CORR_RES,
     DepthImage,
     EmptyIntersection,
-    FUSION_RES,
     MalformedImage,
     Roi,
     adjust_intrinsics,
@@ -165,7 +164,6 @@ class TestGridMaps:
 
     def test_default_resolutions(self):
         assert CORR_RES == 64
-        assert FUSION_RES == 32
 
 
 class TestPfm:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from anchorpose.cli import exit_code_for, main, IdMismatch
-from anchorpose.camera_crop import Roi, adjust_intrinsics, crop_affine, read_pfm, write_pfm
+from anchorpose.camera_crop import Roi, adjust_intrinsics, crop_affine
 from anchorpose.correspondence import ground_truth_maps
 from anchorpose.solver import extract_correspondences, solve_2d3d, pose_error
 from anchorpose.codec import build_anchor_set
@@ -100,9 +100,18 @@ class TestPipeline:
                      "--pred", str(bad), "--scenes", str(bench)])
         assert code == 5
 
-    def test_solve_single_maps_dir(self, pipeline, tmp_path):
+    def test_maps_dir_holds_manifest_and_one_npz_per_scene(self, pipeline):
+        *_, maps, noisy, _ = pipeline
+        for d in (maps, noisy):
+            manifest = json.loads((d / "manifest.json").read_text())
+            files = [e["file"] for e in manifest["maps"]]
+            assert files == [f"scene_{i:04d}.npz" for i in range(4)]
+            assert sorted(p.name for p in d.iterdir()) == sorted(
+                ["manifest.json", *files] + (["losses.csv"] if d == noisy else []))
+
+    def test_solve_single_maps_file(self, pipeline, tmp_path):
         root, bench, anchors, maps, *_ = pipeline
-        single = sorted(d for d in maps.iterdir() if d.is_dir())[0]
+        single = sorted(maps.glob("*.npz"))[0]
         out = tmp_path / "one.json"
         assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(single),
                      "--anchors", str(anchors), "--mode", "fused"]) == 0
@@ -116,10 +125,63 @@ class TestPipeline:
                      "--anchors", str(anchors), "--mode", "2d3d", "--ransac",
                      "--inlier-tol", "2.0", "--max-iters", "32"]) == 0
 
+    def test_solve_ransac_2d3d_default_tolerance_is_pixels(self, pipeline, tmp_path):
+        *_, anchors, maps, noisy, _ = pipeline
+        out = tmp_path / "r.json"
+        assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(noisy),
+                     "--anchors", str(anchors), "--mode", "2d3d", "--ransac",
+                     "--max-iters", "32"]) == 0
+        assert {e["mode"] for e in json.loads(out.read_text())} == {"2d3d"}
+
+    def test_solve_fused_rejects_ransac(self, pipeline, tmp_path):
+        *_, anchors, maps, noisy, _ = pipeline
+        out = tmp_path / "f.json"
+        assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(noisy),
+                     "--anchors", str(anchors), "--mode", "fused", "--ransac"]) == 2
+        assert not out.exists()
+
 
 def _truncate(path: Path) -> None:
     raw = path.read_bytes()
     path.write_bytes(raw[:len(raw) // 2])
+
+
+def _edit_arrays(edit):
+    """A fault that rewrites a maps .npz after ``edit`` changed its arrays."""
+    def apply(path: Path) -> None:
+        with np.load(path) as z:
+            arrays = dict(z)
+        edit(arrays)
+        np.savez(path, **arrays)
+    return apply
+
+
+def _nan_foreground_residual(arrays) -> None:
+    arrays["residual"][arrays["mask"] > 0.5] = np.nan
+
+
+def _class_k_plus_1(arrays) -> None:
+    k = len(json.loads(str(arrays["meta"]))["anchors"]["anchors"])
+    arrays["classes"][0, 0] = k + 1
+
+
+_MAPS_FAULTS = {
+    "truncated": _truncate,
+    "not_a_zip": lambda path: path.write_bytes(b"not a zip archive\n"),
+    "missing_array": _edit_arrays(lambda a: a.pop("residual")),
+    "class_k_plus_1": _edit_arrays(_class_k_plus_1),
+    "wrong_shape_residual": _edit_arrays(lambda a: a.update(residual=a["residual"][1:])),
+    "pickled_array": _edit_arrays(lambda a: a.update(residual=a["residual"].astype(object))),
+}
+
+
+def _solve_broken_maps(pipeline, tmp_path, fault) -> int:
+    root, bench, anchors, maps, *_ = pipeline
+    broken = tmp_path / "scene.npz"
+    shutil.copyfile(sorted(maps.glob("*.npz"))[0], broken)
+    fault(broken)
+    return main(["solve", "--seed", "7", "--out", str(tmp_path / "p.json"),
+                 "--maps", str(broken), "--anchors", str(anchors), "--mode", "fused"])
 
 
 class TestMalformedFiles:
@@ -136,14 +198,20 @@ class TestMalformedFiles:
         assert code == 3
 
     def test_nan_residual_on_foreground(self, pipeline, tmp_path):
-        root, bench, anchors, maps, *_ = pipeline
-        single = tmp_path / "maps"
-        shutil.copytree(sorted(d for d in maps.iterdir() if d.is_dir())[0], single)
-        residual = read_pfm(single / "residual.pfm")
-        residual[read_pfm(single / "mask.pfm") > 0.5] = np.nan
-        write_pfm(single / "residual.pfm", residual)
+        assert _solve_broken_maps(pipeline, tmp_path,
+                                  _edit_arrays(_nan_foreground_residual)) == 3
+
+    @pytest.mark.parametrize("fault", list(_MAPS_FAULTS))
+    def test_malformed_maps_file(self, pipeline, tmp_path, fault):
+        assert _solve_broken_maps(pipeline, tmp_path, _MAPS_FAULTS[fault]) == 3
+
+    def test_maps_manifest_without_file_list(self, pipeline, tmp_path):
+        # the layout of a maps directory from before the .npz format
+        root, bench, anchors, *_ = pipeline
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"maps": [{"id": "scene_0000", "dir": "scene_0000"}]}))
         code = main(["solve", "--seed", "7", "--out", str(tmp_path / "p.json"),
-                     "--maps", str(single), "--anchors", str(anchors), "--mode", "fused"])
+                     "--maps", str(tmp_path), "--anchors", str(anchors), "--mode", "fused"])
         assert code == 3
 
 

@@ -10,14 +10,10 @@ from anchorpose.codec import (
     AnchorSet,
     DEFAULT_ANCHOR_COUNT,
     IndexOutOfRange,
-    ResidualCode,
     build_anchor_set,
-    decode,
     decode_points,
-    encode,
     encode_points,
     load_anchor_set,
-    region_label,
     save_anchor_set,
 )
 from anchorpose.mesh import ObjectModel
@@ -55,36 +51,36 @@ class TestBuildAnchorSet:
 
 class TestEncodeDecode:
     def test_anchor_point_is_zero_residual(self, blob_anchors):
-        for j in (0, 5, 31):
-            code = encode(blob_anchors.anchors[j], blob_anchors)
-            assert code.anchor_index == j
-            np.testing.assert_array_equal(code.residual, np.zeros(3))
+        idx, res = encode_points(blob_anchors.anchors[[0, 5, 31]], blob_anchors)
+        np.testing.assert_array_equal(idx, [0, 5, 31])
+        np.testing.assert_array_equal(res, np.zeros((3, 3)))
 
     def test_nearest_by_brute_force(self):
         anchors = build_anchor_set(CUBE, 8)
         p = np.array([0.1, 0.0, 0.0])
-        code = encode(p, anchors)
+        idx, res = encode_points(p, anchors)
         brute = int(np.argmin([np.linalg.norm(p - a) for a in anchors.anchors]))
-        assert code.anchor_index == brute
-        np.testing.assert_array_equal(
-            anchors.anchors[code.anchor_index], [0.0, 0.0, 0.0]
-        )
-        np.testing.assert_allclose(code.residual, [0.1, 0.0, 0.0], atol=0)
+        assert idx.tolist() == [brute]
+        np.testing.assert_array_equal(anchors.anchors[idx[0]], [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(res, [[0.1, 0.0, 0.0]], atol=0)
 
     def test_tie_breaks_to_lowest_index(self):
         anchors = AnchorSet("pair", np.array([[0.0, 0, 0], [1.0, 0, 0]]), 1.0)
-        assert encode(np.array([0.5, 0.0, 0.0]), anchors).anchor_index == 0
+        idx, _ = encode_points(np.array([[0.5, 0.0, 0.0], [0.5, 1.0, -1.0]]), anchors)
+        np.testing.assert_array_equal(idx, [0, 0])
 
     def test_decode_anchor(self, blob_anchors):
         np.testing.assert_array_equal(
-            decode(ResidualCode(3, np.zeros(3)), blob_anchors), blob_anchors.anchors[3]
+            decode_points([3], np.zeros((1, 3)), blob_anchors), blob_anchors.anchors[[3]]
         )
 
     def test_background_not_decodable(self, blob_anchors):
         with pytest.raises(IndexOutOfRange):
-            decode(ResidualCode(blob_anchors.k, np.zeros(3)), blob_anchors)
+            decode_points([blob_anchors.k], np.zeros((1, 3)), blob_anchors)
         with pytest.raises(IndexOutOfRange):
             decode_points([0, blob_anchors.k], np.zeros((2, 3)), blob_anchors)
+        with pytest.raises(IndexOutOfRange):
+            decode_points([-1], np.zeros((1, 3)), blob_anchors)
 
     def test_round_trip_exact_on_model(self, blob_model, blob_anchors):
         idx, res = encode_points(blob_model.points, blob_anchors)
@@ -114,28 +110,8 @@ class TestEncodeDecode:
     def test_round_trip_near_exact_off_grid(self, coords, blob_anchors):
         # arbitrary (non grid-snapped) points reconstruct to float precision
         p = np.array(coords)
-        back = decode(encode(p, blob_anchors), blob_anchors)
-        np.testing.assert_allclose(back, p, atol=1e-15)
-
-
-class TestRegionLabel:
-    def test_background(self, blob_anchors):
-        lab = region_label(None, blob_anchors)
-        assert lab.index == blob_anchors.k
-        assert lab.one_hot.sum() == 1.0
-
-    def test_anchor_point(self, blob_anchors):
-        lab = region_label(blob_anchors.anchors[7], blob_anchors)
-        assert lab.index == 7
-
-    def test_agreement_with_encode(self, blob_model, blob_anchors):
-        rng = np.random.default_rng(9)
-        pts = blob_model.points[rng.integers(0, len(blob_model.points), 1000)]
-        for p in pts[:50]:
-            assert region_label(p, blob_anchors).index == encode(p, blob_anchors).anchor_index
-        idx, _ = encode_points(pts, blob_anchors)
-        labels = [region_label(p, blob_anchors).index for p in pts[:200]]
-        np.testing.assert_array_equal(labels, idx[:200])
+        back = decode_points(*encode_points(p, blob_anchors), blob_anchors)
+        np.testing.assert_allclose(back, p[None], atol=1e-15)
 
 
 def test_anchor_set_json_round_trip(tmp_path, blob_anchors):

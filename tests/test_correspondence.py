@@ -43,12 +43,9 @@ def _synthetic_maps(res=128, k=2, mask_value=1.0):
     cam = np.zeros((res, res, 3))
     cam[..., 2] = 1.0
     grids = GridMaps(uv.astype(float), cam, np.ones((res, res), bool), roi)
-    classes = np.zeros((res, res), dtype=int)
-    probs = np.eye(k + 1)[classes]
     return DenseMaps(
         mask=np.full((res, res), mask_value),
-        region_probs=probs,
-        anchor_xyz=np.zeros((res, res, 3)),
+        classes=np.zeros((res, res), dtype=int),
         residual=np.zeros((res, res, 3)),
         grids=grids,
         anchors=anchors,
@@ -58,9 +55,8 @@ def _synthetic_maps(res=128, k=2, mask_value=1.0):
 class TestGroundTruthMaps:
     def test_masked_cells_reproject_onto_their_cell(self, gt_setup):
         model, anchors, scene, roi, maps = gt_setup
-        classes = maps.region_argmax
         sel = maps.mask > 0.5
-        obj = decode_points(classes[sel], maps.residual[sel], anchors)
+        obj = decode_points(maps.classes[sel], maps.residual[sel], anchors)
         kc = __import__("anchorpose").camera_crop.adjust_intrinsics(
             scene.intrinsics, crop_affine(roi))
         a = crop_affine(roi)
@@ -73,9 +69,8 @@ class TestGroundTruthMaps:
 
     def test_background_cells_are_class_k(self, gt_setup):
         _, anchors, _, _, maps = gt_setup
-        classes = maps.region_argmax
-        assert (classes[maps.mask == 0.0] == anchors.k).all()
-        assert (classes[maps.mask == 1.0] < anchors.k).all()
+        assert (maps.classes[maps.mask == 0.0] == anchors.k).all()
+        assert (maps.classes[maps.mask == 1.0] < anchors.k).all()
 
     def test_residual_bounded_by_covering_radius(self, gt_setup):
         _, anchors, _, _, maps = gt_setup
@@ -88,7 +83,7 @@ class TestGroundTruthMaps:
         _, anchors, _, _, maps = gt_setup
         sel = maps.mask > 0.5
         np.testing.assert_array_equal(
-            maps.anchor_xyz[sel], anchors.anchors[maps.region_argmax[sel]]
+            maps.anchor_xyz[sel], anchors.anchors[maps.classes[sel]]
         )
         np.testing.assert_array_equal(maps.anchor_xyz[~sel], 0.0)
 
@@ -97,7 +92,7 @@ class TestGroundTruthMaps:
         corner = Roi(8.0, 8.0, 16.0, 16.0, 16)  # top-left corner, no object
         maps = ground_truth_maps(scene, anchors, corner)
         assert maps.mask.sum() == 0.0
-        assert (maps.region_argmax == anchors.k).all()
+        assert (maps.classes == anchors.k).all()
 
     def test_object_mismatch(self, gt_setup):
         _, _, scene, roi, _ = gt_setup
@@ -118,12 +113,30 @@ class TestGroundTruthMaps:
             assert offset < 0.05 * roi.out_res
 
 
+class TestDenseMapsValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("mask", np.nan), ("residual", np.inf), ("uv", np.nan), ("cam_xyz", -np.inf),
+        ("classes", -1), ("classes", 3), ("classes", 0.5),
+    ])
+    def test_rejected(self, field, value):
+        maps = _synthetic_maps(res=8, k=2)
+        arrays = {"mask": maps.mask, "classes": maps.classes, "residual": maps.residual,
+                  "uv": maps.grids.uv, "cam_xyz": maps.grids.cam_xyz}
+        bad = arrays[field].astype(type(value))
+        bad.flat[5] = value
+        arrays[field] = bad
+        with pytest.raises(ValueError):
+            DenseMaps(arrays["mask"], arrays["classes"], arrays["residual"],
+                      GridMaps(arrays["uv"], arrays["cam_xyz"], maps.grids.valid,
+                               maps.grids.roi), maps.anchors)
+
+
 class TestCorrupt:
     def test_zero_noise_is_identity(self, gt_setup):
         *_, maps = gt_setup
         out = corrupt(maps, NoiseSpec(0.0, 0.0, 0.0, 0.0, seed=1))
         assert np.array_equal(out.mask, maps.mask)
-        assert np.array_equal(out.region_probs, maps.region_probs)
+        assert np.array_equal(out.classes, maps.classes)
         assert np.array_equal(out.residual, maps.residual)
         assert np.array_equal(out.grids.cam_xyz, maps.grids.cam_xyz)
         assert np.array_equal(out.grids.uv, maps.grids.uv)
@@ -134,7 +147,7 @@ class TestCorrupt:
         a = corrupt(maps, spec)
         b = corrupt(maps, spec)
         assert np.array_equal(a.residual, b.residual)
-        assert np.array_equal(a.region_probs, b.region_probs)
+        assert np.array_equal(a.classes, b.classes)
         assert np.array_equal(a.mask, b.mask)
 
     def test_residual_noise_half_normal_mean(self):
@@ -149,7 +162,7 @@ class TestCorrupt:
     def test_label_flip_prob_one_uniform(self):
         maps = _synthetic_maps(res=128, k=32)
         out = corrupt(maps, NoiseSpec(0.0, 1.0, 0.0, 0.0, seed=4))
-        same = (out.region_argmax == maps.region_argmax).mean()
+        same = (out.classes == maps.classes).mean()
         assert abs(same - 1.0 / 33.0) < 0.005
 
     def test_mask_flip_fraction(self):
@@ -181,7 +194,7 @@ class TestCorrupt:
     def test_anchor_xyz_rederived_after_flip(self):
         maps = _synthetic_maps(res=16, k=2)
         out = corrupt(maps, NoiseSpec(0.0, 1.0, 0.0, 0.0, seed=9))
-        classes = out.region_argmax
+        classes = out.classes
         fg = classes < 2
         np.testing.assert_array_equal(out.anchor_xyz[fg],
                                       maps.anchors.anchors[classes[fg]])
@@ -234,7 +247,7 @@ class TestLosses:
 
     def test_coarse_zero_at_ground_truth_with_background(self, gt_setup):
         *_, maps = gt_setup
-        assert loss_coarse(maps.region_probs, maps.region_argmax, maps.mask) <= 1e-11
+        assert loss_coarse(maps.region_probs, maps.classes, maps.mask) <= 1e-11
 
     def test_fine_zero_and_offset(self):
         gt = np.zeros((6, 6, 3))
@@ -270,16 +283,16 @@ class TestLosses:
 class TestMapsIo:
     def test_round_trip(self, tmp_path, gt_setup):
         *_, maps = gt_setup
-        save_dense_maps(maps, tmp_path / "maps", extra={"scene_id": "s0"})
-        back, manifest = load_dense_maps(tmp_path / "maps")
-        assert manifest["scene_id"] == "s0"
-        assert manifest["k"] == maps.k
-        np.testing.assert_array_equal(back.mask, maps.mask)  # binary survives f32
-        np.testing.assert_array_equal(back.region_argmax, maps.region_argmax)
-        np.testing.assert_array_equal(back.grids.valid, maps.grids.valid)
-        np.testing.assert_allclose(back.residual, maps.residual, atol=1e-8)
-        np.testing.assert_allclose(back.grids.cam_xyz, maps.grids.cam_xyz,
-                                   rtol=1e-6, atol=1e-6)
+        save_dense_maps(maps, tmp_path / "maps.npz", extra={"scene_id": "s0"})
+        back, meta = load_dense_maps(tmp_path / "maps.npz")
+        assert meta["scene_id"] == "s0"
+        for name in ("mask", "classes", "residual"):
+            got, want = getattr(back, name), getattr(maps, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for name in ("uv", "cam_xyz", "valid"):
+            got, want = getattr(back.grids, name), getattr(maps.grids, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert back.grids.roi == maps.grids.roi
         assert back.anchors.object_id == maps.anchors.object_id
         np.testing.assert_array_equal(back.anchors.anchors, maps.anchors.anchors)
 
