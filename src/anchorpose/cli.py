@@ -62,6 +62,10 @@ class IdMismatch(ValueError):
     """Predicted poses and ground-truth scenes disagree on ids."""
 
 
+class MalformedManifest(ValueError):
+    """A benchmark ``manifest.json`` that does not list scene entries."""
+
+
 # ---------------------------------------------------------------------------
 # Small deterministic-output helpers
 
@@ -130,6 +134,9 @@ def _cap_correspondences(corr: solver.CorrSet) -> solver.CorrSet:
 # RANSAC inlier tolerance per mode when --inlier-tol is not given: meters of
 # 3d-3d alignment error, pixels of reprojection error.
 DEFAULT_INLIER_TOL = {"3d3d": 0.01, "2d3d": 2.0}
+DEFAULT_RANSAC_ITERS = 256
+# Residual scales of the fused objective: meters, pixels.
+DEFAULT_SIGMA_M, DEFAULT_SIGMA_PX = 0.005, 1.0
 
 
 def _solve(corr: solver.CorrSet, mode: str, k: Intrinsics | None, *, sigma_m: float,
@@ -176,8 +183,8 @@ def _failure_record(model: ObjectModel) -> EvalRecord:
 
 def scene_eval_record(model: ObjectModel, anchors: AnchorSet, scene: synth.SceneSample,
                       *, res: int, noise: NoiseSpec, mode: str,
-                      intrinsic: str = "crop", sigma_m: float = 0.005,
-                      sigma_px: float = 1.0, solver_seed: int = 0) -> EvalRecord:
+                      intrinsic: str = "crop", sigma_m: float = DEFAULT_SIGMA_M,
+                      sigma_px: float = DEFAULT_SIGMA_PX, solver_seed: int = 0) -> EvalRecord:
     """Encode, corrupt, solve (from at most ``MAX_CORR`` correspondences), and
     score one scene. ``intrinsic`` picks the crop-adjusted ("crop") or the
     raw ("org") camera matrix.
@@ -217,7 +224,7 @@ def _sweep(model: ObjectModel, scenes, variants: list[dict], task_noise, *,
     on scene ``i``. Tasks run variant-major, and the model, scenes and
     variants (with their anchor sets) reach each worker once.
     """
-    model.diameter  # cached here, so pool workers do not recompute it
+    model.diameter, model.kdtree  # cached here, so pool workers inherit them
     n = len(scenes)
     items = [(j, i, *task_noise(j, i)) for j in range(len(variants)) for i in range(n)]
     records = _pmap(_sweep_task, (model, scenes, variants, res), items, jobs)
@@ -378,7 +385,14 @@ def cmd_anchors(args: argparse.Namespace) -> int:
 def _load_benchmark_dir(scenes_dir: Path):
     with open(scenes_dir / "manifest.json") as f:
         manifest = json.load(f)
-    scenes = [(e["id"], load_scene(scenes_dir / e["dir"])) for e in manifest["scenes"]]
+    try:
+        if not isinstance(manifest["scenes"], list):
+            raise TypeError("'scenes' is not a list")
+        entries = [(e["id"], scenes_dir / e["dir"]) for e in manifest["scenes"]]
+    except (KeyError, TypeError) as exc:
+        raise MalformedManifest(
+            f"{scenes_dir / 'manifest.json'} does not list scenes: {exc!r}") from exc
+    scenes = [(scene_id, load_scene(d)) for scene_id, d in entries]
     registry = load_registry(scenes_dir / "registry.json")
     models = {e["id"]: load_registry_model(scenes_dir / "registry.json", e)
               for e in registry}
@@ -463,7 +477,23 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_solve_flags(args: argparse.Namespace) -> None:
+    """Reject a ``solve`` flag that the chosen mode would ignore (exit 2)."""
+    for flag, value, needs, used in (
+        ("--inlier-tol", args.inlier_tol, "--ransac", args.ransac),
+        ("--max-iters", args.max_iters, "--ransac", args.ransac),
+        ("--sigma-m", args.sigma_m, "--mode fused", args.mode == "fused"),
+        ("--sigma-px", args.sigma_px, "--mode fused", args.mode == "fused"),
+    ):
+        if value is not None and not used:
+            raise ValueError(f"{flag} has no effect without {needs}")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
+    _check_solve_flags(args)
+    max_iters = DEFAULT_RANSAC_ITERS if args.max_iters is None else args.max_iters
+    sigmas = {"sigma_m": DEFAULT_SIGMA_M if args.sigma_m is None else args.sigma_m,
+              "sigma_px": DEFAULT_SIGMA_PX if args.sigma_px is None else args.sigma_px}
     files = _maps_files(args.maps)
     anchors = load_anchor_set(args.anchors)
     results = []
@@ -474,9 +504,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if "intrinsics" in meta:
             k_org = Intrinsics.from_json(meta["intrinsics"])
             k_crop = adjust_intrinsics(k_org, crop_affine(maps.grids.roi))
-        report = _solve(corr, args.mode, k_crop, sigma_m=args.sigma_m, sigma_px=args.sigma_px,
-                        seed=_child_seed(args.seed, i),
-                        ransac_args=(args.inlier_tol, args.max_iters) if args.ransac else None)
+        report = _solve(corr, args.mode, k_crop, **sigmas, seed=_child_seed(args.seed, i),
+                        ransac_args=(args.inlier_tol, max_iters) if args.ransac else None)
         entry = {"scene_id": meta.get("scene_id", path.stem)}
         if "object_id" in meta:
             entry["object_id"] = meta["object_id"]
@@ -563,7 +592,7 @@ _EXIT_CODES: list[tuple[tuple, int]] = [
       geom.DegenerateFrame, geom.NotARotation, camera_crop.EmptyIntersection,
       correspondence.NonFinite, codec.IndexOutOfRange), 4),
     ((mesh.ParseError, mesh.UnsupportedPlyVariant, camera_crop.MalformedImage,
-      correspondence.MalformedMaps), 3),
+      correspondence.MalformedMaps, MalformedManifest), 3),
     ((OSError, json.JSONDecodeError), 3),
     ((ValueError,), 2),
 ]
@@ -628,9 +657,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ransac", action="store_true")
     s.add_argument("--inlier-tol", type=float, default=None,
                    help="RANSAC inlier tolerance (default: 0.01 m for 3d3d, 2.0 px for 2d3d)")
-    s.add_argument("--max-iters", type=int, default=256)
-    s.add_argument("--sigma-m", type=float, default=0.005)
-    s.add_argument("--sigma-px", type=float, default=1.0)
+    s.add_argument("--max-iters", type=int, default=None,
+                   help=f"RANSAC hypotheses (default: {DEFAULT_RANSAC_ITERS})")
+    s.add_argument("--sigma-m", type=float, default=None,
+                   help=f"fused metric residual scale, meters (default: {DEFAULT_SIGMA_M})")
+    s.add_argument("--sigma-px", type=float, default=None,
+                   help=f"fused reprojection residual scale, pixels (default: {DEFAULT_SIGMA_PX})")
 
     v = sub.add_parser("eval", parents=[common], help="summarize predicted poses")
     v.add_argument("--pred", type=Path, required=True)

@@ -75,14 +75,24 @@ def build_anchor_set(model: ObjectModel, k: int = DEFAULT_ANCHOR_COUNT) -> Ancho
 def nearest_anchor(points: np.ndarray, anchors: np.ndarray):
     """Index of and distance to the nearest anchor for (N, 3) points.
 
-    Ties resolve to the lowest anchor index.
+    Ties resolve to the lowest anchor index. The squared distances are built
+    as (N, K) planes, one coordinate at a time and summed x + y + z: the
+    order of ``((p - a) ** 2).sum(-1)``, so the result is bit-identical to
+    that formula without its (N, K, 3) temporary.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    a = np.asarray(anchors, dtype=np.float64)
     idx = np.empty(len(pts), dtype=np.intp)
     dist = np.empty(len(pts))
     block = 16384
     for i in range(0, len(pts), block):
-        d2 = ((pts[i : i + block, None, :] - anchors[None, :, :]) ** 2).sum(-1)
+        p = pts[i : i + block]
+        d2 = np.subtract.outer(p[:, 0], a[:, 0])
+        d2 *= d2
+        for c in (1, 2):
+            dc = np.subtract.outer(p[:, c], a[:, c])
+            dc *= dc
+            d2 += dc
         idx[i : i + block] = np.argmin(d2, axis=1)
         dist[i : i + block] = np.sqrt(d2[np.arange(len(d2)), idx[i : i + block]])
     return idx, dist

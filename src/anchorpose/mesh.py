@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 class EmptyModel(ValueError):
@@ -43,6 +44,7 @@ class ObjectModel:
     points: np.ndarray  # (N, 3) float64, meters, object frame
     symmetric: bool = False
     _diameter: float | None = field(default=None, init=False, repr=False)
+    _kdtree: cKDTree | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
@@ -59,6 +61,13 @@ class ObjectModel:
         if self._diameter is None:
             self._diameter = diameter(self)
         return self._diameter
+
+    @property
+    def kdtree(self) -> cKDTree:
+        """kd-tree over ``points`` (object frame), built on first use."""
+        if self._kdtree is None:
+            self._kdtree = cKDTree(self.points)
+        return self._kdtree
 
 
 # ---------------------------------------------------------------------------

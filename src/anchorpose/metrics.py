@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .mesh import EmptyModel, ObjectModel
 from .geom import Pose
@@ -55,8 +54,18 @@ def add_metric(model: ObjectModel, pred: Pose, gt: Pose) -> float:
 def adds_metric(model: ObjectModel, pred: Pose, gt: Pose, method: str = "auto") -> float:
     """Mean closest-point distance from predicted-pose points to gt-pose points.
 
-    ``method`` selects the exact O(N^2) scan or the kd-tree acceleration;
-    both compute the same nearest distances.
+    ``method`` selects the exact O(N^2) scan or the kd-tree acceleration
+    ("auto": the kd-tree above 512 points); both compute the same nearest
+    distances.
+
+    Closest-point distances do not change when one rigid motion moves both
+    sets, so the kd-tree path maps the predicted points back by gt^-1 and
+    queries ``model.kdtree``, the model's cached tree. Point i's own partner
+    lies at its paired (ADD) distance, so the largest paired distance bounds
+    every query; enlarged by a relative 1e-9 and an absolute term that keeps
+    its square above zero, it excludes no nearest point and prunes most of
+    the tree. The distance of each found pair is taken between the
+    camera-frame points, as in the exact scan, so ``pred == gt`` gives 0.0.
     """
     if len(model.points) == 0:
         raise EmptyModel("no points")
@@ -65,8 +74,10 @@ def adds_metric(model: ObjectModel, pred: Pose, gt: Pose, method: str = "auto") 
     if method == "auto":
         method = "kdtree" if len(a) > 512 else "exact"
     if method == "kdtree":
-        dist, _ = cKDTree(b).query(a, k=1)
-        return float(np.asarray(dist).mean())
+        q = (a - gt.translation) @ gt.rotation
+        bound = float(np.linalg.norm(q - model.points, axis=1).max())
+        _, j = model.kdtree.query(q, distance_upper_bound=bound * (1 + 1e-9) + 1e-150)
+        return float(np.linalg.norm(a - b[j], axis=1).mean())
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
     total = 0.0

@@ -133,6 +133,33 @@ class TestPipeline:
                      "--max-iters", "32"]) == 0
         assert {e["mode"] for e in json.loads(out.read_text())} == {"2d3d"}
 
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "3d3d", "--inlier-tol", "5"],
+        ["--mode", "2d3d", "--max-iters", "32"],
+        ["--mode", "3d3d", "--ransac", "--sigma-m", "0.01"],
+        ["--mode", "2d3d", "--sigma-px", "2.0"],
+    ])
+    def test_solve_rejects_flags_the_mode_ignores(self, pipeline, tmp_path, flags):
+        *_, anchors, maps, noisy, _ = pipeline
+        out = tmp_path / "x.json"
+        assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(noisy),
+                     "--anchors", str(anchors), *flags]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("implicit, explicit", [
+        (["--mode", "3d3d", "--ransac"], ["--max-iters", "256"]),
+        (["--mode", "fused"], ["--sigma-m", "0.005", "--sigma-px", "1.0"]),
+    ])
+    def test_solve_defaults_resolve(self, pipeline, tmp_path, implicit, explicit):
+        *_, anchors, maps, noisy, _ = pipeline
+        outs = []
+        for extra in ([], explicit):
+            out = tmp_path / f"{len(extra)}.json"
+            assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(noisy),
+                         "--anchors", str(anchors), *implicit, *extra]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_solve_fused_rejects_ransac(self, pipeline, tmp_path):
         *_, anchors, maps, noisy, _ = pipeline
         out = tmp_path / "f.json"
@@ -212,6 +239,23 @@ class TestMalformedFiles:
             json.dumps({"maps": [{"id": "scene_0000", "dir": "scene_0000"}]}))
         code = main(["solve", "--seed", "7", "--out", str(tmp_path / "p.json"),
                      "--maps", str(tmp_path), "--anchors", str(anchors), "--mode", "fused"])
+        assert code == 3
+
+    @pytest.mark.parametrize("manifest", [
+        {"scenes": [{"id": "scene_0000"}]},
+        {"maps": []},
+        {"scenes": {"scene_0000": "scene_0000"}},
+        {"scenes": {}},
+        {"scenes": "scene_0000"},
+    ], ids=["entry_without_dir", "no_scenes", "scenes_dict", "scenes_empty_dict",
+            "scenes_string"])
+    def test_malformed_benchmark_manifest(self, pipeline, tmp_path, manifest):
+        root, bench, anchors, *_ = pipeline
+        copy = tmp_path / "bench"
+        shutil.copytree(bench, copy)
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["encode", "--seed", "7", "--out", str(tmp_path / "maps"),
+                     "--scenes", str(copy), "--anchors", str(anchors), "--res", "32"])
         assert code == 3
 
 

@@ -14,6 +14,7 @@ from anchorpose.codec import (
     decode_points,
     encode_points,
     load_anchor_set,
+    nearest_anchor,
     save_anchor_set,
 )
 from anchorpose.mesh import ObjectModel
@@ -124,3 +125,56 @@ def test_anchor_set_json_round_trip(tmp_path, blob_anchors):
     back = load_anchor_set(path)
     np.testing.assert_array_equal(back.anchors, blob_anchors.anchors)
     assert back.covering_radius == blob_anchors.covering_radius
+
+
+def _broadcast_nearest(points, anchors, block=16384):
+    """Reference: the (N, K, 3) broadcast formula ``nearest_anchor`` replaced."""
+    idx = np.empty(len(points), dtype=np.intp)
+    dist = np.empty(len(points))
+    for i in range(0, len(points), block):
+        d2 = ((points[i : i + block, None, :] - anchors[None, :, :]) ** 2).sum(-1)
+        idx[i : i + block] = np.argmin(d2, axis=1)
+        dist[i : i + block] = np.sqrt(d2[np.arange(len(d2)), idx[i : i + block]])
+    return idx, dist
+
+
+class TestNearestAnchor:
+    """Indices and distances are bit-identical to the broadcast formula."""
+
+    def _assert_matches_reference(self, points, anchors):
+        idx, dist = nearest_anchor(points, anchors)
+        ref_idx, ref_dist = _broadcast_nearest(points, anchors)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(dist, ref_dist)
+        return idx, dist
+
+    @pytest.mark.parametrize("seed, n, k", [(0, 1100, 32), (1, 1100, 1), (2, 257, 128)])
+    def test_random_points(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        self._assert_matches_reference(rng.normal(size=(n, 3)) * 0.05,
+                                       rng.normal(size=(k, 3)) * 0.05)
+
+    def test_model_points_and_fps_anchors(self, blob_model, blob_anchors):
+        self._assert_matches_reference(blob_model.points, blob_anchors.anchors)
+
+    def test_exact_ties_pick_lowest_index(self):
+        # midpoints and cell centres of a unit grid are equidistant (exactly,
+        # in binary) from two, four or eight anchors; shuffled anchor order
+        # makes "lowest index" differ from "first in grid order"
+        grid = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0)
+                         for z in (0.0, 1.0)])
+        anchors = grid[np.random.default_rng(3).permutation(8)]
+        points = np.array([[0.5, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.5, 0.5],
+                           [0.0, 1.0, 0.5], [1.0, 0.5, 1.0]])
+        idx, dist = self._assert_matches_reference(points, anchors)
+        for p, i, d in zip(points, idx, dist):
+            d_all = np.linalg.norm(anchors - p, axis=1)
+            tied = np.flatnonzero(d_all == d_all.min())
+            assert len(tied) >= 2
+            assert i == tied[0]
+            assert d == d_all.min()
+
+    def test_rows_beyond_one_block(self):
+        rng = np.random.default_rng(4)
+        points = rng.uniform(-0.1, 0.1, size=(2 * 16384 + 5, 3))
+        self._assert_matches_reference(points, rng.uniform(-0.1, 0.1, size=(32, 3)))

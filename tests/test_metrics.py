@@ -18,6 +18,7 @@ from anchorpose.metrics import (
     format_summary_table,
     write_summary_csv,
 )
+from anchorpose.synth import make_model
 from conftest import random_rotation_aa, rodrigues
 
 CUBE = ObjectModel("cube", np.array(
@@ -94,6 +95,67 @@ class TestAddS:
             exact = adds_metric(model, a, b, method="exact")
             fast = adds_metric(model, a, b, method="kdtree")
             assert fast == pytest.approx(exact, abs=1e-12)
+
+
+class TestAddSModelFrameTree:
+    """The kd-tree path (above 512 points) against the exact scan."""
+
+    MODEL = ObjectModel("r", np.random.default_rng(5).normal(size=(900, 3)) * 0.05)
+
+    @staticmethod
+    def _assert_matches_exact(model, pairs):
+        for pred, gt in pairs:
+            fast = adds_metric(model, pred, gt)
+            assert np.isfinite(fast)
+            assert abs(fast - adds_metric(model, pred, gt, method="exact")) <= 1e-12
+
+    @staticmethod
+    def _pairs(rng, deg_lo, deg_hi, trans_sigma, count=12):
+        pairs = []
+        for _ in range(count):
+            gt = Pose(random_rotation_aa(rng), rng.normal(size=3) * 0.1 + [0, 0, 1])
+            err = rodrigues(rng.normal(size=3), np.radians(rng.uniform(deg_lo, deg_hi)))
+            pred = Pose(err @ gt.rotation, gt.translation + rng.normal(size=3) * trans_sigma)
+            pairs.append((pred, gt))
+        return pairs
+
+    def test_near_identity_poses(self):
+        rng = np.random.default_rng(6)
+        self._assert_matches_exact(self.MODEL, self._pairs(rng, 0.0, 0.5, 1e-4))
+
+    def test_large_rotation_errors(self):
+        rng = np.random.default_rng(7)
+        self._assert_matches_exact(self.MODEL, self._pairs(rng, 90.0, 180.0, 0.02))
+
+    def test_pred_equal_gt_is_zero(self):
+        # the identity maps every point exactly onto its partner: a zero
+        # paired-distance bound
+        rng = np.random.default_rng(8)
+        poses = [Pose.identity()] + [Pose(random_rotation_aa(rng), rng.normal(size=3))
+                                     for _ in range(5)]
+        for gt in poses:
+            assert adds_metric(self.MODEL, gt, gt) == 0.0
+            assert adds_metric(self.MODEL, gt, gt, method="kdtree") == 0.0
+
+    def test_symmetric_model(self):
+        # a cylinder turned about its axis (z): many near-ties between partners
+        model = make_model("cylinder", 2000, 0.1, 0)
+        assert model.symmetric
+        rng = np.random.default_rng(9)
+        pairs = []
+        for angle in (0.3, 1.0, np.pi / 2, 2.5):
+            gt = Pose(random_rotation_aa(rng), [0.0, 0.0, 1.0])
+            pred = Pose(gt.rotation @ rodrigues([0.0, 0.0, 1.0], angle), gt.translation)
+            pairs.append((pred, gt))
+        pairs += self._pairs(rng, 0.0, 2.0, 1e-3, count=4)
+        self._assert_matches_exact(model, pairs)
+
+    def test_tree_built_once(self):
+        model = ObjectModel("t", np.random.default_rng(10).normal(size=(600, 3)))
+        tree = model.kdtree
+        adds_metric(model, Pose.identity(), Pose(np.eye(3), [0.01, 0.0, 0.0]))
+        assert model.kdtree is tree
+        np.testing.assert_array_equal(tree.data, model.points)
 
 
 class TestAuc:
