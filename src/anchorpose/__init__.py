@@ -7,21 +7,15 @@ evaluation stack, and a deterministic synthetic scene generator.
 
 from .geom import (
     CropAffine,
-    DegenerateFrame,
     Intrinsics,
     NonPositiveDepth,
     NotARotation,
     PointBehindCamera,
     Pose,
-    Rot6D,
     backproject,
-    matrix_to_rot6d,
-    pose_compose,
-    pose_inverse,
     project,
-    rot6d_to_matrix,
 )
-from .mesh import ObjectModel, bbox, diameter, fps, load_ply
+from .mesh import ObjectModel, diameter, fps, load_ply
 from .codec import (
     AnchorSet,
     build_anchor_set,
@@ -34,7 +28,6 @@ from .camera_crop import (
     Roi,
     adjust_intrinsics,
     crop_affine,
-    dzi_jitter,
     make_grid_maps,
 )
 from .correspondence import (

@@ -1,4 +1,4 @@
-"""RoI cropping with intrinsic adjustment, zoom-in jitter, and grid maps.
+"""RoI cropping with intrinsic adjustment, grid maps, and PFM i/o.
 
 Cropping an image window and resampling it to a square output is an affine
 map A on pixel coordinates; applying the same A on the left of the camera
@@ -19,9 +19,6 @@ from .geom import CropAffine, Intrinsics, backproject_grid
 
 # Default resolution of the dense correspondence maps.
 CORR_RES = 64
-
-DZI_SHIFT_RATIO = 0.25
-DZI_ZOOM = 1.5
 
 
 class EmptyIntersection(ValueError):
@@ -146,25 +143,6 @@ def adjust_intrinsics(k_org: Intrinsics, a: CropAffine) -> Intrinsics:
         a.scale_u * k_org.cx + a.offset_u,
         a.scale_v * k_org.cy + a.offset_v,
     )
-
-
-def dzi_jitter(gt_box: Roi, rng_seed, shift_ratio: float = DZI_SHIFT_RATIO,
-               zoom: float = DZI_ZOOM) -> Roi:
-    """Zoom-in augmentation jitter for a ground-truth box.
-
-    Shifts the center by uniform(-shift_ratio, shift_ratio) of the box size
-    per axis and scales the size by uniform(1-shift_ratio, 1+shift_ratio),
-    then squares the window at zoom times the larger side so the object
-    keeps its aspect ratio and fills roughly 1/zoom of the output.
-    """
-    rng = np.random.default_rng(rng_seed)
-    du = rng.uniform(-shift_ratio, shift_ratio)
-    dv = rng.uniform(-shift_ratio, shift_ratio)
-    ds = rng.uniform(1.0 - shift_ratio, 1.0 + shift_ratio)
-    cu = gt_box.center_u + du * gt_box.size_u
-    cv = gt_box.center_v + dv * gt_box.size_v
-    side = zoom * max(gt_box.size_u * ds, gt_box.size_v * ds)
-    return Roi(cu, cv, side, side, gt_box.out_res)
 
 
 def cell_sample_grid(roi: Roi, width: int, height: int):

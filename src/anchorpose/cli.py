@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,22 @@ class IdMismatch(ValueError):
 
 
 class MalformedManifest(ValueError):
-    """A benchmark ``manifest.json`` that does not list scene entries."""
+    """A JSON input file (benchmark manifest, registry, scene, anchors or
+    poses) with a missing key, a wrong container type or a wrong-length array."""
+
+
+@contextmanager
+def _parsing(path):
+    """Re-raise what parsing the input ``path`` meets as MalformedManifest
+    (exit 3), unless the exit-code table gives it a code of its own: a
+    missing key, a wrong container type or a wrong-length array would
+    otherwise exit 1 or 2."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        if exit_code_for(exc) not in (1, 2):
+            raise
+        raise MalformedManifest(f"{path} is malformed: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +147,13 @@ def _cap_correspondences(corr: solver.CorrSet) -> solver.CorrSet:
     return corr.subset(idx)
 
 
-# RANSAC inlier tolerance per mode when --inlier-tol is not given: meters of
-# 3d-3d alignment error, pixels of reprojection error.
-DEFAULT_INLIER_TOL = {"3d3d": 0.01, "2d3d": 2.0}
-DEFAULT_RANSAC_ITERS = 256
-# Residual scales of the fused objective: meters, pixels.
-DEFAULT_SIGMA_M, DEFAULT_SIGMA_PX = 0.005, 1.0
-
-
 def _solve(corr: solver.CorrSet, mode: str, k: Intrinsics | None, *, sigma_m: float,
            sigma_px: float, seed: int,
            ransac_args: tuple[float | None, int] | None = None) -> solver.SolveReport:
     """One pose solve in ``mode`` (3d3d, 2d3d or fused) with camera ``k``.
 
     ``ransac_args`` = (inlier_tol, max_iters) runs a 3d3d or 2d3d solve under
-    seeded RANSAC, with ``DEFAULT_INLIER_TOL`` for a None tolerance. The
+    seeded RANSAC, with ``solver.RANSAC_INLIER_TOL`` for a None tolerance. The
     fused solver runs its own robust initialization, so it rejects them.
     """
     if mode not in ("3d3d", "2d3d", "fused"):
@@ -157,7 +165,7 @@ def _solve(corr: solver.CorrSet, mode: str, k: Intrinsics | None, *, sigma_m: fl
             raise ValueError("RANSAC needs mode 3d3d or 2d3d; the fused solver "
                              "runs its own robust initialization")
         tol, max_iters = ransac_args
-        return ransac(corr, mode, DEFAULT_INLIER_TOL[mode] if tol is None else tol,
+        return ransac(corr, mode, solver.RANSAC_INLIER_TOL[mode] if tol is None else tol,
                       max_iters, seed, k=k)
     if mode == "3d3d":
         return solve_3d3d(corr)
@@ -183,8 +191,8 @@ def _failure_record(model: ObjectModel) -> EvalRecord:
 
 def scene_eval_record(model: ObjectModel, anchors: AnchorSet, scene: synth.SceneSample,
                       *, res: int, noise: NoiseSpec, mode: str,
-                      intrinsic: str = "crop", sigma_m: float = DEFAULT_SIGMA_M,
-                      sigma_px: float = DEFAULT_SIGMA_PX, solver_seed: int = 0) -> EvalRecord:
+                      intrinsic: str = "crop", sigma_m: float = solver.SIGMA_M,
+                      sigma_px: float = solver.SIGMA_PX, solver_seed: int = 0) -> EvalRecord:
     """Encode, corrupt, solve (from at most ``MAX_CORR`` correspondences), and
     score one scene. ``intrinsic`` picks the crop-adjusted ("crop") or the
     raw ("org") camera matrix.
@@ -359,9 +367,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _registry_id_for(model_path: Path):
     reg_path = model_path.parent / "registry.json"
     if reg_path.exists():
-        for entry in load_registry(reg_path):
-            if Path(entry["path"]).name == model_path.name:
-                return entry["id"], entry.get("symmetric", False), entry.get("mm_to_m", False)
+        with _parsing(reg_path):
+            for entry in load_registry(reg_path):
+                if Path(entry["path"]).name == model_path.name:
+                    return (entry["id"], entry.get("symmetric", False),
+                            entry.get("mm_to_m", False))
     return None
 
 
@@ -385,22 +395,23 @@ def cmd_anchors(args: argparse.Namespace) -> int:
 def _load_benchmark_dir(scenes_dir: Path):
     with open(scenes_dir / "manifest.json") as f:
         manifest = json.load(f)
-    try:
+    with _parsing(scenes_dir / "manifest.json"):
         if not isinstance(manifest["scenes"], list):
             raise TypeError("'scenes' is not a list")
         entries = [(e["id"], scenes_dir / e["dir"]) for e in manifest["scenes"]]
-    except (KeyError, TypeError) as exc:
-        raise MalformedManifest(
-            f"{scenes_dir / 'manifest.json'} does not list scenes: {exc!r}") from exc
-    scenes = [(scene_id, load_scene(d)) for scene_id, d in entries]
-    registry = load_registry(scenes_dir / "registry.json")
-    models = {e["id"]: load_registry_model(scenes_dir / "registry.json", e)
-              for e in registry}
+    scenes = []
+    for scene_id, d in entries:
+        with _parsing(d):
+            scenes.append((scene_id, load_scene(d)))
+    reg_path = scenes_dir / "registry.json"
+    with _parsing(reg_path):
+        models = {e["id"]: load_registry_model(reg_path, e) for e in load_registry(reg_path)}
     return manifest, scenes, models
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    anchors = load_anchor_set(args.anchors)
+    with _parsing(args.anchors):
+        anchors = load_anchor_set(args.anchors)
     _, scenes, _ = _load_benchmark_dir(args.scenes)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -491,11 +502,12 @@ def _check_solve_flags(args: argparse.Namespace) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     _check_solve_flags(args)
-    max_iters = DEFAULT_RANSAC_ITERS if args.max_iters is None else args.max_iters
-    sigmas = {"sigma_m": DEFAULT_SIGMA_M if args.sigma_m is None else args.sigma_m,
-              "sigma_px": DEFAULT_SIGMA_PX if args.sigma_px is None else args.sigma_px}
+    max_iters = solver.RANSAC_ITERS if args.max_iters is None else args.max_iters
+    sigmas = {"sigma_m": solver.SIGMA_M if args.sigma_m is None else args.sigma_m,
+              "sigma_px": solver.SIGMA_PX if args.sigma_px is None else args.sigma_px}
     files = _maps_files(args.maps)
-    anchors = load_anchor_set(args.anchors)
+    with _parsing(args.anchors):
+        anchors = load_anchor_set(args.anchors)
     results = []
     for i, path in enumerate(sorted(files)):
         maps, meta = load_dense_maps(path)
@@ -521,15 +533,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         preds = json.load(f)
     _, scenes, models = _load_benchmark_dir(args.scenes)
     gt = dict(scenes)
-    pred_ids = [p["scene_id"] for p in preds]
+    with _parsing(args.pred):
+        pred_ids = [p["scene_id"] for p in preds]
+        poses = [Pose.from_json(p["pose"]) for p in preds]
     if sorted(pred_ids) != sorted(gt):
         raise IdMismatch("prediction scene ids do not match the benchmark")
     records = []
-    for p in preds:
+    for p, pose in zip(preds, poses):
         scene = gt[p["scene_id"]]
         if p.get("object_id", scene.object_id) != scene.object_id:
             raise IdMismatch(f"object id mismatch for scene {p['scene_id']}")
-        records.append(_score(models[scene.object_id], Pose.from_json(p["pose"]), scene))
+        records.append(_score(models[scene.object_id], pose, scene))
     rows = evaluate_batch(records)
     write_summary_csv(rows, args.out)
     print(format_summary_table(rows))
@@ -589,8 +603,8 @@ _EXIT_CODES: list[tuple[tuple, int]] = [
       metrics.EmptyInput, metrics.ZeroDiameter), 6),
     ((solver.NoForeground, solver.DegenerateConfiguration, solver.Degenerate,
       solver.NoConsensus, geom.PointBehindCamera, geom.NonPositiveDepth,
-      geom.DegenerateFrame, geom.NotARotation, camera_crop.EmptyIntersection,
-      correspondence.NonFinite, codec.IndexOutOfRange), 4),
+      geom.NotARotation, camera_crop.EmptyIntersection, correspondence.NonFinite,
+      codec.IndexOutOfRange), 4),
     ((mesh.ParseError, mesh.UnsupportedPlyVariant, camera_crop.MalformedImage,
       correspondence.MalformedMaps, MalformedManifest), 3),
     ((OSError, json.JSONDecodeError), 3),
@@ -656,13 +670,14 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", choices=("3d3d", "2d3d", "fused"), default="fused")
     s.add_argument("--ransac", action="store_true")
     s.add_argument("--inlier-tol", type=float, default=None,
-                   help="RANSAC inlier tolerance (default: 0.01 m for 3d3d, 2.0 px for 2d3d)")
+                   help="RANSAC inlier tolerance (default: {3d3d} m for 3d3d, {2d3d} px "
+                        "for 2d3d)".format(**solver.RANSAC_INLIER_TOL))
     s.add_argument("--max-iters", type=int, default=None,
-                   help=f"RANSAC hypotheses (default: {DEFAULT_RANSAC_ITERS})")
+                   help=f"RANSAC hypotheses (default: {solver.RANSAC_ITERS})")
     s.add_argument("--sigma-m", type=float, default=None,
-                   help=f"fused metric residual scale, meters (default: {DEFAULT_SIGMA_M})")
+                   help=f"fused metric residual scale, meters (default: {solver.SIGMA_M})")
     s.add_argument("--sigma-px", type=float, default=None,
-                   help=f"fused reprojection residual scale, pixels (default: {DEFAULT_SIGMA_PX})")
+                   help=f"fused reprojection residual scale, pixels (default: {solver.SIGMA_PX})")
 
     v = sub.add_parser("eval", parents=[common], help="summarize predicted poses")
     v.add_argument("--pred", type=Path, required=True)

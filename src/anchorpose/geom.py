@@ -1,4 +1,4 @@
-"""Rigid-body poses, rotation encodings, and the pinhole camera model.
+"""Rigid-body poses, the pinhole camera model, and the crop affine.
 
 Conventions used throughout the package:
 
@@ -33,10 +33,6 @@ class PointBehindCamera(ValueError):
 
 class NonPositiveDepth(ValueError):
     """Backprojection requires a strictly positive depth."""
-
-
-class DegenerateFrame(ValueError):
-    """The two 6D rotation vectors do not span a plane."""
 
 
 class NotARotation(ValueError):
@@ -110,12 +106,6 @@ class Intrinsics:
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
     def to_json(self) -> dict:
         return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy}
 
@@ -143,16 +133,6 @@ class CropAffine:
         if not (self.scale_u > 0 and self.scale_v > 0):
             raise ValueError("affine scales must be positive")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.scale_u, 0.0, self.offset_u],
-                [0.0, self.scale_v, self.offset_v],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-
     def apply(self, uv) -> np.ndarray:
         """Map pixel coordinates, shape (2,) or (..., 2)."""
         uv = np.asarray(uv, dtype=np.float64)
@@ -161,64 +141,18 @@ class CropAffine:
         out[..., 1] = self.scale_v * uv[..., 1] + self.offset_v
         return out
 
-    def invert(self) -> "CropAffine":
-        return CropAffine(
-            1.0 / self.scale_u,
-            1.0 / self.scale_v,
-            -self.offset_u / self.scale_u,
-            -self.offset_v / self.scale_v,
-        )
-
-    @staticmethod
-    def identity() -> "CropAffine":
-        return CropAffine(1.0, 1.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class Rot6D:
-    """Continuous 6-parameter rotation encoding: two 3-vectors.
-
-    Decodable whenever ``a1`` is nonzero and ``a2`` is not parallel to it
-    (cross-product norm above 1e-12).
-    """
-
-    a1: np.ndarray
-    a2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a1", _frozen(_vec3(self.a1)))
-        object.__setattr__(self, "a2", _frozen(_vec3(self.a2)))
-
 
 def project(point, pose: Pose, k: Intrinsics) -> np.ndarray:
     """Project an object-frame point to pixel coordinates (u, v).
 
-    Raises PointBehindCamera when the camera-frame depth is <= NEAR_EPS.
+    The scalar pinhole reference the crop-intrinsics tests compare against;
+    the solvers project in bulk inside their residuals. Raises PointBehindCamera when the camera-frame depth is <= NEAR_EPS.
     """
     xc = pose.apply(_vec3(point))
     z = xc[2]
     if not z > NEAR_EPS:
         raise PointBehindCamera(f"camera-frame depth {z!r} <= {NEAR_EPS}")
     return np.array([k.fx * xc[0] / z + k.cx, k.fy * xc[1] / z + k.cy])
-
-
-def project_points(points, pose: Pose, k: Intrinsics, *, clamp: bool = False) -> np.ndarray:
-    """Vectorized projection of (N, 3) points to (N, 2) pixels.
-
-    With ``clamp=True`` depths are clamped to NEAR_EPS instead of raising,
-    which renderers and iterative solvers use to keep trial evaluations
-    finite.
-    """
-    xc = pose.apply(points)
-    z = xc[..., 2]
-    if clamp:
-        z = np.maximum(z, NEAR_EPS)
-    elif not np.all(z > NEAR_EPS):
-        raise PointBehindCamera("at least one point is behind the camera")
-    uv = np.empty(xc.shape[:-1] + (2,))
-    uv[..., 0] = k.fx * xc[..., 0] / z + k.cx
-    uv[..., 1] = k.fy * xc[..., 1] / z + k.cy
-    return uv
 
 
 def backproject(u: float, v: float, depth: float, k: Intrinsics) -> np.ndarray:
@@ -240,48 +174,3 @@ def backproject_grid(u, v, depth, k: Intrinsics) -> np.ndarray:
     out[..., 1] = (v - k.cy) * depth / k.fy
     out[..., 2] = depth
     return out
-
-
-def rot6d_to_matrix(r: Rot6D) -> np.ndarray:
-    """Decode a Rot6D into a rotation matrix by Gram-Schmidt.
-
-    The two input vectors become (after orthonormalization) the first two
-    columns of the result; the third column is their cross product.
-    """
-    a1, a2 = r.a1, r.a2
-    n1 = float(np.linalg.norm(a1))
-    if not n1 > 1e-12:
-        raise DegenerateFrame("a1 is (near) zero")
-    if not np.linalg.norm(np.cross(a1, a2)) > 1e-12:
-        raise DegenerateFrame("a2 is (near) parallel to a1")
-    b1 = a1 / n1
-    b2 = a2 - (b1 @ a2) * b1
-    # Second projection pass keeps near-parallel inputs orthonormal to
-    # machine precision.
-    b2 = b2 - (b1 @ b2) * b1
-    b2 = b2 / np.linalg.norm(b2)
-    b3 = np.cross(b1, b2)
-    return np.column_stack([b1, b2, b3])
-
-
-def matrix_to_rot6d(m) -> Rot6D:
-    """Encode a rotation matrix as its first two columns."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected 3x3 matrix, got shape {m.shape}")
-    ortho = float(np.abs(m.T @ m - np.eye(3)).max())
-    if not ortho < 1e-6:
-        raise NotARotation(f"matrix is not orthonormal (deviation {ortho:.3e})")
-    if not np.linalg.det(m) > 0:
-        raise NotARotation("matrix has negative determinant (a reflection)")
-    return Rot6D(m[:, 0].copy(), m[:, 1].copy())
-
-
-def pose_compose(a: Pose, b: Pose) -> Pose:
-    """Composition a∘b: first apply b, then a."""
-    return Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
-
-
-def pose_inverse(a: Pose) -> Pose:
-    rt = a.rotation.T
-    return Pose(rt, -(rt @ a.translation))

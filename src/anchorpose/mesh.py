@@ -333,20 +333,10 @@ def fps(model: ObjectModel, k: int) -> np.ndarray:
     return model.points[fps_indices(model.points, k)].copy()
 
 
-def diameter(model: ObjectModel, *, max_points: int | None = None) -> float:
-    """Exact max pairwise distance, O(N^2) in blocks.
-
-    ``max_points`` optionally caps the computation by deterministic
-    subsampling, turning the result into a documented approximation.
-    """
-    pts = model.points if isinstance(model, ObjectModel) else np.asarray(model, dtype=np.float64)
+def diameter(model: ObjectModel) -> float:
+    """Exact max pairwise distance, O(N^2) in blocks."""
+    pts = model.points
     n = len(pts)
-    if n == 0:
-        raise EmptyModel("no points")
-    if max_points is not None and n > max_points:
-        sel = np.unique(np.round(np.linspace(0, n - 1, max_points)).astype(np.intp))
-        pts = pts[sel]
-        n = len(pts)
     sq = (pts ** 2).sum(axis=1)
     best = 0.0
     block = 512
@@ -357,14 +347,6 @@ def diameter(model: ObjectModel, *, max_points: int | None = None) -> float:
         if m > best:
             best = m
     return float(np.sqrt(max(best, 0.0)))
-
-
-def bbox(model: ObjectModel) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise (min, max) corners of the model's points."""
-    pts = model.points
-    if len(pts) == 0:
-        raise EmptyModel("no points")
-    return pts.min(axis=0), pts.max(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +362,8 @@ def save_registry(entries: list[dict], path) -> None:
 def load_registry(path) -> list[dict]:
     with open(path) as f:
         entries = json.load(f)
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise TypeError(f"{path} is not a list of registry entries")
     for e in entries:
         e.setdefault("symmetric", False)
         e.setdefault("mm_to_m", False)

@@ -10,9 +10,10 @@ import numpy as np
 from .mesh import EmptyModel, ObjectModel
 from .geom import Pose
 
-AUC_MAX_THRESHOLD = 0.10  # meters; community convention, configurable per call
+AUC_MAX_THRESHOLD = 0.10  # meters; community convention, the AUC range evaluate_batch reports
+ADD_DIAMETER_FRACTION = 0.1  # add_01d passes below this share of the diameter
 DEG_THRESHOLD = 10.0
-CM_THRESHOLD = 0.10
+CM_THRESHOLD = 0.10  # meters
 
 
 class EmptyInput(ValueError):
@@ -102,8 +103,8 @@ def add_auc(distances, max_threshold: float = AUC_MAX_THRESHOLD) -> float:
     return float(np.clip(1.0 - d / max_threshold, 0.0, 1.0).mean())
 
 
-def add_01d(record: EvalRecord, fraction: float = 0.1) -> bool:
-    """Symmetry-dispatched distance below ``fraction`` of the diameter.
+def add_01d(record: EvalRecord) -> bool:
+    """Symmetry-dispatched distance below ``ADD_DIAMETER_FRACTION`` of the diameter.
 
     Uses add_s for symmetric objects and add otherwise; the comparison is
     strictly less-than, so boundary ties fail.
@@ -111,19 +112,19 @@ def add_01d(record: EvalRecord, fraction: float = 0.1) -> bool:
     if not record.diameter > 0:
         raise ZeroDiameter("diameter must be positive")
     d = record.add_s if record.symmetric else record.add
-    return bool(d < fraction * record.diameter)
+    return bool(d < ADD_DIAMETER_FRACTION * record.diameter)
 
 
-def deg_cm(record: EvalRecord, max_deg: float = DEG_THRESHOLD,
-           max_m: float = CM_THRESHOLD) -> bool:
-    """Rotation below ``max_deg`` degrees and translation below ``max_m``."""
-    return bool(record.rot_deg < max_deg and record.trans_m < max_m)
+def deg_cm(record: EvalRecord) -> bool:
+    """Rotation below ``DEG_THRESHOLD`` degrees and translation below
+    ``CM_THRESHOLD`` meters."""
+    return bool(record.rot_deg < DEG_THRESHOLD and record.trans_m < CM_THRESHOLD)
 
 
 SUMMARY_COLUMNS = ("object_id", "add_s_auc", "adds_auc_mixed", "add01d_pct", "deg10cm10_pct")
 
 
-def evaluate_batch(records, auc_max: float = AUC_MAX_THRESHOLD) -> list[dict]:
+def evaluate_batch(records) -> list[dict]:
     """Per-object rows plus an unweighted average row.
 
     Columns: ADD-S AUC, symmetry-dispatched ADD(-S) AUC, ADD(-S) 0.1d
@@ -141,8 +142,8 @@ def evaluate_batch(records, auc_max: float = AUC_MAX_THRESHOLD) -> list[dict]:
         mixed = [r.add_s if r.symmetric else r.add for r in recs]
         rows.append({
             "object_id": obj_id,
-            "add_s_auc": add_auc([r.add_s for r in recs], auc_max),
-            "adds_auc_mixed": add_auc(mixed, auc_max),
+            "add_s_auc": add_auc([r.add_s for r in recs]),
+            "adds_auc_mixed": add_auc(mixed),
             "add01d_pct": 100.0 * np.mean([add_01d(r) for r in recs]),
             "deg10cm10_pct": 100.0 * np.mean([deg_cm(r) for r in recs]),
         })

@@ -35,6 +35,16 @@ from .camera_crop import crop_affine
 from .geom import NEAR_EPS, Intrinsics, Pose
 
 
+# A cell's mask value must exceed this for the cell to yield a correspondence.
+MASK_THRESHOLD = 0.5
+# Residual scales of the fused objective: meters, pixels.
+SIGMA_M, SIGMA_PX = 0.005, 1.0
+# RANSAC inlier tolerance per mode: meters of 3d-3d alignment error, pixels
+# of reprojection error.
+RANSAC_INLIER_TOL = {"3d3d": 0.01, "2d3d": 2.0}
+RANSAC_ITERS = 256  # hypotheses of a ransac call that does not set max_iters
+
+
 class NoForeground(ValueError):
     """No usable correspondence cell in the maps."""
 
@@ -126,11 +136,10 @@ class SolveReport:
         }
 
 
-def extract_correspondences(maps: DenseMaps, anchors: AnchorSet,
-                            mask_threshold: float = 0.5) -> CorrSet:
+def extract_correspondences(maps: DenseMaps, anchors: AnchorSet) -> CorrSet:
     """One correspondence per foreground cell with valid geometry.
 
-    Cells must clear the mask threshold, decode to a foreground region
+    Cells must clear ``MASK_THRESHOLD``, decode to a foreground region
     class (background-class cells are dropped), and carry a valid grid
     sample. Object points come from anchor + residual decoding, weights
     from the mask value.
@@ -140,7 +149,7 @@ def extract_correspondences(maps: DenseMaps, anchors: AnchorSet,
             f"maps coded against {maps.anchors.object_id!r}, got {anchors.object_id!r}"
         )
     classes = maps.classes
-    sel = (maps.mask > mask_threshold) & (classes < anchors.k) & maps.grids.valid
+    sel = (maps.mask > MASK_THRESHOLD) & (classes < anchors.k) & maps.grids.valid
     if not sel.any():
         raise NoForeground("no cell passes mask/class/validity selection")
     obj = decode_points(classes[sel], maps.residual[sel], anchors)
@@ -333,20 +342,21 @@ def solve_2d3d(corr: CorrSet, k: Intrinsics, init: Pose | None = None) -> SolveR
     return SolveReport(pose, len(corr), rmse, iters, "2d3d", trace)
 
 
-def solve_fused(corr: CorrSet, k: Intrinsics, *, sigma_m: float = 0.005,
-                sigma_px: float = 1.0, seed: int = 0, init: Pose | None = None,
-                ransac_tol: float = 0.01, ransac_iters: int = 128) -> SolveReport:
+def solve_fused(corr: CorrSet, k: Intrinsics, *, sigma_m: float = SIGMA_M,
+                sigma_px: float = SIGMA_PX, seed: int = 0, init: Pose | None = None,
+                ransac_iters: int = 128) -> SolveReport:
     """Joint Gauss-Newton over metric and reprojection residuals.
 
     Each correspondence contributes its 3d-3d residual scaled by 1/sigma_m
     and its pixel residual scaled by 1/sigma_px. Initialization comes from
-    robust 3d-3d RANSAC unless an explicit pose is given.
+    robust 3d-3d RANSAC (``ransac_iters`` hypotheses at the 3d3d
+    ``RANSAC_INLIER_TOL``) unless an explicit pose is given.
     """
     if corr.cam_pts is None or corr.img_pts is None:
         raise ValueError("fused solving requires both cam_pts and img_pts")
     _check_spread(corr.obj_pts, 3, DegenerateConfiguration)
     if init is None:
-        init = ransac(corr, "3d3d", inlier_tol=ransac_tol,
+        init = ransac(corr, "3d3d", inlier_tol=RANSAC_INLIER_TOL["3d3d"],
                       max_iters=ransac_iters, seed=seed).pose
 
     sw = np.sqrt(corr.weights)
@@ -434,7 +444,7 @@ def _best_2d3d(corr: CorrSet, samples: np.ndarray, inlier_tol: float, k: Intrins
     return best
 
 
-def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = 256,
+def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = RANSAC_ITERS,
            seed: int = 0, k: Intrinsics | None = None) -> SolveReport:
     """Seeded hypothesize-and-verify with a final refit on the inliers.
 

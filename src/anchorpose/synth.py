@@ -26,6 +26,9 @@ _STREAM_SENSOR = 2
 
 SHAPES = ("cube", "cylinder", "icosphere", "blob")
 
+# Poses sample_scene draws for one scene before it gives up on the target.
+MAX_ATTEMPTS = 100
+
 
 class ObjectOutOfView(ValueError):
     """The posed object contributes no visible pixel."""
@@ -375,9 +378,9 @@ def random_pose(rng: np.random.Generator, config: SceneConfig) -> Pose:
 
 
 def sample_scene(model: ObjectModel, config: SceneConfig, target_level: float,
-                 level_index: int, slot: int, max_attempts: int = 100) -> SceneSample:
+                 level_index: int, slot: int) -> SceneSample:
     """Rejection-sample one scene whose visible fraction is within 0.1 of target."""
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         ss = np.random.SeedSequence([config.seed, level_index, slot, attempt])
         rng_pose = np.random.default_rng(ss)
         scene_seed = int(ss.generate_state(1)[0])
@@ -393,7 +396,7 @@ def sample_scene(model: ObjectModel, config: SceneConfig, target_level: float,
         if abs(scene.visible_fraction - target_level) <= 0.1:
             return scene
     raise BinUnfillable(
-        f"no scene within 0.1 of visibility {target_level} in {max_attempts} attempts"
+        f"no scene within 0.1 of visibility {target_level} in {MAX_ATTEMPTS} attempts"
     )
 
 

@@ -9,7 +9,6 @@ from anchorpose.camera_crop import (
     Roi,
     adjust_intrinsics,
     crop_affine,
-    dzi_jitter,
     make_grid_maps,
     read_pfm,
     write_pfm,
@@ -52,7 +51,7 @@ class TestAdjustIntrinsics:
         assert kc.cy == 2.0 * (240.0 - 50.0)
 
     def test_identity_affine(self):
-        assert adjust_intrinsics(K, CropAffine.identity()) == K
+        assert adjust_intrinsics(K, CropAffine(1.0, 1.0, 0.0, 0.0)) == K
 
     def test_projection_consistency_random_points(self):
         # project through K_crop == warp of projection through K_org
@@ -73,36 +72,6 @@ class TestAdjustIntrinsics:
         roi = _roi_from_window(300.0, 200.0, 100.0, 64)  # cx=320 inside [300, 400]
         kc = adjust_intrinsics(K, crop_affine(roi))
         assert 0.0 <= kc.cx <= roi.out_res
-
-
-class TestDziJitter:
-    def test_degenerate_jitter_is_squaring_only(self):
-        box = Roi(100.0, 80.0, 60.0, 40.0, 64)
-        out = dzi_jitter(box, rng_seed=0, shift_ratio=0.0, zoom=1.0)
-        assert (out.center_u, out.center_v) == (100.0, 80.0)
-        assert out.size_u == out.size_v == 60.0  # max side, squared
-        assert out.out_res == 64
-
-    def test_deterministic_given_seed(self):
-        box = Roi(100.0, 80.0, 60.0, 40.0, 64)
-        assert dzi_jitter(box, 123) == dzi_jitter(box, 123)
-        assert dzi_jitter(box, 123) != dzi_jitter(box, 124)
-
-    def test_default_parameters(self):
-        import inspect
-
-        sig = inspect.signature(dzi_jitter)
-        assert sig.parameters["shift_ratio"].default == 0.25
-        assert sig.parameters["zoom"].default == 1.5
-
-    def test_jitter_ranges(self):
-        box = Roi(100.0, 80.0, 60.0, 40.0, 64)
-        for seed in range(200):
-            out = dzi_jitter(box, seed)
-            assert abs(out.center_u - 100.0) <= 0.25 * 60.0 + 1e-9
-            assert abs(out.center_v - 80.0) <= 0.25 * 40.0 + 1e-9
-            assert out.size_u == out.size_v
-            assert 1.5 * 0.75 * 60.0 - 1e-9 <= out.size_u <= 1.5 * 1.25 * 60.0 + 1e-9
 
 
 class TestGridMaps:

@@ -202,6 +202,38 @@ _MAPS_FAULTS = {
 }
 
 
+def _drop(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+def _in_first(edit):
+    return lambda entries: [edit(entries[0]), *entries[1:]]
+
+
+def _short_rotation(obj):
+    return {**obj, "pose": {**obj["pose"], "R": obj["pose"]["R"][:8]}}
+
+
+# (file, edit of its parsed JSON) per fault; each must exit 3
+_JSON_FAULTS = {
+    "scene_without_object_id": ("scene", _drop("object_id")),
+    "scene_without_pose": ("scene", _drop("pose")),
+    "scene_without_intrinsics": ("scene", _drop("intrinsics")),
+    "scene_without_visible_fraction": ("scene", _drop("visible_fraction")),
+    "scene_rotation_of_8": ("scene", _short_rotation),
+    "registry_entry_without_id": ("registry", _in_first(_drop("id"))),
+    "registry_entry_without_path": ("registry", _in_first(_drop("path"))),
+    "registry_not_a_list": ("registry", lambda entries: entries[0]),
+    "anchors_without_object_id": ("anchors", _drop("object_id")),
+    "anchors_without_anchors": ("anchors", _drop("anchors")),
+    "anchors_a_list": ("anchors", lambda obj: [obj]),
+    "poses_entry_without_scene_id": ("poses", _in_first(_drop("scene_id"))),
+    "poses_entry_without_pose": ("poses", _in_first(_drop("pose"))),
+    "poses_rotation_of_8": ("poses", _in_first(_short_rotation)),
+    "poses_not_a_list": ("poses", lambda entries: entries[0]),
+}
+
+
 def _solve_broken_maps(pipeline, tmp_path, fault) -> int:
     root, bench, anchors, maps, *_ = pipeline
     broken = tmp_path / "scene.npz"
@@ -257,6 +289,24 @@ class TestMalformedFiles:
         code = main(["encode", "--seed", "7", "--out", str(tmp_path / "maps"),
                      "--scenes", str(copy), "--anchors", str(anchors), "--res", "32"])
         assert code == 3
+
+    @pytest.mark.parametrize("fault", list(_JSON_FAULTS))
+    def test_malformed_json_input(self, pipeline, tmp_path, fault):
+        root, bench, anchors, maps, noisy, poses = pipeline
+        target, edit = _JSON_FAULTS[fault]
+        shutil.copytree(bench, tmp_path / "bench")
+        shutil.copyfile(anchors, tmp_path / "anchors.json")
+        shutil.copyfile(poses, tmp_path / "poses.json")
+        path = tmp_path / {"scene": "bench/scene_0000/scene.json",
+                           "registry": "bench/registry.json",
+                           "anchors": "anchors.json", "poses": "poses.json"}[target]
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        bench, anchors = tmp_path / "bench", tmp_path / "anchors.json"
+        argv = {
+            "anchors": ["solve", "--maps", maps, "--anchors", anchors, "--mode", "3d3d"],
+            "poses": ["eval", "--pred", path, "--scenes", bench],
+        }.get(target, ["encode", "--scenes", bench, "--anchors", anchors, "--res", "32"])
+        assert main([*map(str, argv), "--seed", "7", "--out", str(tmp_path / "out")]) == 3
 
 
 @pytest.fixture(scope="module")

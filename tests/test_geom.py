@@ -5,19 +5,13 @@ from hypothesis import strategies as st
 
 from anchorpose.geom import (
     CropAffine,
-    DegenerateFrame,
     Intrinsics,
     NonPositiveDepth,
     NotARotation,
     PointBehindCamera,
     Pose,
-    Rot6D,
     backproject,
-    matrix_to_rot6d,
-    pose_compose,
-    pose_inverse,
     project,
-    rot6d_to_matrix,
 )
 from conftest import random_rotation_aa, rodrigues
 
@@ -84,91 +78,7 @@ class TestBackproject:
             np.testing.assert_allclose(backproject(uv[0], uv[1], pc[2], K), pc, atol=1e-9)
 
 
-class TestRot6D:
-    def test_identity(self):
-        m = rot6d_to_matrix(Rot6D([1, 0, 0], [0, 1, 0]))
-        np.testing.assert_allclose(m, np.eye(3), atol=0)
-
-    def test_scale_invariance(self):
-        m = rot6d_to_matrix(Rot6D([2, 0, 0], [0, 3, 0]))
-        np.testing.assert_allclose(m, np.eye(3), atol=0)
-
-    def test_parallel_inputs(self):
-        with pytest.raises(DegenerateFrame):
-            rot6d_to_matrix(Rot6D([1, 0, 0], [2, 0, 0]))
-
-    def test_zero_a1(self):
-        with pytest.raises(DegenerateFrame):
-            rot6d_to_matrix(Rot6D([0, 0, 0], [0, 1, 0]))
-
-    def test_matrix_round_trip_random(self):
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        for _ in range(1000):
-            r = random_rotation_aa(rng)
-            back = rot6d_to_matrix(matrix_to_rot6d(r))
-            worst = max(worst, np.abs(back - r).max())
-        assert worst < 1e-9
-
-    def test_near_parallel_still_orthonormal(self):
-        # cross norm ~1e-6: output must stay orthonormal to 1e-9
-        a1 = np.array([1.0, 0.0, 0.0])
-        a2 = np.array([1.0, 1e-6, 0.0])
-        m = rot6d_to_matrix(Rot6D(a1, a2))
-        assert np.abs(m.T @ m - np.eye(3)).max() < 1e-9
-        assert abs(np.linalg.det(m) - 1.0) < 1e-9
-
-    @given(st.lists(st.floats(-2, 2), min_size=6, max_size=6))
-    @settings(max_examples=100)
-    def test_decode_always_rotation(self, vals):
-        a1, a2 = np.array(vals[:3]), np.array(vals[3:])
-        if np.linalg.norm(a1) < 1e-6 or np.linalg.norm(np.cross(a1, a2)) < 1e-6:
-            return
-        m = rot6d_to_matrix(Rot6D(a1, a2))
-        assert np.abs(m.T @ m - np.eye(3)).max() < 1e-9
-        assert abs(np.linalg.det(m) - 1.0) < 1e-9
-
-    def test_identity_encoding(self):
-        r6 = matrix_to_rot6d(np.eye(3))
-        np.testing.assert_array_equal(r6.a1, [1, 0, 0])
-        np.testing.assert_array_equal(r6.a2, [0, 1, 0])
-
-    def test_reflection_rejected(self):
-        with pytest.raises(NotARotation):
-            matrix_to_rot6d(np.diag([1.0, 1.0, -1.0]))
-
-    def test_non_orthonormal_rejected(self):
-        with pytest.raises(NotARotation):
-            matrix_to_rot6d(np.eye(3) + 1e-3)
-
-
 class TestPoseAlgebra:
-    def test_compose_identity(self):
-        rng = np.random.default_rng(3)
-        p = Pose(random_rotation_aa(rng), rng.normal(size=3))
-        q = pose_compose(Pose.identity(), p)
-        np.testing.assert_allclose(q.rotation, p.rotation, atol=0)
-        np.testing.assert_allclose(q.translation, p.translation, atol=0)
-
-    def test_inverse_identity(self):
-        inv = pose_inverse(Pose.identity())
-        np.testing.assert_array_equal(inv.rotation, np.eye(3))
-        np.testing.assert_array_equal(inv.translation, np.zeros(3))
-
-    def test_inverse_round_trip_on_points(self):
-        rng = np.random.default_rng(4)
-        pose = Pose(random_rotation_aa(rng), rng.normal(size=3))
-        both = pose_compose(pose_inverse(pose), pose)
-        pts = rng.normal(size=(100, 3))
-        np.testing.assert_allclose(both.apply(pts), pts, atol=1e-9)
-
-    def test_compose_inverse_is_identity(self):
-        rng = np.random.default_rng(5)
-        pose = Pose(random_rotation_aa(rng), rng.normal(size=3))
-        ident = pose_compose(pose, pose_inverse(pose))
-        np.testing.assert_allclose(ident.rotation, np.eye(3), atol=1e-9)
-        np.testing.assert_allclose(ident.translation, np.zeros(3), atol=1e-9)
-
     def test_invariants_enforced(self):
         with pytest.raises(NotARotation):
             Pose(np.eye(3) * 1.001, np.zeros(3))
@@ -200,15 +110,6 @@ class TestSerialization:
 
 
 class TestCropAffine:
-    def test_matrix_last_row(self):
-        a = CropAffine(2.0, 3.0, -5.0, 1.0)
-        np.testing.assert_array_equal(a.matrix[2], [0, 0, 1])
-
-    def test_apply_invert(self):
-        a = CropAffine(2.0, 0.5, -10.0, 4.0)
-        uv = np.array([[3.0, 7.0], [0.0, 0.0]])
-        np.testing.assert_allclose(a.invert().apply(a.apply(uv)), uv, atol=1e-12)
-
     def test_positive_scale_rule(self):
         with pytest.raises(ValueError):
             CropAffine(0.0, 1.0, 0.0, 0.0)

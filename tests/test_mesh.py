@@ -10,7 +10,6 @@ from anchorpose.mesh import (
     ObjectModel,
     ParseError,
     UnsupportedPlyVariant,
-    bbox,
     diameter,
     fps,
     load_ply,
@@ -19,6 +18,7 @@ from anchorpose.mesh import (
     save_registry,
     write_ply,
 )
+from anchorpose.synth import SHAPES, make_model
 
 UNIT_CUBE_CORNERS = np.array(
     [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
@@ -210,29 +210,18 @@ class TestExtents:
     def test_single_point(self):
         assert diameter(ObjectModel("p", [[1.0, 2.0, 3.0]])) == 0.0
 
-    def test_bbox(self):
-        lo, hi = bbox(ObjectModel("c", UNIT_CUBE_CORNERS))
-        np.testing.assert_array_equal(lo, [0, 0, 0])
-        np.testing.assert_array_equal(hi, [1, 1, 1])
-
     def test_empty_model(self):
         with pytest.raises(EmptyModel):
             ObjectModel("none", np.empty((0, 3)))
 
-    def test_subsample_cap_close_to_exact(self, blob_model):
-        exact = diameter(blob_model)
-        capped = diameter(blob_model, max_points=500)
-        assert capped <= exact + 1e-12
-        assert capped >= 0.95 * exact
-
-    def test_diameter_brute_force_oracle(self):
-        rng = np.random.default_rng(2)
-        pts = rng.normal(size=(60, 3))
-        model = ObjectModel("r", pts)
-        brute = max(
-            np.linalg.norm(a - b) for i, a in enumerate(pts) for b in pts[i + 1:]
-        )
-        assert diameter(model) == pytest.approx(brute, rel=1e-12)
+    @pytest.mark.parametrize("shape", ["random", *SHAPES])
+    def test_diameter_brute_force_oracle(self, shape):
+        if shape == "random":
+            pts = np.random.default_rng(2).normal(size=(60, 3))
+        else:
+            pts = make_model(shape, 300, 0.12, 7).points
+        brute = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1).max())
+        assert diameter(ObjectModel("r", pts)) == pytest.approx(brute, rel=1e-12)
 
 
 def test_registry_round_trip(tmp_path):
