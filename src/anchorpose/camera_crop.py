@@ -44,6 +44,8 @@ class Roi:
     out_res: int
 
     def __post_init__(self):
+        if not np.isfinite([self.center_u, self.center_v, self.size_u, self.size_v]).all():
+            raise ValueError("crop window must be finite")
         if not (self.size_u > 0 and self.size_v > 0):
             raise ValueError("crop sizes must be positive")
         if not self.out_res >= 2:

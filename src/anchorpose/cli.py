@@ -23,8 +23,9 @@ import numpy as np
 
 from . import camera_crop, codec, correspondence, geom, mesh, metrics, solver, synth
 from .camera_crop import adjust_intrinsics, crop_affine
-from .codec import AnchorSet, build_anchor_set, load_anchor_set, save_anchor_set
+from .codec import AnchorSet, build_anchor_set
 from .correspondence import (
+    MapsHeader,
     NoiseSpec,
     corrupt,
     ground_truth_maps,
@@ -64,8 +65,8 @@ class IdMismatch(ValueError):
 
 
 class MalformedManifest(ValueError):
-    """A JSON input file (benchmark manifest, registry, scene, anchors or
-    poses) with a missing key, a wrong container type or a wrong-length array."""
+    """A JSON input file (benchmark manifest, registry, scene or poses) with
+    a missing key, a wrong container type or a wrong-length array."""
 
 
 @contextmanager
@@ -147,7 +148,7 @@ def _cap_correspondences(corr: solver.CorrSet) -> solver.CorrSet:
     return corr.subset(idx)
 
 
-def _solve(corr: solver.CorrSet, mode: str, k: Intrinsics | None, *, sigma_m: float,
+def _solve(corr: solver.CorrSet, mode: str, k: Intrinsics, *, sigma_m: float,
            sigma_px: float, seed: int,
            ransac_args: tuple[float | None, int] | None = None) -> solver.SolveReport:
     """One pose solve in ``mode`` (3d3d, 2d3d or fused) with camera ``k``.
@@ -158,8 +159,6 @@ def _solve(corr: solver.CorrSet, mode: str, k: Intrinsics | None, *, sigma_m: fl
     """
     if mode not in ("3d3d", "2d3d", "fused"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode != "3d3d" and k is None:
-        raise ValueError(f"{mode} solving needs intrinsics in the maps file")
     if ransac_args is not None:
         if mode == "fused":
             raise ValueError("RANSAC needs mode 3d3d or 2d3d; the fused solver "
@@ -364,35 +363,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _registry_id_for(model_path: Path):
-    reg_path = model_path.parent / "registry.json"
-    if reg_path.exists():
-        with _parsing(reg_path):
-            for entry in load_registry(reg_path):
-                if Path(entry["path"]).name == model_path.name:
-                    return (entry["id"], entry.get("symmetric", False),
-                            entry.get("mm_to_m", False))
-    return None
-
-
-def cmd_anchors(args: argparse.Namespace) -> int:
-    model_path = args.model
-    object_id = args.object_id
-    symmetric, mm_to_m = False, args.mm_to_m
-    if object_id is None:
-        hit = _registry_id_for(model_path)
-        if hit is not None:
-            object_id, symmetric, mm_to_m = hit
-    model = mesh.load_ply(model_path, mm_to_m=mm_to_m, model_id=object_id,
-                          symmetric=symmetric)
-    anchors = build_anchor_set(model, args.k)
-    save_anchor_set(anchors, args.out)
-    print(f"{anchors.k} anchors for {model.id}: covering radius "
-          f"{anchors.covering_radius:.6f} m -> {args.out}")
-    return 0
-
-
 def _load_benchmark_dir(scenes_dir: Path):
+    """A ``gen`` benchmark's (id, scene) pairs and registry models by object id."""
     with open(scenes_dir / "manifest.json") as f:
         manifest = json.load(f)
     with _parsing(scenes_dir / "manifest.json"):
@@ -406,26 +378,25 @@ def _load_benchmark_dir(scenes_dir: Path):
     reg_path = scenes_dir / "registry.json"
     with _parsing(reg_path):
         models = {e["id"]: load_registry_model(reg_path, e) for e in load_registry(reg_path)}
-    return manifest, scenes, models
+    for scene_id, scene in scenes:
+        if scene.object_id not in models:
+            raise IdMismatch(f"{reg_path} has no object {scene.object_id!r} ({scene_id})")
+    return scenes, models
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    with _parsing(args.anchors):
-        anchors = load_anchor_set(args.anchors)
-    _, scenes, _ = _load_benchmark_dir(args.scenes)
+    scenes, models = _load_benchmark_dir(args.scenes)
+    anchor_sets = {oid: build_anchor_set(models[oid], args.k)
+                   for oid in {scene.object_id for _, scene in scenes}}
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for scene_id, scene in scenes:
         roi = tight_roi(scene, args.res)
-        maps = ground_truth_maps(scene, anchors, roi)
+        maps = ground_truth_maps(scene, anchor_sets[scene.object_id], roi)
         name = f"{scene_id}.npz"
-        save_dense_maps(maps, out / name, extra={
-            "scene_id": scene_id,
-            "object_id": scene.object_id,
-            "intrinsics": scene.intrinsics.to_json(),
-            "gt_pose": scene.gt_pose.to_json(),
-        })
+        save_dense_maps(maps, out / name, MapsHeader(scene_id, scene.object_id,
+                                                     scene.intrinsics, scene.gt_pose))
         entries.append({"id": scene_id, "file": name})
     _write_json(out / "manifest.json", {"maps": entries, "res": args.res})
     print(f"encoded {len(entries)} scenes -> {out}")
@@ -452,7 +423,7 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     entries, loss_rows = [], []
     for i, path in enumerate(sorted(files)):
-        maps, meta = load_dense_maps(path)
+        maps, header = load_dense_maps(path)
         noise = NoiseSpec(
             residual_sigma=args.residual_sigma,
             label_flip_prob=args.label_flip,
@@ -463,25 +434,19 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
             seed=_child_seed(args.seed, i),
         )
         noisy = corrupt(maps, noise)
-        scene_id = meta.get("scene_id", path.stem)
-        extra = {k: meta[k] for k in ("scene_id", "object_id", "intrinsics", "gt_pose")
-                 if k in meta}
-        save_dense_maps(noisy, out / path.name, extra=extra)
-        entries.append({"id": scene_id, "file": path.name})
+        save_dense_maps(noisy, out / path.name, header)
+        entries.append({"id": header.scene_id, "file": path.name})
 
         lm = loss_mask(noisy.mask, maps.mask)
         lc = loss_coarse(noisy.region_probs, maps.classes, noisy.mask)
         lf = loss_fine(noisy.residual, maps.residual, maps.mask)
-        lt = None
-        if "gt_pose" in meta:
-            try:
-                corr = extract_correspondences(noisy, maps.anchors)
-                rot, trans = pose_error(solve_3d3d(corr).pose,
-                                        Pose.from_json(meta["gt_pose"]))
-                lt = loss_total(lc, lf, lm, math.radians(rot) + trans)
-            except (solver.NoForeground, solver.DegenerateConfiguration):
-                lt = None
-        loss_rows.append((scene_id, lm, lc, lf, lt))
+        try:
+            corr = extract_correspondences(noisy, maps.anchors)
+            rot, trans = pose_error(solve_3d3d(corr).pose, header.gt_pose)
+            lt = loss_total(lc, lf, lm, math.radians(rot) + trans)
+        except (solver.NoForeground, solver.DegenerateConfiguration):
+            lt = None
+        loss_rows.append((header.scene_id, lm, lc, lf, lt))
     _write_json(out / "manifest.json", {"maps": entries})
     write_loss_csv(loss_rows, out / "losses.csv")
     print(f"corrupted {len(entries)} map sets -> {out}")
@@ -506,23 +471,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     sigmas = {"sigma_m": solver.SIGMA_M if args.sigma_m is None else args.sigma_m,
               "sigma_px": solver.SIGMA_PX if args.sigma_px is None else args.sigma_px}
     files = _maps_files(args.maps)
-    with _parsing(args.anchors):
-        anchors = load_anchor_set(args.anchors)
     results = []
     for i, path in enumerate(sorted(files)):
-        maps, meta = load_dense_maps(path)
-        corr = extract_correspondences(maps, anchors)
-        k_crop = None
-        if "intrinsics" in meta:
-            k_org = Intrinsics.from_json(meta["intrinsics"])
-            k_crop = adjust_intrinsics(k_org, crop_affine(maps.grids.roi))
+        maps, header = load_dense_maps(path)
+        corr = extract_correspondences(maps, maps.anchors)
+        k_crop = adjust_intrinsics(header.intrinsics, crop_affine(maps.grids.roi))
         report = _solve(corr, args.mode, k_crop, **sigmas, seed=_child_seed(args.seed, i),
                         ransac_args=(args.inlier_tol, max_iters) if args.ransac else None)
-        entry = {"scene_id": meta.get("scene_id", path.stem)}
-        if "object_id" in meta:
-            entry["object_id"] = meta["object_id"]
-        entry.update(report.to_json())
-        results.append(entry)
+        results.append({"scene_id": header.scene_id, "object_id": header.object_id,
+                        **report.to_json()})
     _write_json(args.out, results)
     print(f"solved {len(results)} map sets -> {args.out}")
     return 0
@@ -531,7 +488,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     with open(args.pred) as f:
         preds = json.load(f)
-    _, scenes, models = _load_benchmark_dir(args.scenes)
+    scenes, models = _load_benchmark_dir(args.scenes)
     gt = dict(scenes)
     with _parsing(args.pred):
         pred_ids = [p["scene_id"] for p in preds]
@@ -551,7 +508,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _scenes_and_model(args: argparse.Namespace):
-    _, scenes, models = _load_benchmark_dir(args.scenes)
+    scenes, models = _load_benchmark_dir(args.scenes)
     ids = {s.object_id for _, s in scenes}
     if len(ids) != 1:
         raise ValueError("ablation sweeps expect a single-object benchmark")
@@ -644,15 +601,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--depth-sigma", type=float, default=0.0)
     g.add_argument("--occlusion-levels", type=float, nargs="+", default=[1.0])
 
-    a = sub.add_parser("anchors", parents=[common], help="build an anchor set from a PLY model")
-    a.add_argument("--model", type=Path, required=True)
-    a.add_argument("--k", type=int, default=codec.DEFAULT_ANCHOR_COUNT)
-    a.add_argument("--object-id", default=None)
-    a.add_argument("--mm-to-m", action="store_true")
-
     e = sub.add_parser("encode", parents=[common], help="ground-truth maps for a benchmark")
     e.add_argument("--scenes", type=Path, required=True)
-    e.add_argument("--anchors", type=Path, required=True)
+    e.add_argument("--k", type=int, default=codec.DEFAULT_ANCHOR_COUNT)
     e.add_argument("--res", type=int, default=camera_crop.CORR_RES)
 
     c = sub.add_parser("corrupt", parents=[common], help="noise maps and emit losses.csv")
@@ -666,7 +617,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", parents=[common], help="recover poses from maps")
     s.add_argument("--maps", type=Path, required=True)
-    s.add_argument("--anchors", type=Path, required=True)
     s.add_argument("--mode", choices=("3d3d", "2d3d", "fused"), default="fused")
     s.add_argument("--ransac", action="store_true")
     s.add_argument("--inlier-tol", type=float, default=None,
@@ -702,7 +652,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "gen": cmd_gen,
-    "anchors": cmd_anchors,
     "encode": cmd_encode,
     "corrupt": cmd_corrupt,
     "solve": cmd_solve,

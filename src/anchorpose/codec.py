@@ -9,7 +9,6 @@ shrinks the space the fine part has to cover.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,13 +114,3 @@ def decode_points(indices, residuals, anchors: AnchorSet) -> np.ndarray:
         raise IndexOutOfRange(f"anchor index outside [0, {anchors.k})")
     return anchors.anchors[idx] + np.asarray(residuals, dtype=np.float64)
 
-
-def save_anchor_set(anchors: AnchorSet, path) -> None:
-    with open(path, "w") as f:
-        json.dump(anchors.to_json(), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_anchor_set(path) -> AnchorSet:
-    with open(path) as f:
-        return AnchorSet.from_json(json.load(f))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .camera_crop import GridMaps, Roi, cell_sample_grid, crop_affine, make_grid_maps
 from .codec import AnchorSet, encode_points
+from .geom import Intrinsics, Pose
 from .synth import SceneSample
 
 
@@ -282,23 +283,37 @@ class MalformedMaps(ValueError):
     """A dense-maps file that cannot be read or fails validation."""
 
 
-def save_dense_maps(maps: DenseMaps, path, extra: dict | None = None) -> None:
+@dataclass(frozen=True)
+class MapsHeader:
+    """What a maps file records about its scene beside the arrays: the scene
+    and object ids, the original camera and the ground-truth pose."""
+
+    scene_id: str
+    object_id: str
+    intrinsics: Intrinsics
+    gt_pose: Pose
+
+
+def save_dense_maps(maps: DenseMaps, path, header: MapsHeader) -> None:
     """Write ``maps`` to the ``.npz`` file ``path``, losslessly.
 
     The arrays keep their dtypes; ``meta`` is a JSON string holding the
-    format tag, the anchor set, the crop and the ``extra`` keys.
+    format tag, the anchor set, the crop and the ``header`` fields.
     """
     meta = {"format": MAPS_FORMAT, "anchors": maps.anchors.to_json(),
-            "roi": maps.grids.roi.to_json(), **(extra or {})}
+            "roi": maps.grids.roi.to_json(), "scene_id": header.scene_id,
+            "object_id": header.object_id, "intrinsics": header.intrinsics.to_json(),
+            "gt_pose": header.gt_pose.to_json()}
     g = maps.grids
     np.savez(path, classes=maps.classes, mask=maps.mask, residual=maps.residual,
              uv=g.uv, cam_xyz=g.cam_xyz, valid=g.valid,
              meta=np.array(json.dumps(meta, sort_keys=True)))
 
 
-def load_dense_maps(path):
-    """Returns (DenseMaps, meta dict). Raises ``MalformedMaps`` for a file
-    that is not a readable maps ``.npz`` or whose arrays fail validation."""
+def load_dense_maps(path) -> tuple[DenseMaps, MapsHeader]:
+    """Returns (DenseMaps, MapsHeader). Raises ``MalformedMaps`` for a file
+    that is not a readable maps ``.npz``, lacks a header key, or whose arrays
+    or header values fail validation."""
     try:
         with np.load(path, allow_pickle=False) as z:
             a = {name: z[name] for name in
@@ -309,6 +324,9 @@ def load_dense_maps(path):
         grids = GridMaps(a["uv"], a["cam_xyz"], a["valid"], Roi.from_json(meta["roi"]))
         maps = DenseMaps(a["mask"], a["classes"], a["residual"], grids,
                          AnchorSet.from_json(meta["anchors"]))
+        header = MapsHeader(meta["scene_id"], meta["object_id"],
+                            Intrinsics.from_json(meta["intrinsics"]),
+                            Pose.from_json(meta["gt_pose"]))
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
         raise MalformedMaps(f"{path}: {exc}") from exc
-    return maps, meta
+    return maps, header

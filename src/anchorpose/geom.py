@@ -63,6 +63,9 @@ class Pose:
         r = np.asarray(self.rotation, dtype=np.float64)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
+        t = _vec3(self.translation)
+        if not (np.isfinite(r).all() and np.isfinite(t).all()):
+            raise ValueError("pose values must be finite")
         ortho = float(np.abs(r.T @ r - np.eye(3)).max())
         if not ortho < _ORTHO_TOL:
             raise NotARotation(f"R^T R deviates from identity by {ortho:.3e}")
@@ -70,7 +73,7 @@ class Pose:
         if not abs(det - 1.0) < _ORTHO_TOL:
             raise NotARotation(f"det(R) = {det!r}, expected +1")
         object.__setattr__(self, "rotation", _frozen(r))
-        object.__setattr__(self, "translation", _frozen(_vec3(self.translation)))
+        object.__setattr__(self, "translation", _frozen(t))
 
     @staticmethod
     def identity() -> "Pose":
@@ -103,6 +106,8 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ValueError("intrinsics must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import EmptyModel, ObjectModel
+from .mesh import ObjectModel
 from .geom import Pose
 
 AUC_MAX_THRESHOLD = 0.10  # meters; community convention, the AUC range evaluate_batch reports
@@ -46,8 +46,6 @@ class EvalRecord:
 
 def add_metric(model: ObjectModel, pred: Pose, gt: Pose) -> float:
     """Mean paired distance between the two transformed point sets."""
-    if len(model.points) == 0:
-        raise EmptyModel("no points")
     diff = pred.apply(model.points) - gt.apply(model.points)
     return float(np.linalg.norm(diff, axis=1).mean())
 
@@ -68,8 +66,6 @@ def adds_metric(model: ObjectModel, pred: Pose, gt: Pose, method: str = "auto") 
     the tree. The distance of each found pair is taken between the
     camera-frame points, as in the exact scan, so ``pred == gt`` gives 0.0.
     """
-    if len(model.points) == 0:
-        raise EmptyModel("no points")
     a = pred.apply(model.points)
     b = gt.apply(model.points)
     if method == "auto":

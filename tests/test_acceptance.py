@@ -279,21 +279,16 @@ def test_c9_cli_determinism(tmp_path):
         base = tmp_path / run
         bench = base / "bench"
         assert main(gen_args + ["--out", str(bench)]) == 0
-        anchors = base / "anchors.json"
-        assert main(["anchors", "--seed", "7", "--out", str(anchors),
-                     "--model", str(bench / "model.ply"), "--k", "16"]) == 0
         maps = base / "maps"
         assert main(["encode", "--seed", "7", "--out", str(maps),
-                     "--scenes", str(bench), "--anchors", str(anchors),
-                     "--res", "32"]) == 0
+                     "--scenes", str(bench), "--k", "16", "--res", "32"]) == 0
         noisy = base / "noisy"
         assert main(["corrupt", "--seed", "7", "--out", str(noisy),
                      "--maps", str(maps), "--residual-sigma", "0.001",
                      "--label-flip", "0.01"]) == 0
         poses = base / "poses.json"
         assert main(["solve", "--seed", "7", "--out", str(poses),
-                     "--maps", str(noisy), "--anchors", str(anchors),
-                     "--mode", "fused"]) == 0
+                     "--maps", str(noisy), "--mode", "fused"]) == 0
         summary = base / "summary.csv"
         assert main(["eval", "--seed", "7", "--out", str(summary),
                      "--pred", str(poses), "--scenes", str(bench)]) == 0
@@ -307,13 +302,13 @@ def test_c9_cli_determinism(tmp_path):
         ak = base / "k_sweep.csv"
         assert main(["ablate-k", "--seed", "3", "--out", str(ak),
                      "--scenes", str(bench), "--res", "24", "--k", "16"]) == 0
-        outputs[run] = [bench, anchors, maps, noisy, poses, summary, aa, ac, ak]
+        outputs[run] = [bench, maps, noisy, poses, summary, aa, ac, ak]
 
-    names = ["gen", "anchors", "encode", "corrupt", "solve", "eval",
+    names = ["gen", "encode", "corrupt", "solve", "eval",
              "ablate-anchors", "ablate-corr", "ablate-k"]
     mismatched = [n for n, pa, pb in zip(names, outputs["a"], outputs["b"])
                   if _digest(pa) != _digest(pb)]
     ok = not mismatched
     _report("criterion 9 (CLI determinism)", ok,
-            "all 9 subcommands rerun byte-identical"
+            "all 8 subcommands rerun byte-identical"
             + (f"; mismatches: {mismatched}" if mismatched else ""))

@@ -131,6 +131,13 @@ class TestGridMaps:
         with pytest.raises(ValueError):
             DepthImage.from_array(np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("field", ["center_u", "center_v", "size_u", "size_v"])
+    def test_roi_rejects_non_finite(self, field):
+        values = {"center_u": 10.0, "center_v": 10.0, "size_u": 8.0, "size_v": 8.0,
+                  "out_res": 4, field: np.nan}
+        with pytest.raises(ValueError, match="finite"):
+            Roi(**values)
+
     def test_default_resolutions(self):
         assert CORR_RES == 64
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 import shutil
 from pathlib import Path
 
@@ -27,7 +28,7 @@ def _tree_digest(root: Path) -> str:
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """One small gen->anchors->encode->corrupt->solve chain reused by tests."""
+    """One small gen->encode->corrupt->solve chain reused by tests."""
     root = tmp_path_factory.mktemp("pipeline")
     bench = root / "bench"
     assert main([
@@ -35,19 +36,16 @@ def pipeline(tmp_path_factory):
         "--scenes", "4", "--points", "1500", "--width", "256", "--height", "192",
         "--fx", "260", "--fy", "260", "--depth-range", "0.7", "1.2",
     ]) == 0
-    anchors = root / "anchors.json"
-    assert main(["anchors", "--seed", "7", "--out", str(anchors),
-                 "--model", str(bench / "model.ply"), "--k", "16"]) == 0
     maps = root / "maps"
     assert main(["encode", "--seed", "7", "--out", str(maps), "--scenes", str(bench),
-                 "--anchors", str(anchors), "--res", "32"]) == 0
+                 "--k", "16", "--res", "32"]) == 0
     noisy = root / "noisy"
     assert main(["corrupt", "--seed", "7", "--out", str(noisy), "--maps", str(maps),
                  "--residual-sigma", "0.001", "--label-flip", "0.01"]) == 0
     poses = root / "poses.json"
     assert main(["solve", "--seed", "7", "--out", str(poses), "--maps", str(noisy),
-                 "--anchors", str(anchors), "--mode", "3d3d"]) == 0
-    return root, bench, anchors, maps, noisy, poses
+                 "--mode", "3d3d"]) == 0
+    return root, bench, maps, noisy, poses
 
 
 class TestPipeline:
@@ -110,26 +108,26 @@ class TestPipeline:
                 ["manifest.json", *files] + (["losses.csv"] if d == noisy else []))
 
     def test_solve_single_maps_file(self, pipeline, tmp_path):
-        root, bench, anchors, maps, *_ = pipeline
+        root, bench, maps, *_ = pipeline
         single = sorted(maps.glob("*.npz"))[0]
         out = tmp_path / "one.json"
         assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(single),
-                     "--anchors", str(anchors), "--mode", "fused"]) == 0
+                     "--mode", "fused"]) == 0
         entries = json.loads(out.read_text())
         assert len(entries) == 1 and entries[0]["mode"] == "fused"
 
     def test_solve_ransac_2d3d(self, pipeline, tmp_path):
-        root, bench, anchors, maps, *_ = pipeline
+        root, bench, maps, *_ = pipeline
         out = tmp_path / "r.json"
         assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(maps),
-                     "--anchors", str(anchors), "--mode", "2d3d", "--ransac",
+                     "--mode", "2d3d", "--ransac",
                      "--inlier-tol", "2.0", "--max-iters", "32"]) == 0
 
     def test_solve_ransac_2d3d_default_tolerance_is_pixels(self, pipeline, tmp_path):
-        *_, anchors, maps, noisy, _ = pipeline
+        *_, maps, noisy, _ = pipeline
         out = tmp_path / "r.json"
         assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(noisy),
-                     "--anchors", str(anchors), "--mode", "2d3d", "--ransac",
+                     "--mode", "2d3d", "--ransac",
                      "--max-iters", "32"]) == 0
         assert {e["mode"] for e in json.loads(out.read_text())} == {"2d3d"}
 
@@ -140,10 +138,10 @@ class TestPipeline:
         ["--mode", "2d3d", "--sigma-px", "2.0"],
     ])
     def test_solve_rejects_flags_the_mode_ignores(self, pipeline, tmp_path, flags):
-        *_, anchors, maps, noisy, _ = pipeline
+        *_, maps, noisy, _ = pipeline
         out = tmp_path / "x.json"
         assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(noisy),
-                     "--anchors", str(anchors), *flags]) == 2
+                     *flags]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("implicit, explicit", [
@@ -151,20 +149,20 @@ class TestPipeline:
         (["--mode", "fused"], ["--sigma-m", "0.005", "--sigma-px", "1.0"]),
     ])
     def test_solve_defaults_resolve(self, pipeline, tmp_path, implicit, explicit):
-        *_, anchors, maps, noisy, _ = pipeline
+        *_, maps, noisy, _ = pipeline
         outs = []
         for extra in ([], explicit):
             out = tmp_path / f"{len(extra)}.json"
             assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(noisy),
-                         "--anchors", str(anchors), *implicit, *extra]) == 0
+                         *implicit, *extra]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
     def test_solve_fused_rejects_ransac(self, pipeline, tmp_path):
-        *_, anchors, maps, noisy, _ = pipeline
+        *_, maps, noisy, _ = pipeline
         out = tmp_path / "f.json"
         assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(noisy),
-                     "--anchors", str(anchors), "--mode", "fused", "--ransac"]) == 2
+                     "--mode", "fused", "--ransac"]) == 2
         assert not out.exists()
 
 
@@ -181,6 +179,12 @@ def _edit_arrays(edit):
         edit(arrays)
         np.savez(path, **arrays)
     return apply
+
+
+def _edit_meta(edit):
+    """A fault that rewrites a maps .npz after ``edit`` changed its JSON header."""
+    return _edit_arrays(lambda a: a.update(
+        meta=np.array(json.dumps(edit(json.loads(str(a["meta"])))))))
 
 
 def _nan_foreground_residual(arrays) -> None:
@@ -210,37 +214,68 @@ def _in_first(edit):
     return lambda entries: [edit(entries[0]), *entries[1:]]
 
 
-def _short_rotation(obj):
-    return {**obj, "pose": {**obj["pose"], "R": obj["pose"]["R"][:8]}}
+def _at(key, edit):
+    """Apply ``edit`` to the value under ``key``."""
+    return lambda obj: {**obj, key: edit(obj[key])}
 
 
-# (file, edit of its parsed JSON) per fault; each must exit 3
+def _put(key, value):
+    return lambda obj: {**obj, key: value}
+
+
+def _set(key, index, value):
+    """Replace item ``index`` of the list under ``key``."""
+    return _at(key, lambda v: [*v[:index], value, *v[index + 1:]])
+
+
+def _short_rotation(pose):
+    return {**pose, "R": pose["R"][:8]}
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+# (file, edit of its parsed JSON) per fault; each must exit 3. A "header"
+# fault edits the JSON header of a maps file, read by both solve and corrupt.
 _JSON_FAULTS = {
     "scene_without_object_id": ("scene", _drop("object_id")),
     "scene_without_pose": ("scene", _drop("pose")),
     "scene_without_intrinsics": ("scene", _drop("intrinsics")),
     "scene_without_visible_fraction": ("scene", _drop("visible_fraction")),
-    "scene_rotation_of_8": ("scene", _short_rotation),
+    "scene_rotation_of_8": ("scene", _at("pose", _short_rotation)),
+    "scene_nan_translation": ("scene", _at("pose", _set("t", 0, _NAN))),
     "registry_entry_without_id": ("registry", _in_first(_drop("id"))),
     "registry_entry_without_path": ("registry", _in_first(_drop("path"))),
     "registry_not_a_list": ("registry", lambda entries: entries[0]),
-    "anchors_without_object_id": ("anchors", _drop("object_id")),
-    "anchors_without_anchors": ("anchors", _drop("anchors")),
-    "anchors_a_list": ("anchors", lambda obj: [obj]),
+    "anchors_without_object_id": ("header", _at("anchors", _drop("object_id"))),
+    "anchors_without_anchors": ("header", _at("anchors", _drop("anchors"))),
+    "anchors_a_list": ("header", _at("anchors", lambda obj: [obj])),
+    "header_without_scene_id": ("header", _drop("scene_id")),
+    "header_without_object_id": ("header", _drop("object_id")),
+    "header_without_intrinsics": ("header", _drop("intrinsics")),
+    "header_without_gt_pose": ("header", _drop("gt_pose")),
+    "header_intrinsics_without_fx": ("header", _at("intrinsics", _drop("fx"))),
+    "header_rotation_of_8": ("header", _at("gt_pose", _short_rotation)),
+    "header_nan_cx": ("header", _at("intrinsics", _put("cx", _NAN))),
+    "header_inf_fx": ("header", _at("intrinsics", _put("fx", _INF))),
+    "header_nan_roi_cu": ("header", _at("roi", _put("cu", _NAN))),
+    "header_nan_translation": ("header", _at("gt_pose", _set("t", 0, _NAN))),
     "poses_entry_without_scene_id": ("poses", _in_first(_drop("scene_id"))),
     "poses_entry_without_pose": ("poses", _in_first(_drop("pose"))),
-    "poses_rotation_of_8": ("poses", _in_first(_short_rotation)),
+    "poses_rotation_of_8": ("poses", _in_first(_at("pose", _short_rotation))),
+    "poses_nan_translation": ("poses", _in_first(_at("pose", _set("t", 0, _NAN)))),
+    "poses_nan_rotation": ("poses", _in_first(_at("pose", _set("R", 0, _NAN)))),
     "poses_not_a_list": ("poses", lambda entries: entries[0]),
 }
 
 
 def _solve_broken_maps(pipeline, tmp_path, fault) -> int:
-    root, bench, anchors, maps, *_ = pipeline
+    root, bench, maps, *_ = pipeline
     broken = tmp_path / "scene.npz"
     shutil.copyfile(sorted(maps.glob("*.npz"))[0], broken)
     fault(broken)
     return main(["solve", "--seed", "7", "--out", str(tmp_path / "p.json"),
-                 "--maps", str(broken), "--anchors", str(anchors), "--mode", "fused"])
+                 "--maps", str(broken), "--mode", "fused"])
 
 
 class TestMalformedFiles:
@@ -248,12 +283,12 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("name", ["depth.pfm", "vis_mask.pgm"])
     def test_truncated_scene_file(self, pipeline, tmp_path, name):
-        root, bench, anchors, *_ = pipeline
+        root, bench, *_ = pipeline
         copy = tmp_path / "bench"
         shutil.copytree(bench, copy)
         _truncate(next(copy.glob(f"*/{name}")))
         code = main(["encode", "--seed", "7", "--out", str(tmp_path / "maps"),
-                     "--scenes", str(copy), "--anchors", str(anchors), "--res", "32"])
+                     "--scenes", str(copy), "--k", "16", "--res", "32"])
         assert code == 3
 
     def test_nan_residual_on_foreground(self, pipeline, tmp_path):
@@ -266,11 +301,11 @@ class TestMalformedFiles:
 
     def test_maps_manifest_without_file_list(self, pipeline, tmp_path):
         # the layout of a maps directory from before the .npz format
-        root, bench, anchors, *_ = pipeline
+        root, bench, *_ = pipeline
         (tmp_path / "manifest.json").write_text(
             json.dumps({"maps": [{"id": "scene_0000", "dir": "scene_0000"}]}))
         code = main(["solve", "--seed", "7", "--out", str(tmp_path / "p.json"),
-                     "--maps", str(tmp_path), "--anchors", str(anchors), "--mode", "fused"])
+                     "--maps", str(tmp_path), "--mode", "fused"])
         assert code == 3
 
     @pytest.mark.parametrize("manifest", [
@@ -282,31 +317,36 @@ class TestMalformedFiles:
     ], ids=["entry_without_dir", "no_scenes", "scenes_dict", "scenes_empty_dict",
             "scenes_string"])
     def test_malformed_benchmark_manifest(self, pipeline, tmp_path, manifest):
-        root, bench, anchors, *_ = pipeline
+        root, bench, *_ = pipeline
         copy = tmp_path / "bench"
         shutil.copytree(bench, copy)
         (copy / "manifest.json").write_text(json.dumps(manifest))
         code = main(["encode", "--seed", "7", "--out", str(tmp_path / "maps"),
-                     "--scenes", str(copy), "--anchors", str(anchors), "--res", "32"])
+                     "--scenes", str(copy), "--k", "16", "--res", "32"])
         assert code == 3
 
     @pytest.mark.parametrize("fault", list(_JSON_FAULTS))
     def test_malformed_json_input(self, pipeline, tmp_path, fault):
-        root, bench, anchors, maps, noisy, poses = pipeline
+        root, bench, maps, noisy, poses = pipeline
         target, edit = _JSON_FAULTS[fault]
-        shutil.copytree(bench, tmp_path / "bench")
-        shutil.copyfile(anchors, tmp_path / "anchors.json")
-        shutil.copyfile(poses, tmp_path / "poses.json")
-        path = tmp_path / {"scene": "bench/scene_0000/scene.json",
-                           "registry": "bench/registry.json",
-                           "anchors": "anchors.json", "poses": "poses.json"}[target]
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-        bench, anchors = tmp_path / "bench", tmp_path / "anchors.json"
-        argv = {
-            "anchors": ["solve", "--maps", maps, "--anchors", anchors, "--mode", "3d3d"],
-            "poses": ["eval", "--pred", path, "--scenes", bench],
-        }.get(target, ["encode", "--scenes", bench, "--anchors", anchors, "--res", "32"])
-        assert main([*map(str, argv), "--seed", "7", "--out", str(tmp_path / "out")]) == 3
+        if target == "header":
+            broken = tmp_path / "scene.npz"
+            shutil.copyfile(sorted(maps.glob("*.npz"))[0], broken)
+            _edit_meta(edit)(broken)
+            runs = [["solve", "--maps", broken, "--mode", "3d3d"], ["corrupt", "--maps", broken]]
+        else:
+            shutil.copytree(bench, tmp_path / "bench")
+            shutil.copyfile(poses, tmp_path / "poses.json")
+            path = tmp_path / {"scene": "bench/scene_0000/scene.json",
+                               "registry": "bench/registry.json",
+                               "poses": "poses.json"}[target]
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+            bench = tmp_path / "bench"
+            runs = [["eval", "--pred", path, "--scenes", bench] if target == "poses"
+                    else ["encode", "--scenes", bench, "--k", "16", "--res", "32"]]
+        codes = [main([*map(str, argv), "--seed", "7", "--out", str(tmp_path / f"out{n}")])
+                 for n, argv in enumerate(runs)]
+        assert codes == [3] * len(runs)
 
 
 @pytest.fixture(scope="module")
@@ -387,9 +427,13 @@ class TestDeterminismAndErrors:
         assert main(args + ["--out", str(b)]) == 0
         assert _tree_digest(a) == _tree_digest(b)
 
-    def test_missing_input_exit_code(self, tmp_path):
-        code = main(["anchors", "--seed", "1", "--out", str(tmp_path / "a.json"),
-                     "--model", str(tmp_path / "missing.ply")])
+    def test_missing_input_exit_code(self, pipeline, tmp_path):
+        _, bench, *_ = pipeline
+        copy = tmp_path / "bench"
+        shutil.copytree(bench, copy)
+        (copy / "model.ply").unlink()
+        code = main(["encode", "--seed", "1", "--out", str(tmp_path / "maps"),
+                     "--scenes", str(copy)])
         assert code == 3
 
     def test_unwritable_output(self, tmp_path):
@@ -414,11 +458,27 @@ class TestDeterminismAndErrors:
         assert exit_code_for(ValueError("x")) == 2
         assert exit_code_for(RuntimeError("x")) == 1
 
-    def test_k_too_large_exit_code(self, tmp_path):
-        mesh.write_ply(tmp_path / "tiny.ply", np.eye(3) * 0.1)
-        code = main(["anchors", "--seed", "1", "--out", str(tmp_path / "a.json"),
-                     "--model", str(tmp_path / "tiny.ply"), "--k", "99"])
+    def test_k_too_large_exit_code(self, pipeline, tmp_path):
+        _, bench, *_ = pipeline
+        code = main(["encode", "--seed", "1", "--out", str(tmp_path / "maps"),
+                     "--scenes", str(bench), "--k", "99999"])
         assert code == 6
+
+    @pytest.mark.parametrize("command", ["encode", "eval"])
+    def test_object_missing_from_registry(self, pipeline, tmp_path, command):
+        # the scene and its prediction agree on an object the registry lacks
+        _, bench, _, _, poses = pipeline
+        copy = tmp_path / "bench"
+        shutil.copytree(bench, copy)
+        scene_json = copy / "scene_0000" / "scene.json"
+        scene_json.write_text(json.dumps(_put("object_id", "other")(
+            json.loads(scene_json.read_text()))))
+        preds = tmp_path / "poses.json"
+        preds.write_text(json.dumps(_in_first(_put("object_id", "other"))(
+            json.loads(poses.read_text()))))
+        argv = {"encode": ["--k", "16"], "eval": ["--pred", str(preds)]}[command]
+        assert main([command, "--seed", "1", "--out", str(tmp_path / "out"),
+                     "--scenes", str(copy), *argv]) == 5
 
 
 def test_identity_crop_makes_both_intrinsic_rows_equal():
@@ -437,3 +497,18 @@ def test_identity_crop_makes_both_intrinsic_rows_equal():
     a = solve_2d3d(corr, scene.intrinsics)
     b = solve_2d3d(corr, k_crop)
     assert pose_error(a.pose, b.pose) == (0.0, 0.0)
+
+
+def _readme_walkthrough() -> list[str]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI walkthrough", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("anchorpose ")]
+
+
+def test_readme_walkthrough_runs(tmp_path):
+    # the README's own commands, on 2 scenes instead of 50
+    lines = _readme_walkthrough()
+    assert len(lines) == 8
+    for line in lines:
+        argv = line.replace("out/", f"{tmp_path}/").replace("--scenes 50", "--scenes 2")
+        assert main(shlex.split(argv)[1:]) == 0, line

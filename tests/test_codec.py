@@ -13,9 +13,7 @@ from anchorpose.codec import (
     build_anchor_set,
     decode_points,
     encode_points,
-    load_anchor_set,
     nearest_anchor,
-    save_anchor_set,
 )
 from anchorpose.mesh import ObjectModel
 
@@ -115,14 +113,11 @@ class TestEncodeDecode:
         np.testing.assert_allclose(back, p[None], atol=1e-15)
 
 
-def test_anchor_set_json_round_trip(tmp_path, blob_anchors):
-    path = tmp_path / "anchors.json"
-    save_anchor_set(blob_anchors, path)
-    with open(path) as f:
-        raw = json.load(f)
+def test_anchor_set_json_round_trip(blob_anchors):
+    raw = json.loads(json.dumps(blob_anchors.to_json()))
     assert raw["object_id"] == blob_anchors.object_id
     assert len(raw["anchors"]) == blob_anchors.k
-    back = load_anchor_set(path)
+    back = AnchorSet.from_json(raw)
     np.testing.assert_array_equal(back.anchors, blob_anchors.anchors)
     assert back.covering_radius == blob_anchors.covering_radius
 

@@ -7,6 +7,7 @@ from anchorpose.camera_crop import GridMaps, Roi, crop_affine
 from anchorpose.codec import AnchorSet, build_anchor_set, decode_points
 from anchorpose.correspondence import (
     DenseMaps,
+    MapsHeader,
     NoiseSpec,
     NonFinite,
     ObjectMismatch,
@@ -282,10 +283,15 @@ class TestLosses:
 
 class TestMapsIo:
     def test_round_trip(self, tmp_path, gt_setup):
-        *_, maps = gt_setup
-        save_dense_maps(maps, tmp_path / "maps.npz", extra={"scene_id": "s0"})
-        back, meta = load_dense_maps(tmp_path / "maps.npz")
-        assert meta["scene_id"] == "s0"
+        model, anchors, scene, roi, maps = gt_setup
+        header = MapsHeader("s0", scene.object_id, scene.intrinsics, scene.gt_pose)
+        save_dense_maps(maps, tmp_path / "maps.npz", header)
+        back, back_header = load_dense_maps(tmp_path / "maps.npz")
+        assert back_header.scene_id == "s0" and back_header.object_id == scene.object_id
+        assert back_header.intrinsics == scene.intrinsics
+        for name in ("rotation", "translation"):
+            got, want = getattr(back_header.gt_pose, name), getattr(scene.gt_pose, name)
+            assert np.array_equal(got, want)
         for name in ("mask", "classes", "residual"):
             got, want = getattr(back, name), getattr(maps, name)
             assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -85,6 +85,17 @@ class TestPoseAlgebra:
         with pytest.raises(NotARotation):
             Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
+    @pytest.mark.parametrize("field, index, bad", [
+        ("rotation", (0, 0), np.nan), ("rotation", (2, 1), np.inf),
+        ("translation", 0, np.nan), ("translation", 2, -np.inf),
+    ])
+    def test_non_finite_is_a_value_error_not_a_rotation_fault(self, field, index, bad):
+        values = {"rotation": np.eye(3), "translation": np.zeros(3)}
+        values[field][index] = bad
+        with pytest.raises(ValueError, match="finite") as exc:
+            Pose(**values)
+        assert not isinstance(exc.value, NotARotation)
+
 
 class TestSerialization:
     def test_pose_json_round_trip(self):
@@ -107,6 +118,12 @@ class TestSerialization:
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):
             Intrinsics(-1.0, 500.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_intrinsics_reject_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Intrinsics(**{**K.to_json(), field: bad})
 
 
 class TestCropAffine:
