@@ -12,8 +12,10 @@ sweep driver, which scores every (variant, scene) task through
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -231,7 +233,7 @@ def _sweep(model: ObjectModel, scenes, variants: list[dict], task_noise, *,
     on scene ``i``. Tasks run variant-major, and the model, scenes and
     variants (with their anchor sets) reach each worker once.
     """
-    model.diameter, model.kdtree  # cached here, so pool workers inherit them
+    model.diameter, model.kdtree, model.half_gap  # cached here, so pool workers inherit them
     n = len(scenes)
     items = [(j, i, *task_noise(j, i)) for j in range(len(variants)) for i in range(n)]
     records = _pmap(_sweep_task, (model, scenes, variants, res), items, jobs)
@@ -577,18 +579,23 @@ def exit_code_for(exc: BaseException) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # argparse's formatter reads the terminal width (less 2) each time it is
+    # made, once per argument added; read it once for the whole parser
+    fmt = functools.partial(argparse.HelpFormatter,
+                            width=shutil.get_terminal_size().columns - 2)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=fmt)
     common.add_argument("--seed", type=int, required=True, help="master RNG seed")
     common.add_argument("--out", type=Path, required=True, help="output path")
-    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    sweep = argparse.ArgumentParser(add_help=False, parents=[common], formatter_class=fmt)
     sweep.add_argument("--scenes", type=Path, required=True)
     sweep.add_argument("--res", type=int, default=camera_crop.CORR_RES)
     sweep.add_argument("--jobs", type=int, default=1, help="parallel scene workers")
 
-    p = argparse.ArgumentParser(prog="anchorpose", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+    p = argparse.ArgumentParser(prog="anchorpose", description=__doc__, formatter_class=fmt)
+    add_parser = functools.partial(p.add_subparsers(dest="command", required=True).add_parser,
+                                   formatter_class=fmt)
 
-    g = sub.add_parser("gen", parents=[common], help="generate a synthetic benchmark")
+    g = add_parser("gen", parents=[common], help="generate a synthetic benchmark")
     g.add_argument("--shape", choices=synth.SHAPES, default="blob")
     g.add_argument("--scenes", type=int, default=50)
     g.add_argument("--points", type=int, default=2500)
@@ -601,12 +608,12 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--depth-sigma", type=float, default=0.0)
     g.add_argument("--occlusion-levels", type=float, nargs="+", default=[1.0])
 
-    e = sub.add_parser("encode", parents=[common], help="ground-truth maps for a benchmark")
+    e = add_parser("encode", parents=[common], help="ground-truth maps for a benchmark")
     e.add_argument("--scenes", type=Path, required=True)
     e.add_argument("--k", type=int, default=codec.DEFAULT_ANCHOR_COUNT)
     e.add_argument("--res", type=int, default=camera_crop.CORR_RES)
 
-    c = sub.add_parser("corrupt", parents=[common], help="noise maps and emit losses.csv")
+    c = add_parser("corrupt", parents=[common], help="noise maps and emit losses.csv")
     c.add_argument("--maps", type=Path, required=True)
     c.add_argument("--residual-sigma", type=float, default=0.005)
     c.add_argument("--residual-bias-sigma", type=float, default=0.0)
@@ -615,7 +622,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--depth-sigma", type=float, default=0.0)
     c.add_argument("--uv-sigma", type=float, default=0.0)
 
-    s = sub.add_parser("solve", parents=[common], help="recover poses from maps")
+    s = add_parser("solve", parents=[common], help="recover poses from maps")
     s.add_argument("--maps", type=Path, required=True)
     s.add_argument("--mode", choices=("3d3d", "2d3d", "fused"), default="fused")
     s.add_argument("--ransac", action="store_true")
@@ -629,22 +636,22 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sigma-px", type=float, default=None,
                    help=f"fused reprojection residual scale, pixels (default: {solver.SIGMA_PX})")
 
-    v = sub.add_parser("eval", parents=[common], help="summarize predicted poses")
+    v = add_parser("eval", parents=[common], help="summarize predicted poses")
     v.add_argument("--pred", type=Path, required=True)
     v.add_argument("--scenes", type=Path, required=True)
 
-    aa = sub.add_parser("ablate-anchors", parents=[sweep], help="anchor-count sweep CSV")
+    aa = add_parser("ablate-anchors", parents=[sweep], help="anchor-count sweep CSV")
     aa.add_argument("--k-list", type=int, nargs="+", default=list(DEFAULT_K_LIST))
     aa.add_argument("--noise-rel", type=float, default=0.08)
     aa.add_argument("--absolute-sigma", type=float, default=None)
 
-    ac = sub.add_parser("ablate-corr", parents=[sweep], help="correspondence-family sweep CSV")
+    ac = add_parser("ablate-corr", parents=[sweep], help="correspondence-family sweep CSV")
     ac.add_argument("--k", type=int, default=codec.DEFAULT_ANCHOR_COUNT)
     ac.add_argument("--residual-sigma", type=float, default=0.001)
     ac.add_argument("--depth-sigma", type=float, default=0.001)
     ac.add_argument("--uv-sigma", type=float, default=2.0)
 
-    ak = sub.add_parser("ablate-k", parents=[sweep], help="intrinsic-adjustment sweep CSV")
+    ak = add_parser("ablate-k", parents=[sweep], help="intrinsic-adjustment sweep CSV")
     ak.add_argument("--k", type=int, default=codec.DEFAULT_ANCHOR_COUNT)
     ak.add_argument("--uv-sigma", type=float, default=0.5)
     return p

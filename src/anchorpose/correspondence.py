@@ -312,8 +312,9 @@ def save_dense_maps(maps: DenseMaps, path, header: MapsHeader) -> None:
 
 def load_dense_maps(path) -> tuple[DenseMaps, MapsHeader]:
     """Returns (DenseMaps, MapsHeader). Raises ``MalformedMaps`` for a file
-    that is not a readable maps ``.npz``, lacks a header key, or whose arrays
-    or header values fail validation."""
+    that is not a readable maps ``.npz``, lacks a header key, whose arrays or
+    header values fail validation, or whose header names another object than
+    its anchor set."""
     try:
         with np.load(path, allow_pickle=False) as z:
             a = {name: z[name] for name in
@@ -327,6 +328,9 @@ def load_dense_maps(path) -> tuple[DenseMaps, MapsHeader]:
         header = MapsHeader(meta["scene_id"], meta["object_id"],
                             Intrinsics.from_json(meta["intrinsics"]),
                             Pose.from_json(meta["gt_pose"]))
+        if header.object_id != maps.anchors.object_id:
+            raise ValueError(f"header object_id {header.object_id!r} is not the anchor "
+                             f"set's {maps.anchors.object_id!r}")
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
         raise MalformedMaps(f"{path}: {exc}") from exc
     return maps, header

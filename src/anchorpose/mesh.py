@@ -45,6 +45,7 @@ class ObjectModel:
     symmetric: bool = False
     _diameter: float | None = field(default=None, init=False, repr=False)
     _kdtree: cKDTree | None = field(default=None, init=False, repr=False)
+    _half_gap: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
@@ -68,6 +69,18 @@ class ObjectModel:
         if self._kdtree is None:
             self._kdtree = cKDTree(self.points)
         return self._kdtree
+
+    @property
+    def half_gap(self) -> np.ndarray:
+        """(N,) half the distance from each point to its nearest other point,
+        from one k=2 query of ``kdtree``, built on first use: 0 for a repeated
+        point, inf in a one-point model."""
+        if self._half_gap is None:
+            d, _ = self.kdtree.query(self.points, k=2)
+            gap = 0.5 * d[:, 1]
+            gap.setflags(write=False)
+            self._half_gap = gap
+        return self._half_gap
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +346,118 @@ def fps(model: ObjectModel, k: int) -> np.ndarray:
     return model.points[fps_indices(model.points, k)].copy()
 
 
+_DIAMETER_LEAF = 16  # at most this many points in a kd leaf of the diameter search
+_DIAMETER_BATCH = 1 << 15  # squared distances scored per batch of leaf pairs
+
+
+def _sq_dists(points: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """((dx^2 + dy^2) + dz^2) from every point to ``p``."""
+    d = points - p
+    d *= d
+    return d[:, 0] + d[:, 1] + d[:, 2]
+
+
+def _double_normal_d2(points: np.ndarray) -> float:
+    """A squared distance between two points, from farthest-point hops.
+
+    Starts at the point farthest from the centroid and hops, at most four
+    times, to the farthest point from the current one while that distance
+    grows: a lower bound on the squared diameter, usually equal to it.
+    """
+    i = int(np.argmax(_sq_dists(points, points.mean(axis=0))))
+    best = 0.0
+    for _ in range(4):
+        d2 = _sq_dists(points, points[i])
+        i = int(np.argmax(d2))
+        if not d2[i] > best:
+            break
+        best = float(d2[i])
+    return best
+
+
+def _median_kd(points: np.ndarray):
+    """Median kd split of ``points`` into 2**depth leaves of at most
+    ``_DIAMETER_LEAF`` points.
+
+    Returns (depth, order, lo, hi). ``points[order]`` lists the points leaf
+    by leaf; at level l, node i holds positions [i*N >> l, (i+1)*N >> l) of
+    that order, split at its middle along its widest axis, and ``lo[l]`` /
+    ``hi[l]`` are the (2**l, 3) node bounding boxes.
+    """
+    n = len(points)
+    depth = 0
+    while -(-n // (1 << depth)) > _DIAMETER_LEAF:
+        depth += 1
+    rank = np.empty((3, n), dtype=np.intp)  # per-axis rank: unique integer sort keys
+    for axis in range(3):
+        rank[axis, np.argsort(points[:, axis], kind="stable")] = np.arange(n)
+    order = np.arange(n)
+    lo, hi = [], []
+    for level in range(depth + 1):
+        starts = (np.arange(1 << level) * n) >> level
+        p = points[order]
+        lo.append(np.minimum.reduceat(p, starts))
+        hi.append(np.maximum.reduceat(p, starts))
+        if level < depth:
+            node = np.repeat(np.arange(1 << level), np.diff(starts, append=n))
+            axis = np.argmax(hi[-1] - lo[-1], axis=1)[node]
+            order = order[np.argsort(node * n + rank[axis, order])]
+    return depth, order, lo, hi
+
+
+def _far_leaf_pairs(lo, hi, best: float):
+    """Leaf pairs (a <= b) whose boxes' farthest corners lie more than
+    sqrt(``best``) apart, found level by level from the root."""
+    a = b = np.zeros(1, dtype=np.intp)
+    for lo_l, hi_l in zip(lo[1:], hi[1:]):
+        ca = (2 * a[:, None] + [0, 0, 1, 1]).ravel()
+        cb = (2 * b[:, None] + [0, 1, 0, 1]).ravel()
+        keep = ca <= cb
+        ca, cb = ca[keep], cb[keep]
+        e = np.maximum(hi_l[ca] - lo_l[cb], hi_l[cb] - lo_l[ca])
+        e *= e
+        keep = e[:, 0] + e[:, 1] + e[:, 2] > best
+        a, b = ca[keep], cb[keep]
+    return a, b
+
+
 def diameter(model: ObjectModel) -> float:
-    """Exact max pairwise distance, O(N^2) in blocks."""
+    """Exact max pairwise point distance.
+
+    The result equals ``np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1).max())``
+    bit for bit, without scoring every pair: farthest-point hops give a
+    lower bound, the points are split into median kd leaves, and every pair
+    of boxes whose farthest corners are no farther apart than the bound is
+    dropped. The surviving leaf pairs are scored as exact coordinate
+    differences, ((dx^2 + dy^2) + dz^2). Rounding is monotone, so a box
+    pair's corner bound is never below the computed distance of a point pair
+    inside it, and no dropped pair can beat the bound. See Har-Peled, "A
+    practical approach for computing the diameter of a point set" (SoCG 2001).
+    """
     pts = model.points
     n = len(pts)
-    sq = (pts ** 2).sum(axis=1)
-    best = 0.0
-    block = 512
-    for i in range(0, n, block):
-        blk = pts[i : i + block]
-        d2 = sq[i : i + block, None] + sq[None, :] - 2.0 * (blk @ pts.T)
-        m = float(d2.max())
-        if m > best:
-            best = m
-    return float(np.sqrt(max(best, 0.0)))
+    best = _double_normal_d2(pts)
+    depth, order, lo, hi = _median_kd(pts)
+    a, b = _far_leaf_pairs(lo, hi, best)
+    # leaf rows padded with their own last point, which repeats a distance
+    starts = (np.arange(1 << depth) * n) >> depth
+    size = np.diff(starts, append=n)
+    width = int(size.max())
+    slots = starts[:, None] + np.minimum(np.arange(width), size[:, None] - 1)
+    x, y, z = (np.ascontiguousarray(pts[order[slots], axis]) for axis in range(3))
+    step = max(1, _DIAMETER_BATCH // (width * width))
+    diff_buf, d2_buf = np.empty((2, step, width, width))
+    for s in range(0, len(a), step):
+        ia, ib = a[s:s + step], b[s:s + step]
+        diff, d2 = diff_buf[:len(ia)], d2_buf[:len(ia)]
+        np.subtract(x[ia][:, :, None], x[ib][:, None, :], out=d2)
+        d2 *= d2
+        for c in (y, z):
+            np.subtract(c[ia][:, :, None], c[ib][:, None, :], out=diff)
+            diff *= diff
+            d2 += diff
+        best = max(best, float(d2.max()))
+    return float(np.sqrt(best))
 
 
 # ---------------------------------------------------------------------------

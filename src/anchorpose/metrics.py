@@ -63,8 +63,13 @@ def adds_metric(model: ObjectModel, pred: Pose, gt: Pose, method: str = "auto") 
     lies at its paired (ADD) distance, so the largest paired distance bounds
     every query; enlarged by a relative 1e-9 and an absolute term that keeps
     its square above zero, it excludes no nearest point and prunes most of
-    the tree. The distance of each found pair is taken between the
-    camera-frame points, as in the exact scan, so ``pred == gt`` gives 0.0.
+    the tree. A point whose paired distance is below half the gap to its
+    nearest other model point (``model.half_gap``, with 1e-9 relative
+    margins) has its own partner as its unique nearest point, by the
+    triangle inequality, so only the other points are queried; the tree
+    would return the same partners. The distance of each found pair is
+    taken between the camera-frame points, as in the exact scan, so
+    ``pred == gt`` gives 0.0.
     """
     a = pred.apply(model.points)
     b = gt.apply(model.points)
@@ -72,8 +77,13 @@ def adds_metric(model: ObjectModel, pred: Pose, gt: Pose, method: str = "auto") 
         method = "kdtree" if len(a) > 512 else "exact"
     if method == "kdtree":
         q = (a - gt.translation) @ gt.rotation
-        bound = float(np.linalg.norm(q - model.points, axis=1).max())
-        _, j = model.kdtree.query(q, distance_upper_bound=bound * (1 + 1e-9) + 1e-150)
+        d = np.linalg.norm(q - model.points, axis=1)
+        bound = float(d.max())
+        j = np.arange(len(q))
+        rest = np.flatnonzero(~(d * (1 + 1e-9) < model.half_gap * (1 - 1e-9)))
+        if len(rest):
+            _, j[rest] = model.kdtree.query(
+                q[rest], distance_upper_bound=bound * (1 + 1e-9) + 1e-150)
         return float(np.linalg.norm(a - b[j], axis=1).mean())
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")

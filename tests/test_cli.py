@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import shlex
@@ -13,7 +14,7 @@ from anchorpose.correspondence import ground_truth_maps
 from anchorpose.solver import extract_correspondences, solve_2d3d, pose_error
 from anchorpose.codec import build_anchor_set
 from anchorpose.synth import SceneConfig, make_model, render, random_pose
-from anchorpose import mesh, solver, synth
+from anchorpose import cli, mesh, solver, synth
 from conftest import TEST_K
 
 
@@ -252,6 +253,7 @@ _JSON_FAULTS = {
     "anchors_a_list": ("header", _at("anchors", lambda obj: [obj])),
     "header_without_scene_id": ("header", _drop("scene_id")),
     "header_without_object_id": ("header", _drop("object_id")),
+    "header_object_id_not_the_anchors": ("header", _put("object_id", "other")),
     "header_without_intrinsics": ("header", _drop("intrinsics")),
     "header_without_gt_pose": ("header", _drop("gt_pose")),
     "header_intrinsics_without_fx": ("header", _at("intrinsics", _drop("fx"))),
@@ -479,6 +481,28 @@ class TestDeterminismAndErrors:
         argv = {"encode": ["--k", "16"], "eval": ["--pred", str(preds)]}[command]
         assert main([command, "--seed", "1", "--out", str(tmp_path / "out"),
                      "--scenes", str(copy), *argv]) == 5
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+def test_help_text_at_terminal_width(monkeypatch, capsys, columns):
+    # the parser reads the terminal width once, and every --help prints what
+    # argparse's own formatter, which reads the width itself, prints
+    monkeypatch.setenv("COLUMNS", columns)
+    calls = []
+    real = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    parser = cli._build_parser()
+    assert len(calls) == 1
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert len(subparsers) == 8
+    for argv, p in [([], parser), *(([name], sub) for name, sub in subparsers.items())]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        printed = capsys.readouterr().out
+        p.formatter_class = argparse.HelpFormatter
+        assert printed == p.format_help()
 
 
 def test_identity_crop_makes_both_intrinsic_rows_equal():

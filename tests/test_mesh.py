@@ -19,6 +19,7 @@ from anchorpose.mesh import (
     write_ply,
 )
 from anchorpose.synth import SHAPES, make_model
+from conftest import rodrigues
 
 UNIT_CUBE_CORNERS = np.array(
     [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
@@ -201,6 +202,28 @@ class TestFps:
         assert all(a >= b for a, b in zip(covs, covs[1:]))
 
 
+def _planar_grid():
+    u, v = np.meshgrid(np.linspace(-0.05, 0.05, 30), np.linspace(-0.03, 0.03, 20))
+    return np.column_stack([u.ravel(), v.ravel(), np.zeros(u.size)]) @ rodrigues(
+        [1.0, 2.0, 0.5], 0.7).T
+
+
+# Degenerate inputs: fewer than 4 points, flat or collinear sets (no convex
+# hull), repeated points; and README-sized models with many tied distances.
+_ODD_POINT_SETS = {
+    "two_points": lambda: np.array([[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]]),
+    "three_points": lambda: np.random.default_rng(3).normal(size=(3, 3)),
+    "four_coplanar": lambda: np.array(
+        [[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.7, 0.0], [0.3, 0.7, 0.0]]) + 0.1,
+    "collinear": lambda: np.outer(np.random.default_rng(4).uniform(-1, 1, 200),
+                                  [0.01, -0.02, 0.03]) + [0.5, 0.25, 0.125],
+    "planar_grid": _planar_grid,
+    "duplicated": lambda: np.repeat(np.random.default_rng(5).normal(size=(150, 3)), 3, axis=0),
+    "blob_2500": lambda: make_model("blob", 2500, 0.12, 7).points,
+    "icosphere_2500": lambda: make_model("icosphere", 2500, 0.12, 7).points,
+}
+
+
 class TestExtents:
     def test_cube_diameter(self):
         assert diameter(ObjectModel("c", UNIT_CUBE_CORNERS)) == pytest.approx(
@@ -214,9 +237,14 @@ class TestExtents:
         with pytest.raises(EmptyModel):
             ObjectModel("none", np.empty((0, 3)))
 
-    @pytest.mark.parametrize("shape", ["random", *SHAPES])
+    @pytest.mark.parametrize("shape", ["random", *SHAPES, *_ODD_POINT_SETS])
     def test_diameter_brute_force_oracle(self, shape):
-        if shape == "random":
+        if shape in _ODD_POINT_SETS:
+            pts = _ODD_POINT_SETS[shape]()
+            brute = max(np.sqrt(((pts[i:i + 256, None, :] - pts[None, :, :]) ** 2)
+                                .sum(-1).max()) for i in range(0, len(pts), 256))
+            assert diameter(ObjectModel("r", pts)) == brute
+        elif shape == "random":
             pts = np.random.default_rng(2).normal(size=(60, 3))
         else:
             pts = make_model(shape, 300, 0.12, 7).points

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchorpose.geom import Pose
@@ -101,6 +101,7 @@ class TestAddSModelFrameTree:
     """The kd-tree path (above 512 points) against the exact scan."""
 
     MODEL = ObjectModel("r", np.random.default_rng(5).normal(size=(900, 3)) * 0.05)
+    DUPLICATED = ObjectModel("d", np.repeat(MODEL.points[:400], 2, axis=0))
 
     @staticmethod
     def _assert_matches_exact(model, pairs):
@@ -149,6 +150,47 @@ class TestAddSModelFrameTree:
             pairs.append((pred, gt))
         pairs += self._pairs(rng, 0.0, 2.0, 1e-3, count=4)
         self._assert_matches_exact(model, pairs)
+
+    @staticmethod
+    def _error_pose(seed, log_angle, log_shift):
+        rng = np.random.default_rng(seed)
+        gt = Pose(random_rotation_aa(rng), rng.normal(size=3) * 0.1 + [0, 0, 1])
+        err = rodrigues(rng.normal(size=3), 10.0 ** log_angle)
+        return Pose(err @ gt.rotation,
+                    gt.translation + rng.normal(size=3) * 10.0 ** log_shift), gt
+
+    # Up to 1024 points the exact scan sums in one block, as the kd path does,
+    # so the two agree bit for bit.
+    @given(seed=st.integers(0, 2**32 - 1), log_angle=st.floats(-9.0, 0.5),
+           log_shift=st.floats(-9.0, -1.0))
+    @example(seed=0, log_angle=-9.0, log_shift=-9.0)  # every point keeps its own partner
+    @example(seed=0, log_angle=0.5, log_shift=-1.0)  # no point does
+    @settings(max_examples=30, deadline=None)
+    def test_kdtree_equals_exact_bit_for_bit(self, seed, log_angle, log_shift):
+        pred, gt = self._error_pose(seed, log_angle, log_shift)
+        for model in (self.MODEL, self.DUPLICATED):
+            assert (adds_metric(model, pred, gt, method="kdtree")
+                    == adds_metric(model, pred, gt, method="exact"))
+
+    def test_pose_errors_span_own_partner_shortcut(self):
+        # the property's two examples: the paired distance is below half the
+        # nearest-point gap everywhere, then nowhere
+        for (log_angle, log_shift), share in [((-9.0, -9.0), 1.0), ((0.5, -1.0), 0.0)]:
+            pred, gt = self._error_pose(0, log_angle, log_shift)
+            q = (pred.apply(self.MODEL.points) - gt.translation) @ gt.rotation
+            d = np.linalg.norm(q - self.MODEL.points, axis=1)
+            assert np.mean(d < self.MODEL.half_gap) == share
+
+    def test_duplicated_points_have_zero_gap(self):
+        assert not self.DUPLICATED.half_gap.any()
+
+    def test_two_point_model(self):
+        model = ObjectModel("two", [[0.0, 0.0, 0.0], [0.03, 0.04, 0.0]])
+        np.testing.assert_array_equal(model.half_gap, [0.025, 0.025])
+        for seed, log_angle in enumerate((-6.0, -1.0, 0.5)):
+            pred, gt = self._error_pose(seed, log_angle, -2.0)
+            assert (adds_metric(model, pred, gt, method="kdtree")
+                    == adds_metric(model, pred, gt, method="exact"))
 
     def test_tree_built_once(self):
         model = ObjectModel("t", np.random.default_rng(10).normal(size=(600, 3)))
