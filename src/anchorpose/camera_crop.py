@@ -1,4 +1,4 @@
-"""RoI cropping with intrinsic adjustment, grid maps, and PFM i/o.
+"""RoI cropping with intrinsic adjustment, grid maps, and the .npz archive.
 
 Cropping an image window and resampling it to a square output is an affine
 map A on pixel coordinates; applying the same A on the left of the camera
@@ -7,10 +7,16 @@ exact. Grid maps carry, per output cell, the original-image uv coordinate
 of the cell center and the camera-frame xyz point obtained from the depth
 image; computing xyz through the original intrinsics plus the warp or
 directly through the crop intrinsics must agree to float precision.
+
+Scenes and dense maps are stored the same way on disk: one uncompressed
+``.npz`` holding arrays and a JSON header with a format tag, read without
+pickle support, every fault raised as ``MalformedArchive``.
 """
 
 from __future__ import annotations
 
+import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +31,8 @@ class EmptyIntersection(ValueError):
     """The crop window does not overlap the image."""
 
 
-class MalformedImage(ValueError):
-    """A PFM/PGM file with a bad header, a short body or non-finite values."""
+class MalformedArchive(ValueError):
+    """A scene or dense-maps ``.npz`` that cannot be read or fails validation."""
 
 
 @dataclass(frozen=True)
@@ -96,11 +102,6 @@ class DepthImage:
             raise ValueError("depth values must be >= 0")
         d.setflags(write=False)
         self.data = d
-
-    @staticmethod
-    def from_array(a) -> "DepthImage":
-        a = np.asarray(a, dtype=np.float64)
-        return DepthImage(a.shape[1], a.shape[0], a)
 
 
 @dataclass
@@ -187,44 +188,30 @@ def make_grid_maps(depth: DepthImage, roi: Roi, k_org: Intrinsics) -> GridMaps:
 
 
 # ---------------------------------------------------------------------------
-# PFM i/o (little-endian portable float maps, scale -1.0, bottom-up rows)
+# Archive i/o: one uncompressed .npz of named arrays plus a JSON header
+# (`meta`), the envelope of both the scene and the dense-maps files
 
-def write_pfm(path, data) -> None:
-    a = np.asarray(data, dtype="<f4")
-    if a.ndim == 2:
-        magic = b"Pf"
-    elif a.ndim == 3 and a.shape[2] == 3:
-        magic = b"PF"
-    else:
-        raise ValueError(f"PFM supports (H, W) or (H, W, 3), got {a.shape}")
-    with open(path, "wb") as f:
-        f.write(magic + b"\n")
-        f.write(f"{a.shape[1]} {a.shape[0]}\n".encode("ascii"))
-        f.write(b"-1.0\n")
-        f.write(np.flipud(a).tobytes())
+def save_archive(path, fmt: str, meta: dict, arrays: dict) -> None:
+    """Write ``arrays`` as they are, then ``meta`` tagged with the format
+    ``fmt`` as a JSON string, to the ``.npz`` file ``path``."""
+    np.savez(path, **arrays,
+             meta=np.array(json.dumps({"format": fmt, **meta}, sort_keys=True)))
 
 
-def read_pfm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    parts = raw.split(b"\n", 3)
-    if len(parts) < 4:
-        raise MalformedImage("truncated PFM header")
-    magic, dims, scale, body = parts
-    if magic not in (b"Pf", b"PF"):
-        raise MalformedImage(f"bad PFM magic {magic!r}")
+def load_archive(path, fmt: str, names, build):
+    """``build(arrays, meta)`` on the arrays ``names`` and the JSON header of
+    the ``fmt`` archive ``path``, read with ``allow_pickle=False``.
+
+    Raises ``MalformedArchive`` when the file is not a readable ``.npz``,
+    lacks an array, holds a pickled one, its header is not a ``fmt`` header,
+    or ``build`` raises KeyError, TypeError or ValueError.
+    """
     try:
-        w, h = (int(x) for x in dims.split())
-        scale = float(scale)
-    except ValueError as exc:
-        raise MalformedImage(f"bad PFM header: {exc}") from None
-    dtype = "<f4" if scale < 0 else ">f4"
-    channels = 3 if magic == b"PF" else 1
-    count = w * h * channels
-    if len(body) < 4 * count:
-        raise MalformedImage(f"PFM body holds {len(body)} of {4 * count} bytes")
-    arr = np.frombuffer(body, dtype=dtype, count=count).astype(np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise MalformedImage("PFM holds non-finite values")
-    shape = (h, w, 3) if channels == 3 else (h, w)
-    return np.flipud(arr.reshape(shape)).copy()
+        with np.load(path, allow_pickle=False) as z:
+            arrays = {name: z[name] for name in names}
+            meta = json.loads(str(z["meta"]))
+        if not isinstance(meta, dict) or meta.get("format") != fmt:
+            raise ValueError(f"meta is not an {fmt} header")
+        return build(arrays, meta)
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedArchive(f"{path}: {exc}") from exc

@@ -67,7 +67,7 @@ class IdMismatch(ValueError):
 
 
 class MalformedManifest(ValueError):
-    """A JSON input file (benchmark manifest, registry, scene or poses) with
+    """A JSON input file (benchmark or maps manifest, registry or poses) with
     a missing key, a wrong container type or a wrong-length array."""
 
 
@@ -346,9 +346,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     entries = []
     for i, scene in enumerate(scenes):
         name = f"scene_{i:04d}"
-        save_scene(scene, out / name)
+        save_scene(scene, out / f"{name}.npz")
         entries.append({
-            "id": name, "dir": name, "object_id": scene.object_id,
+            "id": name, "file": f"{name}.npz", "object_id": scene.object_id,
             "visible_fraction": scene.visible_fraction,
             "target_level": level_of[i],
         })
@@ -372,11 +372,8 @@ def _load_benchmark_dir(scenes_dir: Path):
     with _parsing(scenes_dir / "manifest.json"):
         if not isinstance(manifest["scenes"], list):
             raise TypeError("'scenes' is not a list")
-        entries = [(e["id"], scenes_dir / e["dir"]) for e in manifest["scenes"]]
-    scenes = []
-    for scene_id, d in entries:
-        with _parsing(d):
-            scenes.append((scene_id, load_scene(d)))
+        entries = [(e["id"], scenes_dir / e["file"]) for e in manifest["scenes"]]
+    scenes = [(scene_id, load_scene(path)) for scene_id, path in entries]
     reg_path = scenes_dir / "registry.json"
     with _parsing(reg_path):
         models = {e["id"]: load_registry_model(reg_path, e) for e in load_registry(reg_path)}
@@ -412,11 +409,8 @@ def _maps_files(path: Path) -> list[Path]:
         return [path]
     with open(path / "manifest.json") as f:
         manifest = json.load(f)
-    try:
+    with _parsing(path / "manifest.json"):
         return [path / e["file"] for e in manifest["maps"]]
-    except (KeyError, TypeError) as exc:
-        raise correspondence.MalformedMaps(
-            f"{path / 'manifest.json'} does not list maps files: {exc!r}") from exc
 
 
 def cmd_corrupt(args: argparse.Namespace) -> int:
@@ -564,8 +558,8 @@ _EXIT_CODES: list[tuple[tuple, int]] = [
       solver.NoConsensus, geom.PointBehindCamera, geom.NonPositiveDepth,
       geom.NotARotation, camera_crop.EmptyIntersection, correspondence.NonFinite,
       codec.IndexOutOfRange), 4),
-    ((mesh.ParseError, mesh.UnsupportedPlyVariant, camera_crop.MalformedImage,
-      correspondence.MalformedMaps, MalformedManifest), 3),
+    ((mesh.ParseError, mesh.UnsupportedPlyVariant, camera_crop.MalformedArchive,
+      MalformedManifest), 3),
     ((OSError, json.JSONDecodeError), 3),
     ((ValueError,), 2),
 ]

@@ -9,15 +9,21 @@ behavior can be studied under controlled noise.
 
 from __future__ import annotations
 
-import json
 import math
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .camera_crop import GridMaps, Roi, cell_sample_grid, crop_affine, make_grid_maps
+from .camera_crop import (
+    GridMaps,
+    Roi,
+    cell_sample_grid,
+    crop_affine,
+    load_archive,
+    make_grid_maps,
+    save_archive,
+)
 from .codec import AnchorSet, encode_points
 from .geom import Intrinsics, Pose
 from .synth import SceneSample
@@ -274,13 +280,10 @@ def write_loss_csv(rows, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one uncompressed .npz per scene, arrays stored as they are
+# Serialization: one archive (see ``camera_crop.save_archive``) per scene
 
 MAPS_FORMAT = "anchorpose-maps-v2"
-
-
-class MalformedMaps(ValueError):
-    """A dense-maps file that cannot be read or fails validation."""
+_MAPS_ARRAYS = ("classes", "mask", "residual", "uv", "cam_xyz", "valid")
 
 
 @dataclass(frozen=True)
@@ -297,40 +300,34 @@ class MapsHeader:
 def save_dense_maps(maps: DenseMaps, path, header: MapsHeader) -> None:
     """Write ``maps`` to the ``.npz`` file ``path``, losslessly.
 
-    The arrays keep their dtypes; ``meta`` is a JSON string holding the
-    format tag, the anchor set, the crop and the ``header`` fields.
+    The arrays keep their dtypes; ``meta`` holds the format tag, the anchor
+    set, the crop and the ``header`` fields.
     """
-    meta = {"format": MAPS_FORMAT, "anchors": maps.anchors.to_json(),
-            "roi": maps.grids.roi.to_json(), "scene_id": header.scene_id,
-            "object_id": header.object_id, "intrinsics": header.intrinsics.to_json(),
-            "gt_pose": header.gt_pose.to_json()}
     g = maps.grids
-    np.savez(path, classes=maps.classes, mask=maps.mask, residual=maps.residual,
-             uv=g.uv, cam_xyz=g.cam_xyz, valid=g.valid,
-             meta=np.array(json.dumps(meta, sort_keys=True)))
+    save_archive(path, MAPS_FORMAT, {
+        "anchors": maps.anchors.to_json(), "roi": g.roi.to_json(),
+        "scene_id": header.scene_id, "object_id": header.object_id,
+        "intrinsics": header.intrinsics.to_json(), "gt_pose": header.gt_pose.to_json(),
+    }, {"classes": maps.classes, "mask": maps.mask, "residual": maps.residual,
+        "uv": g.uv, "cam_xyz": g.cam_xyz, "valid": g.valid})
+
+
+def _maps_from(a: dict, meta: dict) -> tuple[DenseMaps, MapsHeader]:
+    grids = GridMaps(a["uv"], a["cam_xyz"], a["valid"], Roi.from_json(meta["roi"]))
+    maps = DenseMaps(a["mask"], a["classes"], a["residual"], grids,
+                     AnchorSet.from_json(meta["anchors"]))
+    header = MapsHeader(meta["scene_id"], meta["object_id"],
+                        Intrinsics.from_json(meta["intrinsics"]),
+                        Pose.from_json(meta["gt_pose"]))
+    if header.object_id != maps.anchors.object_id:
+        raise ValueError(f"header object_id {header.object_id!r} is not the anchor "
+                         f"set's {maps.anchors.object_id!r}")
+    return maps, header
 
 
 def load_dense_maps(path) -> tuple[DenseMaps, MapsHeader]:
-    """Returns (DenseMaps, MapsHeader). Raises ``MalformedMaps`` for a file
+    """Returns (DenseMaps, MapsHeader). Raises ``MalformedArchive`` for a file
     that is not a readable maps ``.npz``, lacks a header key, whose arrays or
     header values fail validation, or whose header names another object than
     its anchor set."""
-    try:
-        with np.load(path, allow_pickle=False) as z:
-            a = {name: z[name] for name in
-                 ("classes", "mask", "residual", "uv", "cam_xyz", "valid", "meta")}
-        meta = json.loads(str(a["meta"]))
-        if not isinstance(meta, dict) or meta.get("format") != MAPS_FORMAT:
-            raise ValueError(f"meta is not an {MAPS_FORMAT} header")
-        grids = GridMaps(a["uv"], a["cam_xyz"], a["valid"], Roi.from_json(meta["roi"]))
-        maps = DenseMaps(a["mask"], a["classes"], a["residual"], grids,
-                         AnchorSet.from_json(meta["anchors"]))
-        header = MapsHeader(meta["scene_id"], meta["object_id"],
-                            Intrinsics.from_json(meta["intrinsics"]),
-                            Pose.from_json(meta["gt_pose"]))
-        if header.object_id != maps.anchors.object_id:
-            raise ValueError(f"header object_id {header.object_id!r} is not the anchor "
-                             f"set's {maps.anchors.object_id!r}")
-    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedMaps(f"{path}: {exc}") from exc
-    return maps, header
+    return load_archive(path, MAPS_FORMAT, _MAPS_ARRAYS, _maps_from)

@@ -4,20 +4,19 @@ The generator stands in for a real sensor-plus-annotation pipeline: it
 splats model points into a z-buffer depth image, optionally drops
 rectangular occluder planes in front of the object, and adds Gaussian
 sensor noise. Everything is a pure function of (config, seed), so scenes
-are exactly reproducible.
+are exactly reproducible. On disk a scene is one sparse ``.npz`` archive
+(``save_scene``): only the pixels with positive depth, in float64, so a
+loaded scene equals the generated one bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .camera_crop import DepthImage, MalformedImage, Roi, read_pfm, write_pfm
+from .camera_crop import DepthImage, Roi, load_archive, save_archive
 from .geom import NEAR_EPS, Intrinsics, Pose, backproject
 from .mesh import ObjectModel
 
@@ -434,53 +433,58 @@ def tight_roi(scene: SceneSample, out_res: int) -> Roi:
 
 
 # ---------------------------------------------------------------------------
-# Scene directory i/o: depth.pfm, vis_mask.pgm (binary P5), scene.json
+# Scene archive i/o: the pixels with positive depth, stored sparsely
 
-def write_pgm(path, mask) -> None:
-    m = np.asarray(mask, dtype=bool)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii"))
-        f.write((m.astype(np.uint8) * 255).tobytes())
+SCENE_FORMAT = "anchorpose-scene-v1"
+_SCENE_ARRAYS = {"pixels": np.int64, "depth": np.float64, "visible": np.bool_}
 
 
-def read_pgm(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
-    if m is None:
-        raise MalformedImage("not a supported binary PGM")
-    w, h, maxval = (int(x) for x in m.groups())
-    if len(raw) - m.end() < w * h:
-        raise MalformedImage(f"PGM body holds {len(raw) - m.end()} of {w * h} bytes")
-    data = np.frombuffer(raw[m.end():], dtype=np.uint8, count=w * h)
-    return (data.reshape(h, w) > maxval // 2)
+def save_scene(scene: SceneSample, path) -> None:
+    """Write ``scene`` to the ``.npz`` file ``path``, losslessly.
 
-
-def save_scene(scene: SceneSample, dirpath) -> None:
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    write_pfm(d / "depth.pfm", scene.depth.data)
-    write_pgm(d / "vis_mask.pgm", scene.vis_mask)
-    meta = {
-        "object_id": scene.object_id,
-        "pose": scene.gt_pose.to_json(),
-        "intrinsics": scene.intrinsics.to_json(),
+    ``pixels`` holds the increasing flat indices of the pixels with positive
+    depth, ``depth`` and ``visible`` their float64 depths and visibility (a
+    visible pixel always has positive depth); ``meta`` holds the format tag,
+    the image size and the scene's ground truth.
+    """
+    d = scene.depth
+    pixels = np.flatnonzero(d.data).astype(np.int64)
+    save_archive(path, SCENE_FORMAT, {
+        "width": d.width, "height": d.height, "object_id": scene.object_id,
+        "pose": scene.gt_pose.to_json(), "intrinsics": scene.intrinsics.to_json(),
         "visible_fraction": scene.visible_fraction,
-    }
-    with open(d / "scene.json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    }, {"pixels": pixels, "depth": d.data.ravel()[pixels],
+        "visible": scene.vis_mask.ravel()[pixels]})
 
 
-def load_scene(dirpath) -> SceneSample:
-    d = Path(dirpath)
-    with open(d / "scene.json") as f:
-        meta = json.load(f)
-    depth = DepthImage.from_array(read_pfm(d / "depth.pfm"))
+def _scene_from(a: dict, meta: dict) -> SceneSample:
+    w, h = int(meta["width"]), int(meta["height"])
+    if not isinstance(meta["object_id"], str):
+        raise TypeError(f"object_id {meta['object_id']!r} is not a string")
+    p = a["pixels"]
+    for name, dtype in _SCENE_ARRAYS.items():
+        if a[name].dtype != dtype or a[name].shape != (len(p),):
+            raise ValueError(f"{name} is not {len(p)} values of {np.dtype(dtype)}")
+    if np.any(np.diff(p) <= 0) or (len(p) and (p[0] < 0 or p[-1] >= w * h)):
+        raise ValueError(f"pixels are not increasing indices in [0, {w * h})")
+    if not np.all(a["depth"] > 0):  # false for NaN too; DepthImage rejects inf
+        raise ValueError("depth values must be positive")
+    depth = np.zeros(h * w)
+    depth[p] = a["depth"]
+    vis = np.zeros(h * w, dtype=bool)
+    vis[p] = a["visible"]
     return SceneSample(
         object_id=meta["object_id"],
         gt_pose=Pose.from_json(meta["pose"]),
-        depth=depth,
-        vis_mask=read_pgm(d / "vis_mask.pgm"),
+        depth=DepthImage(w, h, depth.reshape(h, w)),
+        vis_mask=vis.reshape(h, w),
         intrinsics=Intrinsics.from_json(meta["intrinsics"]),
         visible_fraction=float(meta["visible_fraction"]),
     )
+
+
+def load_scene(path) -> SceneSample:
+    """Read a ``save_scene`` archive. Raises ``MalformedArchive`` for a file
+    that is not a readable scene ``.npz``, lacks a header key, or whose
+    arrays or header values fail validation."""
+    return load_archive(path, SCENE_FORMAT, _SCENE_ARRAYS, _scene_from)

@@ -5,18 +5,20 @@ from anchorpose.camera_crop import (
     CORR_RES,
     DepthImage,
     EmptyIntersection,
-    MalformedImage,
     Roi,
     adjust_intrinsics,
     crop_affine,
     make_grid_maps,
-    read_pfm,
-    write_pfm,
 )
 from anchorpose.geom import CropAffine, Intrinsics, Pose, backproject_grid, project
 from conftest import random_rotation_aa
 
 K = Intrinsics(500.0, 500.0, 320.0, 240.0)
+
+
+def _depth(a) -> DepthImage:
+    a = np.asarray(a, dtype=np.float64)
+    return DepthImage(a.shape[1], a.shape[0], a)
 
 
 def _roi_from_window(u0, v0, size, out_res):
@@ -76,7 +78,7 @@ class TestAdjustIntrinsics:
 
 class TestGridMaps:
     def test_constant_depth_principal_point(self):
-        depth = DepthImage.from_array(np.ones((640, 640)))
+        depth = _depth(np.ones((640, 640)))
         k = Intrinsics(500.0, 500.0, 320.0, 320.0)
         roi = _roi_from_window(0.0, 0.0, 640.0, 640)
         grids = make_grid_maps(depth, roi, k)
@@ -90,7 +92,7 @@ class TestGridMaps:
         for _ in range(20):
             data = rng.uniform(0.5, 2.0, (60, 80))
             data[rng.random((60, 80)) < 0.2] = 0.0
-            depth = DepthImage.from_array(data)
+            depth = _depth(data)
             size = rng.uniform(10.0, 70.0)
             roi = Roi(rng.uniform(0, 80), rng.uniform(0, 60), size, size,
                       int(rng.integers(8, 48)))
@@ -107,29 +109,29 @@ class TestGridMaps:
         data = np.ones((48, 48))
         data[:, :24] = 0.0
         grids = make_grid_maps(
-            DepthImage.from_array(data), _roi_from_window(0.0, 0.0, 48.0, 48), K
+            _depth(data), _roi_from_window(0.0, 0.0, 48.0, 48), K
         )
         assert not grids.valid[:, :24].any()
         np.testing.assert_array_equal(grids.cam_xyz[:, :24], 0.0)
         assert grids.valid[:, 24:].all()
 
     def test_out_of_image_cells_invalid_not_clamped(self):
-        depth = DepthImage.from_array(np.ones((48, 48)))
+        depth = _depth(np.ones((48, 48)))
         roi = _roi_from_window(-24.0, 0.0, 48.0, 48)  # left half outside
         grids = make_grid_maps(depth, roi, K)
         assert not grids.valid[:, :20].any()
         assert grids.valid[:, 30:].all()
 
     def test_empty_intersection(self):
-        depth = DepthImage.from_array(np.ones((48, 48)))
+        depth = _depth(np.ones((48, 48)))
         with pytest.raises(EmptyIntersection):
             make_grid_maps(depth, _roi_from_window(100.0, 0.0, 20.0, 16), K)
 
     def test_depth_image_validation(self):
         with pytest.raises(ValueError):
-            DepthImage.from_array(np.array([[1.0, -0.5]]))
+            _depth(np.array([[1.0, -0.5]]))
         with pytest.raises(ValueError):
-            DepthImage.from_array(np.array([[np.nan]]))
+            _depth(np.array([[np.nan]]))
 
     @pytest.mark.parametrize("field", ["center_u", "center_v", "size_u", "size_v"])
     def test_roi_rejects_non_finite(self, field):
@@ -140,40 +142,3 @@ class TestGridMaps:
 
     def test_default_resolutions(self):
         assert CORR_RES == 64
-
-
-class TestPfm:
-    def test_round_trip_gray(self, tmp_path):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(17, 23)).astype(np.float32)
-        write_pfm(tmp_path / "g.pfm", a)
-        back = read_pfm(tmp_path / "g.pfm")
-        np.testing.assert_array_equal(back, a.astype(np.float64))
-
-    def test_round_trip_color(self, tmp_path):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(9, 11, 3)).astype(np.float32)
-        write_pfm(tmp_path / "c.pfm", a)
-        np.testing.assert_array_equal(read_pfm(tmp_path / "c.pfm"), a)
-
-    def test_header_and_row_order(self, tmp_path):
-        # 2x2: scanlines stored bottom-up, little-endian, scale -1.0
-        a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-        write_pfm(tmp_path / "o.pfm", a)
-        raw = (tmp_path / "o.pfm").read_bytes()
-        assert raw.startswith(b"Pf\n2 2\n-1.0\n")
-        body = np.frombuffer(raw.split(b"-1.0\n", 1)[1], dtype="<f4")
-        np.testing.assert_array_equal(body, [3.0, 4.0, 1.0, 2.0])
-
-    @pytest.mark.parametrize("raw", [
-        b"Pf\n2 2\n",                                        # truncated header
-        b"P6\n2 2\n-1.0\n" + bytes(16),                        # bad magic
-        b"Pf\n2 x\n-1.0\n" + bytes(16),                        # bad dimensions
-        b"Pf\n2 2\n-1.0\n" + bytes(15),                        # short body
-        b"Pf\n2 2\n-1.0\n" + np.array([0, np.nan, 1, 2], "<f4").tobytes(),
-        b"Pf\n2 2\n-1.0\n" + np.array([0, 1, -np.inf, 2], "<f4").tobytes(),
-    ])
-    def test_malformed_file_rejected(self, tmp_path, raw):
-        (tmp_path / "bad.pfm").write_bytes(raw)
-        with pytest.raises(MalformedImage):
-            read_pfm(tmp_path / "bad.pfm")

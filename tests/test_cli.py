@@ -7,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorpose.cli import exit_code_for, main, IdMismatch
 from anchorpose.camera_crop import Roi, adjust_intrinsics, crop_affine
 from anchorpose.correspondence import ground_truth_maps
 from anchorpose.solver import extract_correspondences, solve_2d3d, pose_error
 from anchorpose.codec import build_anchor_set
+from anchorpose.geom import Intrinsics
 from anchorpose.synth import SceneConfig, make_model, render, random_pose
 from anchorpose import cli, mesh, solver, synth
 from conftest import TEST_K
@@ -56,14 +59,17 @@ class TestPipeline:
         assert (bench / "registry.json").exists()
         manifest = json.loads((bench / "manifest.json").read_text())
         assert len(manifest["scenes"]) == 4
-        for e in manifest["scenes"]:
-            d = bench / e["dir"]
-            assert (d / "depth.pfm").exists()
-            assert (d / "vis_mask.pgm").exists()
-            assert (d / "scene.json").exists()
-            scene_meta = json.loads((d / "scene.json").read_text())
-            assert set(scene_meta) == {"object_id", "pose", "intrinsics",
-                                       "visible_fraction"}
+        files = [e["file"] for e in manifest["scenes"]]
+        assert files == [f"scene_{i:04d}.npz" for i in range(4)]
+        assert sorted(p.name for p in bench.iterdir()) == sorted(
+            ["manifest.json", "model.ply", "registry.json", *files])
+        for name in files:
+            with np.load(bench / name) as z:
+                assert {k: z[k].dtype for k in z.files if k != "meta"} == {
+                    "pixels": np.int64, "depth": np.float64, "visible": bool}
+                assert set(json.loads(str(z["meta"]))) == {
+                    "format", "width", "height", "object_id", "pose", "intrinsics",
+                    "visible_fraction"}
 
     def test_losses_csv_written(self, pipeline):
         *_, noisy, _ = pipeline
@@ -173,7 +179,7 @@ def _truncate(path: Path) -> None:
 
 
 def _edit_arrays(edit):
-    """A fault that rewrites a maps .npz after ``edit`` changed its arrays."""
+    """A fault that rewrites an .npz archive after ``edit`` changed its arrays."""
     def apply(path: Path) -> None:
         with np.load(path) as z:
             arrays = dict(z)
@@ -183,7 +189,7 @@ def _edit_arrays(edit):
 
 
 def _edit_meta(edit):
-    """A fault that rewrites a maps .npz after ``edit`` changed its JSON header."""
+    """A fault that rewrites an .npz archive after ``edit`` changed its JSON header."""
     return _edit_arrays(lambda a: a.update(
         meta=np.array(json.dumps(edit(json.loads(str(a["meta"])))))))
 
@@ -204,6 +210,72 @@ _MAPS_FAULTS = {
     "class_k_plus_1": _edit_arrays(_class_k_plus_1),
     "wrong_shape_residual": _edit_arrays(lambda a: a.update(residual=a["residual"][1:])),
     "pickled_array": _edit_arrays(lambda a: a.update(residual=a["residual"].astype(object))),
+}
+
+
+def _set_item(name, index, value):
+    """A fault that sets item ``index`` of the array ``name``."""
+    return _edit_arrays(lambda a: a[name].__setitem__(index, value))
+
+
+def _pixel_past_the_end(arrays) -> None:
+    meta = json.loads(str(arrays["meta"]))
+    arrays["pixels"][-1] = meta["width"] * meta["height"]
+
+
+def _swap_first_pixels(arrays) -> None:
+    arrays["pixels"][[0, 1]] = arrays["pixels"][[1, 0]]
+
+
+def _zero_hidden_depth(arrays) -> None:
+    # a hidden pixel, so only the archive's own depth check can see it
+    arrays["depth"][0], arrays["visible"][0] = 0.0, False
+
+
+def _shorten(name):
+    return _edit_arrays(lambda a: a.update({name: a[name][:-1]}))
+
+
+def _retype(name, dtype):
+    return _edit_arrays(lambda a: a.update({name: a[name].astype(dtype)}))
+
+
+# Faults of a gen scene archive; each must exit 3 from encode.
+_SCENE_FAULTS = {
+    "truncated": _truncate,
+    "not_a_zip": lambda path: path.write_bytes(b"not a zip archive\n"),
+    "missing_array": _edit_arrays(lambda a: a.pop("visible")),
+    "pickled_array": _retype("depth", object),
+    "float32_depth": _retype("depth", np.float32),
+    "int32_pixels": _retype("pixels", np.int32),
+    "uint8_visible": _retype("visible", np.uint8),
+    "nan_depth": _set_item("depth", 0, np.nan),
+    "inf_depth": _set_item("depth", 0, np.inf),
+    "zero_depth": _edit_arrays(_zero_hidden_depth),
+    "negative_depth": _set_item("depth", 0, -0.5),
+    "negative_pixel": _set_item("pixels", 0, -1),
+    "pixel_past_the_end": _edit_arrays(_pixel_past_the_end),
+    "unsorted_pixels": _edit_arrays(_swap_first_pixels),
+    "repeated_pixel": _edit_arrays(lambda a: a["pixels"].__setitem__(1, a["pixels"][0])),
+    "short_depth": _shorten("depth"),
+    "short_visible": _shorten("visible"),
+    "one_depth_for_all": _edit_arrays(lambda a: a.update(depth=a["depth"][:1])),
+    "bad_format_tag": _edit_meta(lambda meta: {**meta, "format": "anchorpose-maps-v2"}),
+}
+
+
+def _nan_vertex(path: Path) -> None:
+    points = mesh.load_ply(path).points.copy()
+    points[0, 1] = np.nan
+    mesh.write_ply(path, points)
+
+
+# Faults of a benchmark's registry model; each must exit 3 from encode and eval.
+_PLY_FAULTS = {
+    "truncated": _truncate,
+    "no_ply_magic": lambda path: path.write_bytes(path.read_bytes()[4:]),
+    "nan_vertex": _nan_vertex,
+    "empty": lambda path: path.write_bytes(b""),
 }
 
 
@@ -236,8 +308,10 @@ def _short_rotation(pose):
 _NAN, _INF = float("nan"), float("inf")
 
 
-# (file, edit of its parsed JSON) per fault; each must exit 3. A "header"
-# fault edits the JSON header of a maps file, read by both solve and corrupt.
+# (file, edit of its parsed JSON) per fault; each must exit 3. A "scene"
+# fault edits the JSON header of a gen scene archive, read by encode; a
+# "header" fault edits the JSON header of a maps file, read by both solve and
+# corrupt.
 _JSON_FAULTS = {
     "scene_without_object_id": ("scene", _drop("object_id")),
     "scene_without_pose": ("scene", _drop("pose")),
@@ -245,6 +319,7 @@ _JSON_FAULTS = {
     "scene_without_visible_fraction": ("scene", _drop("visible_fraction")),
     "scene_rotation_of_8": ("scene", _at("pose", _short_rotation)),
     "scene_nan_translation": ("scene", _at("pose", _set("t", 0, _NAN))),
+    "scene_object_id_a_list": ("scene", _put("object_id", ["blob"])),
     "registry_entry_without_id": ("registry", _in_first(_drop("id"))),
     "registry_entry_without_path": ("registry", _in_first(_drop("path"))),
     "registry_not_a_list": ("registry", lambda entries: entries[0]),
@@ -283,15 +358,26 @@ def _solve_broken_maps(pipeline, tmp_path, fault) -> int:
 class TestMalformedFiles:
     """Broken input files exit 3, the README's I/O-or-parse code."""
 
-    @pytest.mark.parametrize("name", ["depth.pfm", "vis_mask.pgm"])
-    def test_truncated_scene_file(self, pipeline, tmp_path, name):
+    @pytest.mark.parametrize("fault", list(_SCENE_FAULTS))
+    def test_malformed_scene_archive(self, pipeline, tmp_path, fault):
         root, bench, *_ = pipeline
         copy = tmp_path / "bench"
         shutil.copytree(bench, copy)
-        _truncate(next(copy.glob(f"*/{name}")))
+        _SCENE_FAULTS[fault](copy / "scene_0000.npz")
         code = main(["encode", "--seed", "7", "--out", str(tmp_path / "maps"),
                      "--scenes", str(copy), "--k", "16", "--res", "32"])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["encode", "eval"])
+    @pytest.mark.parametrize("fault", list(_PLY_FAULTS))
+    def test_malformed_model_ply(self, pipeline, tmp_path, fault, command):
+        _, bench, _, _, poses = pipeline
+        copy = tmp_path / "bench"
+        shutil.copytree(bench, copy)
+        _PLY_FAULTS[fault](copy / "model.ply")
+        argv = {"encode": ["--k", "16"], "eval": ["--pred", str(poses)]}[command]
+        assert main([command, "--seed", "7", "--out", str(tmp_path / "out"),
+                     "--scenes", str(copy), *argv]) == 3
 
     def test_nan_residual_on_foreground(self, pipeline, tmp_path):
         assert _solve_broken_maps(pipeline, tmp_path,
@@ -316,8 +402,9 @@ class TestMalformedFiles:
         {"scenes": {"scene_0000": "scene_0000"}},
         {"scenes": {}},
         {"scenes": "scene_0000"},
+        {"scenes": [{"id": "scene_0000", "dir": "scene_0000"}]},
     ], ids=["entry_without_dir", "no_scenes", "scenes_dict", "scenes_empty_dict",
-            "scenes_string"])
+            "scenes_string", "old_dir_layout"])
     def test_malformed_benchmark_manifest(self, pipeline, tmp_path, manifest):
         root, bench, *_ = pipeline
         copy = tmp_path / "bench"
@@ -339,10 +426,13 @@ class TestMalformedFiles:
         else:
             shutil.copytree(bench, tmp_path / "bench")
             shutil.copyfile(poses, tmp_path / "poses.json")
-            path = tmp_path / {"scene": "bench/scene_0000/scene.json",
+            path = tmp_path / {"scene": "bench/scene_0000.npz",
                                "registry": "bench/registry.json",
                                "poses": "poses.json"}[target]
-            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+            if target == "scene":
+                _edit_meta(edit)(path)
+            else:
+                path.write_text(json.dumps(edit(json.loads(path.read_text()))))
             bench = tmp_path / "bench"
             runs = [["eval", "--pred", path, "--scenes", bench] if target == "poses"
                     else ["encode", "--scenes", bench, "--k", "16", "--res", "32"]]
@@ -419,6 +509,52 @@ class TestAblations:
         assert outs[0] == outs[1]
 
 
+def test_cli_chain_equals_in_memory_rows(tmp_path):
+    # gen stores depth losslessly, so the sweeps on a gen bench read the very
+    # scenes make_benchmark builds in memory
+    bench = tmp_path / "bench"
+    assert main(["gen", "--seed", "5", "--out", str(bench), "--shape", "blob",
+                 "--scenes", "4", "--points", "1500", "--width", "256", "--height", "192",
+                 "--fx", "260", "--fy", "250", "--depth-range", "0.7", "1.2",
+                 "--depth-sigma", "0.001", "--occlusion-levels", "1.0", "0.7"]) == 0
+    model = make_model("blob", 1500, 0.12, 5)
+    config = SceneConfig(seed=5, width=256, height=192,
+                         intrinsics=Intrinsics(260.0, 250.0, 128.0, 96.0),
+                         depth_range=(0.7, 1.2), depth_sigma=0.001)
+    scenes = synth.make_benchmark(model, config, 4, [1.0, 0.7])
+    anchors = build_anchor_set(model, 16)
+    expected = {
+        "ablate-anchors": cli.ablate_anchors_rows(model, scenes, k_list=(1, 8), seed=3, res=32),
+        "ablate-corr": cli.ablate_corr_rows(model, anchors, scenes, seed=3, res=32)[0],
+        "ablate-k": cli.ablate_k_rows(model, anchors, scenes, seed=3, res=32),
+    }
+    for cmd, extra in (("ablate-anchors", ["--k-list", "1", "8"]),
+                       ("ablate-corr", ["--k", "16"]), ("ablate-k", ["--k", "16"])):
+        out, ref = tmp_path / f"{cmd}.csv", tmp_path / f"{cmd}.ref.csv"
+        assert main([cmd, "--seed", "3", "--out", str(out), "--scenes", str(bench),
+                     "--res", "32", *extra]) == 0
+        cli._write_csv(ref, out.read_text().splitlines()[0], expected[cmd])
+        assert out.read_bytes() == ref.read_bytes(), cmd
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_jobs2_equals_serial_for_any_seed(tmp_path_factory, seed):
+    root = tmp_path_factory.mktemp("jobs")
+    bench = root / "bench"
+    assert main(["gen", "--seed", str(seed), "--out", str(bench), "--shape", "blob",
+                 "--scenes", "3", "--points", "600", "--width", "160", "--height", "120",
+                 "--fx", "170", "--fy", "170", "--depth-range", "0.6", "1.0"]) == 0
+    for cmd in ("ablate-corr", "ablate-k"):
+        outs = []
+        for jobs in ("1", "2"):
+            out = root / f"{cmd}{jobs}.csv"
+            assert main([cmd, "--seed", str(seed), "--out", str(out), "--scenes", str(bench),
+                         "--res", "24", "--k", "8", "--jobs", jobs]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], cmd
+
+
 class TestDeterminismAndErrors:
     def test_gen_rerun_identical_tree(self, tmp_path):
         args = ["gen", "--seed", "21", "--shape", "cube", "--scenes", "2",
@@ -472,9 +608,7 @@ class TestDeterminismAndErrors:
         _, bench, _, _, poses = pipeline
         copy = tmp_path / "bench"
         shutil.copytree(bench, copy)
-        scene_json = copy / "scene_0000" / "scene.json"
-        scene_json.write_text(json.dumps(_put("object_id", "other")(
-            json.loads(scene_json.read_text()))))
+        _edit_meta(_put("object_id", "other"))(copy / "scene_0000.npz")
         preds = tmp_path / "poses.json"
         preds.write_text(json.dumps(_in_first(_put("object_id", "other"))(
             json.loads(poses.read_text()))))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from anchorpose.camera_crop import MalformedImage, Roi
+from anchorpose.camera_crop import Roi
 from anchorpose.geom import Intrinsics, Pose
 from anchorpose.mesh import ObjectModel
 from anchorpose.synth import (
@@ -18,11 +18,9 @@ from anchorpose.synth import (
     make_model,
     random_pose,
     random_rotation,
-    read_pgm,
     render,
     save_scene,
     tight_roi,
-    write_pgm,
 )
 from conftest import TEST_K, small_config
 
@@ -184,30 +182,15 @@ class TestSceneIo:
         model = make_model("blob", 1500, 0.12, 3)
         cfg = small_config(13, occluded=True)
         scenes = make_benchmark(model, cfg, 1, [0.8])
-        save_scene(scenes[0], tmp_path / "s0")
-        back = load_scene(tmp_path / "s0")
+        save_scene(scenes[0], tmp_path / "s0.npz")
+        back = load_scene(tmp_path / "s0.npz")
         assert back.object_id == scenes[0].object_id
         assert back.gt_pose.to_json() == scenes[0].gt_pose.to_json()
         assert back.intrinsics == scenes[0].intrinsics
         assert back.visible_fraction == scenes[0].visible_fraction
         assert np.array_equal(back.vis_mask, scenes[0].vis_mask)
-        # depth goes through float32 storage
-        np.testing.assert_allclose(back.depth.data, scenes[0].depth.data,
-                                   rtol=1e-6, atol=1e-6)
-
-    def test_pgm_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        mask = rng.random((13, 17)) > 0.5
-        write_pgm(tmp_path / "m.pgm", mask)
-        assert (tmp_path / "m.pgm").read_bytes().startswith(b"P5\n17 13\n255\n")
-        np.testing.assert_array_equal(read_pgm(tmp_path / "m.pgm"), mask)
-
-    @pytest.mark.parametrize("raw", [b"P2\n2 2\n255\n" + bytes(4),
-                                     b"P5\n2 2\n255\n" + bytes(3)])
-    def test_pgm_malformed_rejected(self, tmp_path, raw):
-        (tmp_path / "m.pgm").write_bytes(raw)
-        with pytest.raises(MalformedImage):
-            read_pgm(tmp_path / "m.pgm")
+        assert back.depth.data.dtype == np.float64
+        assert np.array_equal(back.depth.data, scenes[0].depth.data)
 
     def test_tight_roi_square_around_mask(self):
         model = make_model("blob", 2500, 0.12, 3)
