@@ -3,6 +3,7 @@ import hashlib
 import json
 import shlex
 import shutil
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,18 @@ class TestPipeline:
 def _truncate(path: Path) -> None:
     raw = path.read_bytes()
     path.write_bytes(raw[:len(raw) // 2])
+
+
+def _truncate_member(name):
+    """A fault that drops the last byte of array ``name`` inside an .npz archive."""
+    def apply(path: Path) -> None:
+        with zipfile.ZipFile(path) as z:
+            members = {m: z.read(m) for m in z.namelist()}
+        members[f"{name}.npy"] = members[f"{name}.npy"][:-1]
+        with zipfile.ZipFile(path, "w") as z:
+            for m, data in members.items():
+                z.writestr(m, data)
+    return apply
 
 
 def _edit_arrays(edit):
@@ -357,6 +370,19 @@ def _solve_broken_maps(pipeline, tmp_path, fault) -> int:
 
 class TestMalformedFiles:
     """Broken input files exit 3, the README's I/O-or-parse code."""
+
+    # The ids name the files that held a scene's depth and visibility
+    # before both became arrays of the one scene archive.
+    @pytest.mark.parametrize("array", [pytest.param("depth", id="depth.pfm"),
+                                       pytest.param("visible", id="vis_mask.pgm")])
+    def test_truncated_scene_file(self, pipeline, tmp_path, array):
+        root, bench, *_ = pipeline
+        copy = tmp_path / "bench"
+        shutil.copytree(bench, copy)
+        _truncate_member(array)(copy / "scene_0000.npz")
+        code = main(["encode", "--seed", "7", "--out", str(tmp_path / "maps"),
+                     "--scenes", str(copy), "--k", "16", "--res", "32"])
+        assert code == 3
 
     @pytest.mark.parametrize("fault", list(_SCENE_FAULTS))
     def test_malformed_scene_archive(self, pipeline, tmp_path, fault):
