@@ -8,11 +8,9 @@ evaluation stack, and a deterministic synthetic scene generator.
 from .geom import (
     CropAffine,
     Intrinsics,
-    NonPositiveDepth,
     NotARotation,
     PointBehindCamera,
     Pose,
-    backproject,
     project,
 )
 from .mesh import ObjectModel, diameter, fps, load_ply

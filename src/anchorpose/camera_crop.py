@@ -10,13 +10,16 @@ directly through the crop intrinsics must agree to float precision.
 
 Scenes and dense maps are stored the same way on disk: one uncompressed
 ``.npz`` holding arrays and a JSON header with a format tag, read without
-pickle support, every fault raised as ``MalformedArchive``.
+pickle support. Every input file, these archives and the JSON manifests,
+registry and poses alike, is parsed under ``parsing``, the one place that
+turns what reading or validating it raises into ``MalformedInput``.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +34,9 @@ class EmptyIntersection(ValueError):
     """The crop window does not overlap the image."""
 
 
-class MalformedArchive(ValueError):
-    """A scene or dense-maps ``.npz`` that cannot be read or fails validation."""
+class MalformedInput(ValueError):
+    """An input file (a scene or maps ``.npz``, a manifest, registry or poses
+    JSON) that cannot be read or fails validation."""
 
 
 @dataclass(frozen=True)
@@ -198,20 +202,30 @@ def save_archive(path, fmt: str, meta: dict, arrays: dict) -> None:
              meta=np.array(json.dumps({"format": fmt, **meta}, sort_keys=True)))
 
 
+@contextmanager
+def parsing(path):
+    """Re-raise every fault met while reading or validating the input file
+    ``path`` as ``MalformedInput``: a file that is not a zip or is cut short,
+    a missing key, a wrong type or a bad value, including text that is not
+    UTF-8 or not JSON, or a pose whose matrix is not a rotation."""
+    try:
+        yield
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"{path} is malformed: {exc!r}") from exc
+
+
 def load_archive(path, fmt: str, names, build):
     """``build(arrays, meta)`` on the arrays ``names`` and the JSON header of
     the ``fmt`` archive ``path``, read with ``allow_pickle=False``.
 
-    Raises ``MalformedArchive`` when the file is not a readable ``.npz``,
+    Raises ``MalformedInput`` when the file is not a readable ``.npz``,
     lacks an array, holds a pickled one, its header is not a ``fmt`` header,
     or ``build`` raises KeyError, TypeError or ValueError.
     """
-    try:
+    with parsing(path):
         with np.load(path, allow_pickle=False) as z:
             arrays = {name: z[name] for name in names}
             meta = json.loads(str(z["meta"]))
         if not isinstance(meta, dict) or meta.get("format") != fmt:
             raise ValueError(f"meta is not an {fmt} header")
         return build(arrays, meta)
-    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedArchive(f"{path}: {exc}") from exc

@@ -18,15 +18,15 @@ import math
 import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import camera_crop, codec, correspondence, geom, mesh, metrics, solver, synth
-from .camera_crop import adjust_intrinsics, crop_affine
+from .camera_crop import adjust_intrinsics, crop_affine, parsing
 from .codec import AnchorSet, build_anchor_set
 from .correspondence import (
+    DenseMaps,
     MapsHeader,
     NoiseSpec,
     corrupt,
@@ -64,25 +64,6 @@ DEFAULT_K_LIST = (1, 4, 8, 16, 32, 64, 128)
 
 class IdMismatch(ValueError):
     """Predicted poses and ground-truth scenes disagree on ids."""
-
-
-class MalformedManifest(ValueError):
-    """A JSON input file (benchmark or maps manifest, registry or poses) with
-    a missing key, a wrong container type or a wrong-length array."""
-
-
-@contextmanager
-def _parsing(path):
-    """Re-raise what parsing the input ``path`` meets as MalformedManifest
-    (exit 3), unless the exit-code table gives it a code of its own: a
-    missing key, a wrong container type or a wrong-length array would
-    otherwise exit 1 or 2."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as exc:
-        if exit_code_for(exc) not in (1, 2):
-            raise
-        raise MalformedManifest(f"{path} is malformed: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -140,25 +121,25 @@ def _pmap(fn, shared, items, jobs: int) -> list:
 # ---------------------------------------------------------------------------
 # Scene pipeline shared by the solve/eval commands and the sweeps
 
-MAX_CORR = 800  # sweeps solve from at most this many evenly spaced correspondences
+MAX_CORR = 800  # the sweeps' cap on correspondences per solve; `solve` has none
 
 
-def _cap_correspondences(corr: solver.CorrSet) -> solver.CorrSet:
-    if len(corr) <= MAX_CORR:
-        return corr
-    idx = np.unique(np.round(np.linspace(0, len(corr) - 1, MAX_CORR)).astype(np.intp))
-    return corr.subset(idx)
+def _solve_maps(maps: DenseMaps, k: Intrinsics, mode: str, *, max_corr: int | None,
+                sigma_m: float, sigma_px: float, seed: int,
+                ransac_args: tuple[float | None, int] | None) -> solver.SolveReport:
+    """One pose solve in ``mode`` (3d3d, 2d3d or fused) with camera ``k`` from
+    the correspondences of ``maps``, decoded with the anchor set they carry.
 
-
-def _solve(corr: solver.CorrSet, mode: str, k: Intrinsics, *, sigma_m: float,
-           sigma_px: float, seed: int,
-           ransac_args: tuple[float | None, int] | None = None) -> solver.SolveReport:
-    """One pose solve in ``mode`` (3d3d, 2d3d or fused) with camera ``k``.
-
-    ``ransac_args`` = (inlier_tol, max_iters) runs a 3d3d or 2d3d solve under
-    seeded RANSAC, with ``solver.RANSAC_INLIER_TOL`` for a None tolerance. The
-    fused solver runs its own robust initialization, so it rejects them.
+    ``max_corr`` keeps at most that many evenly spaced correspondences (None
+    keeps them all). ``ransac_args`` = (inlier_tol, max_iters) runs a 3d3d or
+    2d3d solve under seeded RANSAC, with ``solver.RANSAC_INLIER_TOL`` for a
+    None tolerance. The fused solver runs its own robust initialization, so
+    it rejects them.
     """
+    corr = extract_correspondences(maps, maps.anchors)
+    if max_corr is not None and len(corr) > max_corr:
+        idx = np.round(np.linspace(0, len(corr) - 1, max_corr)).astype(np.intp)
+        corr = corr.subset(np.unique(idx))
     if mode not in ("3d3d", "2d3d", "fused"):
         raise ValueError(f"unknown mode {mode!r}")
     if ransac_args is not None:
@@ -198,9 +179,9 @@ def scene_eval_record(model: ObjectModel, anchors: AnchorSet, scene: synth.Scene
     score one scene. ``intrinsic`` picks the crop-adjusted ("crop") or the
     raw ("org") camera matrix.
 
-    Unsolvable scenes (no foreground after corruption, degenerate sets)
-    yield a deterministic worst-case record instead of raising, so sweeps
-    never die half way.
+    A scene whose solve raises one of ``solver.SOLVE_ERRORS`` (no foreground
+    after corruption, a degenerate set, no RANSAC consensus) yields a
+    deterministic worst-case record instead, so sweeps never die half way.
     """
     roi = tight_roi(scene, res)
     maps = ground_truth_maps(scene, anchors, roi)
@@ -208,10 +189,9 @@ def scene_eval_record(model: ObjectModel, anchors: AnchorSet, scene: synth.Scene
     k = (adjust_intrinsics(scene.intrinsics, crop_affine(roi)) if intrinsic == "crop"
          else scene.intrinsics)
     try:
-        corr = _cap_correspondences(extract_correspondences(noisy, anchors))
-        report = _solve(corr, mode, k, sigma_m=sigma_m, sigma_px=sigma_px, seed=solver_seed)
-    except (solver.NoForeground, solver.DegenerateConfiguration,
-            solver.Degenerate, solver.NoConsensus):
+        report = _solve_maps(noisy, k, mode, max_corr=MAX_CORR, sigma_m=sigma_m,
+                             sigma_px=sigma_px, seed=solver_seed, ransac_args=None)
+    except solver.SOLVE_ERRORS:
         return _failure_record(model)
     return _score(model, report.pose, scene)
 
@@ -367,15 +347,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _load_benchmark_dir(scenes_dir: Path):
     """A ``gen`` benchmark's (id, scene) pairs and registry models by object id."""
-    with open(scenes_dir / "manifest.json") as f:
+    manifest_path = scenes_dir / "manifest.json"
+    with parsing(manifest_path), open(manifest_path) as f:
         manifest = json.load(f)
-    with _parsing(scenes_dir / "manifest.json"):
         if not isinstance(manifest["scenes"], list):
             raise TypeError("'scenes' is not a list")
         entries = [(e["id"], scenes_dir / e["file"]) for e in manifest["scenes"]]
+        if not all(isinstance(scene_id, str) for scene_id, _ in entries):
+            raise TypeError("a scene id is not a string")
     scenes = [(scene_id, load_scene(path)) for scene_id, path in entries]
     reg_path = scenes_dir / "registry.json"
-    with _parsing(reg_path):
+    with parsing(reg_path):
         models = {e["id"]: load_registry_model(reg_path, e) for e in load_registry(reg_path)}
     for scene_id, scene in scenes:
         if scene.object_id not in models:
@@ -407,10 +389,8 @@ def _maps_files(path: Path) -> list[Path]:
     ``manifest.json`` of the maps directory ``path``."""
     if path.is_file():
         return [path]
-    with open(path / "manifest.json") as f:
-        manifest = json.load(f)
-    with _parsing(path / "manifest.json"):
-        return [path / e["file"] for e in manifest["maps"]]
+    with parsing(path / "manifest.json"), open(path / "manifest.json") as f:
+        return [path / e["file"] for e in json.load(f)["maps"]]
 
 
 def cmd_corrupt(args: argparse.Namespace) -> int:
@@ -440,7 +420,7 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
             corr = extract_correspondences(noisy, maps.anchors)
             rot, trans = pose_error(solve_3d3d(corr).pose, header.gt_pose)
             lt = loss_total(lc, lf, lm, math.radians(rot) + trans)
-        except (solver.NoForeground, solver.DegenerateConfiguration):
+        except solver.SOLVE_ERRORS:
             lt = None
         loss_rows.append((header.scene_id, lm, lc, lf, lt))
     _write_json(out / "manifest.json", {"maps": entries})
@@ -470,10 +450,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     results = []
     for i, path in enumerate(sorted(files)):
         maps, header = load_dense_maps(path)
-        corr = extract_correspondences(maps, maps.anchors)
         k_crop = adjust_intrinsics(header.intrinsics, crop_affine(maps.grids.roi))
-        report = _solve(corr, args.mode, k_crop, **sigmas, seed=_child_seed(args.seed, i),
-                        ransac_args=(args.inlier_tol, max_iters) if args.ransac else None)
+        report = _solve_maps(maps, k_crop, args.mode, max_corr=None, **sigmas,
+                             seed=_child_seed(args.seed, i),
+                             ransac_args=(args.inlier_tol, max_iters) if args.ransac else None)
         results.append({"scene_id": header.scene_id, "object_id": header.object_id,
                         **report.to_json()})
     _write_json(args.out, results)
@@ -482,13 +462,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    with open(args.pred) as f:
+    with parsing(args.pred), open(args.pred) as f:
         preds = json.load(f)
     scenes, models = _load_benchmark_dir(args.scenes)
     gt = dict(scenes)
-    with _parsing(args.pred):
+    with parsing(args.pred):
         pred_ids = [p["scene_id"] for p in preds]
         poses = [Pose.from_json(p["pose"]) for p in preds]
+        if not all(isinstance(p["scene_id"], str) and isinstance(p.get("object_id", ""), str)
+                   for p in preds):
+            raise TypeError("a scene or object id is not a string")
     if sorted(pred_ids) != sorted(gt):
         raise IdMismatch("prediction scene ids do not match the benchmark")
     records = []
@@ -554,13 +537,9 @@ _EXIT_CODES: list[tuple[tuple, int]] = [
     ((IdMismatch, correspondence.ObjectMismatch, correspondence.ShapeMismatch), 5),
     ((synth.BinUnfillable, synth.ObjectOutOfView, mesh.KTooLarge, mesh.EmptyModel,
       metrics.EmptyInput, metrics.ZeroDiameter), 6),
-    ((solver.NoForeground, solver.DegenerateConfiguration, solver.Degenerate,
-      solver.NoConsensus, geom.PointBehindCamera, geom.NonPositiveDepth,
-      geom.NotARotation, camera_crop.EmptyIntersection, correspondence.NonFinite,
-      codec.IndexOutOfRange), 4),
-    ((mesh.ParseError, mesh.UnsupportedPlyVariant, camera_crop.MalformedArchive,
-      MalformedManifest), 3),
-    ((OSError, json.JSONDecodeError), 3),
+    ((*solver.SOLVE_ERRORS, geom.PointBehindCamera, geom.NotARotation,
+      camera_crop.EmptyIntersection, correspondence.NonFinite, codec.IndexOutOfRange), 4),
+    ((camera_crop.MalformedInput, mesh.ParseError, mesh.UnsupportedPlyVariant, OSError), 3),
     ((ValueError,), 2),
 ]
 

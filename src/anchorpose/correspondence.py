@@ -296,6 +296,11 @@ class MapsHeader:
     intrinsics: Intrinsics
     gt_pose: Pose
 
+    def __post_init__(self):
+        for name in ("scene_id", "object_id"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} {getattr(self, name)!r} is not a string")
+
 
 def save_dense_maps(maps: DenseMaps, path, header: MapsHeader) -> None:
     """Write ``maps`` to the ``.npz`` file ``path``, losslessly.
@@ -326,8 +331,8 @@ def _maps_from(a: dict, meta: dict) -> tuple[DenseMaps, MapsHeader]:
 
 
 def load_dense_maps(path) -> tuple[DenseMaps, MapsHeader]:
-    """Returns (DenseMaps, MapsHeader). Raises ``MalformedArchive`` for a file
+    """Returns (DenseMaps, MapsHeader). Raises ``MalformedInput`` for a file
     that is not a readable maps ``.npz``, lacks a header key, whose arrays or
-    header values fail validation, or whose header names another object than
-    its anchor set."""
+    header values fail validation (a scene or object id that is not a string
+    among them), or whose header names another object than its anchor set."""
     return load_archive(path, MAPS_FORMAT, _MAPS_ARRAYS, _maps_from)

@@ -31,10 +31,6 @@ class PointBehindCamera(ValueError):
     """Projection was requested for a point at or behind the image plane."""
 
 
-class NonPositiveDepth(ValueError):
-    """Backprojection requires a strictly positive depth."""
-
-
 class NotARotation(ValueError):
     """A matrix expected to be a rotation is not orthonormal with det +1."""
 
@@ -158,15 +154,6 @@ def project(point, pose: Pose, k: Intrinsics) -> np.ndarray:
     if not z > NEAR_EPS:
         raise PointBehindCamera(f"camera-frame depth {z!r} <= {NEAR_EPS}")
     return np.array([k.fx * xc[0] / z + k.cx, k.fy * xc[1] / z + k.cy])
-
-
-def backproject(u: float, v: float, depth: float, k: Intrinsics) -> np.ndarray:
-    """Lift pixel (u, v) at the given depth (meters) to a camera-frame point."""
-    if not depth > 0:
-        raise NonPositiveDepth(f"depth {depth!r} must be > 0")
-    return np.array(
-        [(u - k.cx) * depth / k.fx, (v - k.cy) * depth / k.fy, depth]
-    )
 
 
 def backproject_grid(u, v, depth, k: Intrinsics) -> np.ndarray:

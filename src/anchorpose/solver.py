@@ -49,16 +49,21 @@ class NoForeground(ValueError):
     """No usable correspondence cell in the maps."""
 
 
-class DegenerateConfiguration(ValueError):
-    """Too few or collinear points for closed-form alignment."""
-
-
 class Degenerate(ValueError):
-    """Too few or collinear points for reprojection solving."""
+    """Too few or collinear points, or a missing point family, for a solve."""
+
+
+# Kept only because perfbench/workloads.py imports this name; it can go once
+# that file catches SOLVE_ERRORS.
+DegenerateConfiguration = Degenerate
 
 
 class NoConsensus(RuntimeError):
     """RANSAC found no hypothesis with at least 10% inlier support."""
+
+
+# What a solve raises when its correspondences yield no pose.
+SOLVE_ERRORS = (NoForeground, Degenerate, NoConsensus)
 
 
 @dataclass
@@ -164,12 +169,12 @@ def _spread_ok(pts: np.ndarray) -> np.ndarray:
     return s[..., 1] > 1e-9 * np.maximum(s[..., 0], 1e-12)
 
 
-def _check_spread(pts: np.ndarray, minimum: int, exc) -> None:
+def _check_spread(pts: np.ndarray, minimum: int) -> None:
     """Reject sets that are too small or (near-)collinear."""
     if len(pts) < minimum:
-        raise exc(f"need >= {minimum} points, got {len(pts)}")
+        raise Degenerate(f"need >= {minimum} points, got {len(pts)}")
     if not _spread_ok(pts):
-        raise exc("points are (near-)collinear")
+        raise Degenerate("points are (near-)collinear")
 
 
 def _kabsch(obj: np.ndarray, cam: np.ndarray, w: np.ndarray):
@@ -194,8 +199,8 @@ def _kabsch(obj: np.ndarray, cam: np.ndarray, w: np.ndarray):
 def solve_3d3d(corr: CorrSet) -> SolveReport:
     """Weighted closed-form alignment minimizing sum w ||R a + t - b||^2."""
     if corr.cam_pts is None:
-        raise DegenerateConfiguration("3d-3d solving requires cam_pts")
-    _check_spread(corr.obj_pts, 3, DegenerateConfiguration)
+        raise Degenerate("3d-3d solving requires cam_pts")
+    _check_spread(corr.obj_pts, 3)
     w = corr.weights / corr.weights.sum()
     rot, t = _kabsch(corr.obj_pts, corr.cam_pts, w)
     pose = Pose(rot, t)
@@ -320,7 +325,7 @@ def solve_2d3d(corr: CorrSet, k: Intrinsics, init: Pose | None = None) -> SolveR
     """
     if corr.img_pts is None:
         raise Degenerate("2d-3d solving requires img_pts")
-    _check_spread(corr.obj_pts, 6, Degenerate)
+    _check_spread(corr.obj_pts, 6)
     if init is None:
         if corr.cam_pts is not None:
             init = solve_3d3d(corr).pose
@@ -354,7 +359,7 @@ def solve_fused(corr: CorrSet, k: Intrinsics, *, sigma_m: float = SIGMA_M,
     """
     if corr.cam_pts is None or corr.img_pts is None:
         raise ValueError("fused solving requires both cam_pts and img_pts")
-    _check_spread(corr.obj_pts, 3, DegenerateConfiguration)
+    _check_spread(corr.obj_pts, 3)
     if init is None:
         init = ransac(corr, "3d3d", inlier_tol=RANSAC_INLIER_TOL["3d3d"],
                       max_iters=ransac_iters, seed=seed).pose
@@ -429,7 +434,7 @@ def _best_2d3d(corr: CorrSet, samples: np.ndarray, inlier_tol: float, k: Intrins
     for it, sample in enumerate(samples):
         try:
             hyp = solve_2d3d(corr.subset(sample), k).pose
-        except (DegenerateConfiguration, Degenerate):
+        except Degenerate:
             continue
         err = _pixel_residuals(corr.obj_pts, corr.img_pts, unit, hyp.rotation,
                                hyp.translation, k)
@@ -458,7 +463,7 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = RANSAC_
     if mode not in ("3d3d", "2d3d"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "3d3d" and corr.cam_pts is None:
-        raise DegenerateConfiguration("3d3d RANSAC requires cam_pts")
+        raise Degenerate("3d3d RANSAC requires cam_pts")
     if mode == "2d3d":
         if corr.img_pts is None:
             raise Degenerate("2d3d RANSAC requires img_pts")
@@ -467,9 +472,7 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = RANSAC_
     minimal = 3 if mode == "3d3d" else 6
     n = len(corr)
     if n < minimal:
-        raise (DegenerateConfiguration if mode == "3d3d" else Degenerate)(
-            f"need >= {minimal} correspondences, got {n}"
-        )
+        raise Degenerate(f"need >= {minimal} correspondences, got {n}")
 
     samples = _draw_samples(np.random.default_rng(seed), n, minimal, max_iters)
     if mode == "3d3d":
@@ -490,7 +493,7 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = RANSAC_
         else:
             refit = solve_2d3d(sub, k, init=pose)
         pose, rmse = refit.pose, refit.rmse
-    except (DegenerateConfiguration, Degenerate):
+    except Degenerate:
         pass
     return SolveReport(pose, count, rmse, max_iters, mode)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .camera_crop import DepthImage, Roi, load_archive, save_archive
-from .geom import NEAR_EPS, Intrinsics, Pose, backproject
+from .geom import NEAR_EPS, Intrinsics, Pose, backproject_grid
 from .mesh import ObjectModel
 
 _STREAM_OCCLUDERS = 1
@@ -373,7 +373,7 @@ def random_pose(rng: np.random.Generator, config: SceneConfig) -> Pose:
     m = config.center_margin
     cu = rng.uniform(m * config.width, (1.0 - m) * config.width)
     cv = rng.uniform(m * config.height, (1.0 - m) * config.height)
-    return Pose(rot, backproject(cu, cv, depth, config.intrinsics))
+    return Pose(rot, backproject_grid(cu, cv, depth, config.intrinsics))
 
 
 def sample_scene(model: ObjectModel, config: SceneConfig, target_level: float,
@@ -484,7 +484,7 @@ def _scene_from(a: dict, meta: dict) -> SceneSample:
 
 
 def load_scene(path) -> SceneSample:
-    """Read a ``save_scene`` archive. Raises ``MalformedArchive`` for a file
+    """Read a ``save_scene`` archive. Raises ``MalformedInput`` for a file
     that is not a readable scene ``.npz``, lacks a header key, or whose
     arrays or header values fail validation."""
     return load_archive(path, SCENE_FORMAT, _SCENE_ARRAYS, _scene_from)

@@ -1,6 +1,8 @@
 import argparse
 import hashlib
+import importlib
 import json
+import pkgutil
 import shlex
 import shutil
 import zipfile
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anchorpose
 from anchorpose.cli import exit_code_for, main, IdMismatch
 from anchorpose.camera_crop import Roi, adjust_intrinsics, crop_affine
 from anchorpose.correspondence import ground_truth_maps
@@ -18,7 +21,7 @@ from anchorpose.solver import extract_correspondences, solve_2d3d, pose_error
 from anchorpose.codec import build_anchor_set
 from anchorpose.geom import Intrinsics
 from anchorpose.synth import SceneConfig, make_model, render, random_pose
-from anchorpose import cli, mesh, solver, synth
+from anchorpose import camera_crop, cli, mesh, solver, synth
 from conftest import TEST_K
 
 
@@ -319,6 +322,7 @@ def _short_rotation(pose):
 
 
 _NAN, _INF = float("nan"), float("inf")
+_REFLECTION = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0]  # diag(1, 1, -1): det -1
 
 
 # (file, edit of its parsed JSON) per fault; each must exit 3. A "scene"
@@ -333,6 +337,7 @@ _JSON_FAULTS = {
     "scene_rotation_of_8": ("scene", _at("pose", _short_rotation)),
     "scene_nan_translation": ("scene", _at("pose", _set("t", 0, _NAN))),
     "scene_object_id_a_list": ("scene", _put("object_id", ["blob"])),
+    "scene_not_a_rotation": ("scene", _at("pose", _put("R", _REFLECTION))),
     "registry_entry_without_id": ("registry", _in_first(_drop("id"))),
     "registry_entry_without_path": ("registry", _in_first(_drop("path"))),
     "registry_not_a_list": ("registry", lambda entries: entries[0]),
@@ -350,11 +355,16 @@ _JSON_FAULTS = {
     "header_inf_fx": ("header", _at("intrinsics", _put("fx", _INF))),
     "header_nan_roi_cu": ("header", _at("roi", _put("cu", _NAN))),
     "header_nan_translation": ("header", _at("gt_pose", _set("t", 0, _NAN))),
+    "header_not_a_rotation": ("header", _at("gt_pose", _put("R", _REFLECTION))),
+    "header_scene_id_a_list": ("header", _put("scene_id", ["scene_0000"])),
     "poses_entry_without_scene_id": ("poses", _in_first(_drop("scene_id"))),
     "poses_entry_without_pose": ("poses", _in_first(_drop("pose"))),
     "poses_rotation_of_8": ("poses", _in_first(_at("pose", _short_rotation))),
     "poses_nan_translation": ("poses", _in_first(_at("pose", _set("t", 0, _NAN)))),
     "poses_nan_rotation": ("poses", _in_first(_at("pose", _set("R", 0, _NAN)))),
+    "poses_not_a_rotation": ("poses", _in_first(_at("pose", _put("R", _REFLECTION)))),
+    "poses_scene_id_a_list": ("poses", _in_first(_put("scene_id", ["scene_0000"]))),
+    "poses_object_id_a_list": ("poses", _in_first(_put("object_id", ["blob"]))),
     "poses_not_a_list": ("poses", lambda entries: entries[0]),
 }
 
@@ -429,8 +439,9 @@ class TestMalformedFiles:
         {"scenes": {}},
         {"scenes": "scene_0000"},
         {"scenes": [{"id": "scene_0000", "dir": "scene_0000"}]},
+        {"scenes": [{"id": 0, "file": "scene_0000.npz"}]},
     ], ids=["entry_without_dir", "no_scenes", "scenes_dict", "scenes_empty_dict",
-            "scenes_string", "old_dir_layout"])
+            "scenes_string", "old_dir_layout", "id_not_a_string"])
     def test_malformed_benchmark_manifest(self, pipeline, tmp_path, manifest):
         root, bench, *_ = pipeline
         copy = tmp_path / "bench"
@@ -439,6 +450,26 @@ class TestMalformedFiles:
         code = main(["encode", "--seed", "7", "--out", str(tmp_path / "maps"),
                      "--scenes", str(copy), "--k", "16", "--res", "32"])
         assert code == 3
+
+    # Each file holds a byte that is not UTF-8, and is malformed even when
+    # read as Latin-1.
+    @pytest.mark.parametrize("target, text", [
+        ("bench/manifest.json", b'{"scenes": "\xff"}'),
+        ("bench/registry.json", b'[{"id": "\xff"}]'),
+        ("maps/manifest.json", b'{"maps": "\xff"}'),
+        ("poses.json", b'[{"scene_id": "\xff"}]'),
+    ], ids=["benchmark_manifest", "registry", "maps_manifest", "poses"])
+    def test_non_utf8_json_input(self, pipeline, tmp_path, target, text):
+        _, bench, maps, _, poses = pipeline
+        shutil.copytree(bench, tmp_path / "bench")
+        shutil.copytree(maps, tmp_path / "maps")
+        shutil.copyfile(poses, tmp_path / "poses.json")
+        (tmp_path / target).write_bytes(text)
+        argv = {"bench": ["encode", "--scenes", tmp_path / "bench", "--k", "16"],
+                "maps": ["solve", "--maps", tmp_path / "maps", "--mode", "3d3d"],
+                "poses.json": ["eval", "--pred", tmp_path / "poses.json",
+                               "--scenes", tmp_path / "bench"]}[target.split("/")[0]]
+        assert main([*map(str, argv), "--seed", "7", "--out", str(tmp_path / "out")]) == 3
 
     @pytest.mark.parametrize("fault", list(_JSON_FAULTS))
     def test_malformed_json_input(self, pipeline, tmp_path, fault):
@@ -621,6 +652,17 @@ class TestDeterminismAndErrors:
         assert exit_code_for(mesh.ParseError("x", 0)) == 3
         assert exit_code_for(ValueError("x")) == 2
         assert exit_code_for(RuntimeError("x")) == 1
+
+    def test_every_package_exception_has_a_contract_code(self):
+        # a new exception class must get its own row, not fall through to 2 or 1
+        modules = [importlib.import_module(f"anchorpose.{m.name}")
+                   for m in pkgutil.iter_modules(anchorpose.__path__)]
+        classes = {obj for module in modules for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__}
+        assert camera_crop.MalformedInput in classes and solver.Degenerate in classes
+        codes = {cls.__name__: exit_code_for(cls.__new__(cls)) for cls in classes}
+        assert {name: code for name, code in codes.items() if not 3 <= code <= 6} == {}
 
     def test_k_too_large_exit_code(self, pipeline, tmp_path):
         _, bench, *_ = pipeline

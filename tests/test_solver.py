@@ -10,7 +10,6 @@ from anchorpose.mesh import ObjectModel
 from anchorpose.solver import (
     CorrSet,
     Degenerate,
-    DegenerateConfiguration,
     NoConsensus,
     NoForeground,
     _best_3d3d,
@@ -127,12 +126,12 @@ class TestSolve3d3d:
 
     def test_collinear_degenerate(self):
         obj = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-        with pytest.raises(DegenerateConfiguration):
+        with pytest.raises(Degenerate):
             solve_3d3d(CorrSet(obj, obj + 0.1))
 
     def test_too_few_points(self):
         obj = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-        with pytest.raises(DegenerateConfiguration):
+        with pytest.raises(Degenerate):
             solve_3d3d(CorrSet(obj, obj))
 
     def test_rotation_equivariance(self):
@@ -314,7 +313,7 @@ def _reference_best_3d3d(corr, samples, tol):
     for it, sample in enumerate(samples):
         try:
             hyp = solve_3d3d(corr.subset(sample)).pose
-        except DegenerateConfiguration:
+        except Degenerate:
             skipped += 1
             continue
         norms = np.linalg.norm(hyp.apply(corr.obj_pts) - corr.cam_pts, axis=1)
