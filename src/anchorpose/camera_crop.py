@@ -223,7 +223,7 @@ def load_archive(path, fmt: str, names, build):
     or ``build`` raises KeyError, TypeError or ValueError.
     """
     with parsing(path):
-        with np.load(path, allow_pickle=False) as z:
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
             arrays = {name: z[name] for name in names}
             meta = json.loads(str(z["meta"]))
         if not isinstance(meta, dict) or meta.get("format") != fmt:

@@ -60,29 +60,27 @@ class AnchorSet:
         return AnchorSet(
             obj["object_id"],
             np.asarray(obj["anchors"], dtype=np.float64),
-            float(obj.get("covering_radius", 0.0)),
+            float(obj["covering_radius"]),
         )
 
 
 def build_anchor_set(model: ObjectModel, k: int = DEFAULT_ANCHOR_COUNT) -> AnchorSet:
-    """FPS anchors plus the covering radius over all model points."""
-    anchors = fps(model, k)
-    _, dist = nearest_anchor(model.points, anchors)
-    return AnchorSet(model.id, anchors, float(dist.max()))
+    """FPS anchors plus the covering radius over all model points, from one FPS."""
+    idx, radius = fps(model.points, k)
+    return AnchorSet(model.id, model.points[idx], radius)
 
 
-def nearest_anchor(points: np.ndarray, anchors: np.ndarray):
-    """Index of and distance to the nearest anchor for (N, 3) points.
+def nearest_anchor(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Index of the nearest anchor for (N, 3) points.
 
     Ties resolve to the lowest anchor index. The squared distances are built
     as (N, K) planes, one coordinate at a time and summed x + y + z: the
-    order of ``((p - a) ** 2).sum(-1)``, so the result is bit-identical to
-    that formula without its (N, K, 3) temporary.
+    order of ``((p - a) ** 2).sum(-1)``, so the indices equal that
+    formula's without its (N, K, 3) temporary.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     a = np.asarray(anchors, dtype=np.float64)
     idx = np.empty(len(pts), dtype=np.intp)
-    dist = np.empty(len(pts))
     block = 16384
     for i in range(0, len(pts), block):
         p = pts[i : i + block]
@@ -93,14 +91,13 @@ def nearest_anchor(points: np.ndarray, anchors: np.ndarray):
             dc *= dc
             d2 += dc
         idx[i : i + block] = np.argmin(d2, axis=1)
-        dist[i : i + block] = np.sqrt(d2[np.arange(len(d2)), idx[i : i + block]])
-    return idx, dist
+    return idx
 
 
 def encode_points(points, anchors: AnchorSet):
     """Encode (N, 3) points as (nearest anchor indices (N,), point - anchor (N, 3))."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    idx, _ = nearest_anchor(pts, anchors.anchors)
+    idx = nearest_anchor(pts, anchors.anchors)
     return idx, pts - anchors.anchors[idx]
 
 

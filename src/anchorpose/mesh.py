@@ -9,7 +9,8 @@ extra properties are skipped.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +44,6 @@ class ObjectModel:
     id: str
     points: np.ndarray  # (N, 3) float64, meters, object frame
     symmetric: bool = False
-    _diameter: float | None = field(default=None, init=False, repr=False)
-    _kdtree: cKDTree | None = field(default=None, init=False, repr=False)
-    _half_gap: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
@@ -56,31 +54,25 @@ class ObjectModel:
         pts.setflags(write=False)
         self.points = pts
 
-    @property
+    @cached_property
     def diameter(self) -> float:
-        """Max pairwise point distance, cached after the first computation."""
-        if self._diameter is None:
-            self._diameter = diameter(self)
-        return self._diameter
+        """Max pairwise point distance, computed on first use."""
+        return diameter(self)
 
-    @property
+    @cached_property
     def kdtree(self) -> cKDTree:
         """kd-tree over ``points`` (object frame), built on first use."""
-        if self._kdtree is None:
-            self._kdtree = cKDTree(self.points)
-        return self._kdtree
+        return cKDTree(self.points)
 
-    @property
+    @cached_property
     def half_gap(self) -> np.ndarray:
         """(N,) half the distance from each point to its nearest other point,
-        from one k=2 query of ``kdtree``, built on first use: 0 for a repeated
-        point, inf in a one-point model."""
-        if self._half_gap is None:
-            d, _ = self.kdtree.query(self.points, k=2)
-            gap = 0.5 * d[:, 1]
-            gap.setflags(write=False)
-            self._half_gap = gap
-        return self._half_gap
+        from one k=2 query of ``kdtree``, computed on first use: 0 for a
+        repeated point, inf in a one-point model."""
+        d, _ = self.kdtree.query(self.points, k=2)
+        gap = 0.5 * d[:, 1]
+        gap.setflags(write=False)
+        return gap
 
 
 # ---------------------------------------------------------------------------
@@ -317,44 +309,38 @@ def write_ply(path, points, *, binary: bool = True) -> None:
 # ---------------------------------------------------------------------------
 # Sampling and extents
 
-def fps_indices(points: np.ndarray, k: int) -> np.ndarray:
-    """Greedy farthest-point-sampling indices with deterministic tie-breaks.
+def _sq_dists(points: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """((dx^2 + dy^2) + dz^2) from every point to ``p``."""
+    d = points - p
+    d *= d
+    return d[:, 0] + d[:, 1] + d[:, 2]
+
+
+def fps(points: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """Greedy farthest point sampling: (k,) indices and the covering radius.
 
     The seed is the point farthest from the centroid; every later pick
     maximizes the distance to the chosen set. Ties resolve to the lowest
-    index, so the result for k' < k is always a prefix of the result for k.
+    index, so the picks for k' < k are always a prefix of the picks for k.
+    The covering radius is the largest distance from a point to its nearest
+    pick, read from the running nearest-pick distances after the last pick.
     """
     n = len(points)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
         raise KTooLarge(f"k={k} exceeds point count {n}")
-    centroid = points.mean(axis=0)
-    d = ((points - centroid) ** 2).sum(axis=1)
     idx = np.empty(k, dtype=np.intp)
-    idx[0] = int(np.argmax(d))
-    min_d = ((points - points[idx[0]]) ** 2).sum(axis=1)
+    idx[0] = int(np.argmax(_sq_dists(points, points.mean(axis=0))))
+    min_d = _sq_dists(points, points[idx[0]])
     for i in range(1, k):
         idx[i] = int(np.argmax(min_d))
-        di = ((points - points[idx[i]]) ** 2).sum(axis=1)
-        np.minimum(min_d, di, out=min_d)
-    return idx
-
-
-def fps(model: ObjectModel, k: int) -> np.ndarray:
-    """Farthest point sampling on the model's points; returns (k, 3) points."""
-    return model.points[fps_indices(model.points, k)].copy()
+        np.minimum(min_d, _sq_dists(points, points[idx[i]]), out=min_d)
+    return idx, float(np.sqrt(min_d.max()))
 
 
 _DIAMETER_LEAF = 16  # at most this many points in a kd leaf of the diameter search
 _DIAMETER_BATCH = 1 << 15  # squared distances scored per batch of leaf pairs
-
-
-def _sq_dists(points: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """((dx^2 + dy^2) + dz^2) from every point to ``p``."""
-    d = points - p
-    d *= d
-    return d[:, 0] + d[:, 1] + d[:, 2]
 
 
 def _double_normal_d2(points: np.ndarray) -> float:

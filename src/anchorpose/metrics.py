@@ -50,11 +50,11 @@ def add_metric(model: ObjectModel, pred: Pose, gt: Pose) -> float:
     return float(np.linalg.norm(diff, axis=1).mean())
 
 
-def adds_metric(model: ObjectModel, pred: Pose, gt: Pose, method: str = "auto") -> float:
+def adds_metric(model: ObjectModel, pred: Pose, gt: Pose, method: str = "kdtree") -> float:
     """Mean closest-point distance from predicted-pose points to gt-pose points.
 
-    ``method`` selects the exact O(N^2) scan or the kd-tree acceleration
-    ("auto": the kd-tree above 512 points); both compute the same nearest
+    ``method`` selects the kd-tree search, used at every model size, or the
+    exact O(N^2) scan kept as its reference; both compute the same nearest
     distances.
 
     Closest-point distances do not change when one rigid motion moves both
@@ -73,8 +73,6 @@ def adds_metric(model: ObjectModel, pred: Pose, gt: Pose, method: str = "auto") 
     """
     a = pred.apply(model.points)
     b = gt.apply(model.points)
-    if method == "auto":
-        method = "kdtree" if len(a) > 512 else "exact"
     if method == "kdtree":
         q = (a - gt.translation) @ gt.rotation
         d = np.linalg.norm(q - model.points, axis=1)

@@ -344,6 +344,7 @@ _JSON_FAULTS = {
     "anchors_without_object_id": ("header", _at("anchors", _drop("object_id"))),
     "anchors_without_anchors": ("header", _at("anchors", _drop("anchors"))),
     "anchors_a_list": ("header", _at("anchors", lambda obj: [obj])),
+    "anchors_without_covering_radius": ("header", _at("anchors", _drop("covering_radius"))),
     "header_without_scene_id": ("header", _drop("scene_id")),
     "header_without_object_id": ("header", _drop("object_id")),
     "header_object_id_not_the_anchors": ("header", _put("object_id", "other")),
@@ -602,12 +603,13 @@ def test_jobs2_equals_serial_for_any_seed(tmp_path_factory, seed):
     assert main(["gen", "--seed", str(seed), "--out", str(bench), "--shape", "blob",
                  "--scenes", "3", "--points", "600", "--width", "160", "--height", "120",
                  "--fx", "170", "--fy", "170", "--depth-range", "0.6", "1.0"]) == 0
-    for cmd in ("ablate-corr", "ablate-k"):
+    for cmd, extra in (("ablate-anchors", ["--k-list", "1", "8"]),
+                       ("ablate-corr", ["--k", "8"]), ("ablate-k", ["--k", "8"])):
         outs = []
         for jobs in ("1", "2"):
             out = root / f"{cmd}{jobs}.csv"
             assert main([cmd, "--seed", str(seed), "--out", str(out), "--scenes", str(bench),
-                         "--res", "24", "--k", "8", "--jobs", jobs]) == 0
+                         "--res", "24", *extra, "--jobs", jobs]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1], cmd
 

@@ -157,10 +157,15 @@ class TestLoadPly:
             np.testing.assert_array_equal(load_ply(f).points, pts)
 
 
+def _fps_points(model, k):
+    idx, _ = fps(model.points, k)
+    return model.points[idx]
+
+
 class TestFps:
     def test_k_equals_n_returns_all(self):
         model = ObjectModel("cube", UNIT_CUBE_CORNERS)
-        picked = fps(model, 8)
+        picked = _fps_points(model, 8)
         assert {tuple(p) for p in picked} == {tuple(p) for p in UNIT_CUBE_CORNERS}
 
     def test_seed_tie_break_lowest_index(self):
@@ -168,31 +173,31 @@ class TestFps:
         centered = ObjectModel("c", UNIT_CUBE_CORNERS - 0.5)
         d = np.linalg.norm(centered.points - centered.points.mean(0), axis=1)
         assert np.allclose(d, d[0])  # exhaustive check: the tie is real
-        np.testing.assert_array_equal(fps(centered, 1)[0], centered.points[0])
+        np.testing.assert_array_equal(_fps_points(centered, 1)[0], centered.points[0])
 
     def test_second_point_by_brute_force(self):
         model = ObjectModel("cube", UNIT_CUBE_CORNERS)
-        seed = fps(model, 1)[0]
+        seed = _fps_points(model, 1)[0]
         best = max(model.points, key=lambda p: np.linalg.norm(p - seed))
-        np.testing.assert_array_equal(fps(model, 2)[1], best)
+        np.testing.assert_array_equal(_fps_points(model, 2)[1], best)
 
     def test_prefix_property(self, blob_model):
-        full = fps(blob_model, 64)
+        full = _fps_points(blob_model, 64)
         for k in (1, 4, 16, 32):
-            np.testing.assert_array_equal(fps(blob_model, k), full[:k])
+            np.testing.assert_array_equal(_fps_points(blob_model, k), full[:k])
 
     def test_anchors_are_model_points(self, blob_model):
-        picked = fps(blob_model, 32)
+        picked = _fps_points(blob_model, 32)
         pts = {p.tobytes() for p in blob_model.points}
         assert all(p.tobytes() in pts for p in picked)
 
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
-            fps(ObjectModel("cube", UNIT_CUBE_CORNERS), 9)
+            fps(UNIT_CUBE_CORNERS, 9)
 
     def test_k_below_one(self):
         with pytest.raises(ValueError):
-            fps(ObjectModel("cube", UNIT_CUBE_CORNERS), 0)
+            fps(UNIT_CUBE_CORNERS, 0)
 
     def test_covering_radius_non_increasing(self, blob_model):
         from anchorpose.codec import build_anchor_set
