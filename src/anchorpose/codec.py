@@ -34,13 +34,15 @@ class AnchorSet:
         a = np.ascontiguousarray(np.asarray(self.anchors, dtype=np.float64))
         if a.ndim != 2 or a.shape[1] != 3 or len(a) < 1:
             raise ValueError(f"anchors must be (K>=1, 3), got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("anchors must be finite")
         if len(a) > 1:
             d2 = ((a[:, None, :] - a[None, :, :]) ** 2).sum(-1)
             d2[np.diag_indices(len(a))] = np.inf
             if not d2.min() > 0:
                 raise ValueError("anchors must be pairwise distinct")
-        if not self.covering_radius >= 0:
-            raise ValueError("covering_radius must be >= 0")
+        if not (np.isfinite(self.covering_radius) and self.covering_radius >= 0):
+            raise ValueError("covering_radius must be finite and >= 0")
         a.setflags(write=False)
         self.anchors = a
 

@@ -10,14 +10,16 @@ Three routes are provided and jointly exercised by the ablation harness:
   Jacobians for a left so(3) x R^3 update R <- exp([w]x) R, t <- t + dt
   (Sola et al., "A micro Lie theory for state estimation in robotics"), and
   a step-halving line search keeps the objective strictly decreasing. The
-  solve stops once the step's predicted decrease is below the rounding
-  error of the objective;
+  normal equations are accumulated over the points; the stacked Jacobian
+  is never formed. The solve stops once the step's predicted decrease is
+  below the rounding error of the objective;
 * ``solve_fused`` — joint Gauss-Newton over both residual families,
   balanced by per-family noise scales.
 
 ``ransac`` wraps either route with seeded hypothesize-and-verify outlier
 rejection. All minimal samples are drawn in one vectorized pass, and 3d-3d
-hypotheses are solved and scored in one batched pass. All solvers are pure
+hypotheses are solved in one batched pass and scored preemptively: all on a
+seeded subset, the leaders on every correspondence. All solvers are pure
 functions of their inputs (and seed), and reports carry the route used as
 ``mode`` metadata.
 """
@@ -43,6 +45,9 @@ SIGMA_M, SIGMA_PX = 0.005, 1.0
 # of reprojection error.
 RANSAC_INLIER_TOL = {"3d3d": 0.01, "2d3d": 2.0}
 RANSAC_ITERS = 256  # hypotheses of a ransac call that does not set max_iters
+# Preemptive 3d3d scoring: every hypothesis is counted on this many seeded
+# correspondences, and those with the top counts are scored on all of them.
+PREEMPT_SUBSET, PREEMPT_LEADERS = 100, 8
 
 
 class NoForeground(ValueError):
@@ -211,97 +216,123 @@ def solve_3d3d(corr: CorrSet) -> SolveReport:
 
 # ---------------------------------------------------------------------------
 # Gauss-Newton machinery: state (R, t), left update R <- exp([w]x) R, t <- t + dt.
-# A residual family returns its flat residual vector and, when ``jac`` is
-# true, also the (len, 6) Jacobian with respect to (w, dt).
+# A residual family takes q = obj R^T, computed once per evaluation, and
+# returns its weighted objective phi = sum w ||r||^2 and, when ``normal`` is
+# true, also its 6x6 normal equations J^T W J and J^T W r with respect to
+# (w, dt), accumulated over the points without forming J.
+
+def _hat(v: np.ndarray) -> np.ndarray:
+    """The cross-product matrix [v]x."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
 
 def _so3_exp(w: np.ndarray) -> np.ndarray:
     """Rodrigues' formula; ``np.sinc`` keeps it exact down to w = 0."""
     theta = math.sqrt(float(w @ w))
-    wx = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    wx = _hat(w)
     a = np.sinc(theta / np.pi)                     # sin(theta) / theta
     b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2  # (1 - cos(theta)) / theta^2
     return np.eye(3) + a * wx + b * (wx @ wx)
 
 
-def _metric_residuals(obj, cam, scale, rot, t, jac=False):
-    """Scaled 3d-3d residuals (R a + t - b) * scale, (N, 3) flattened.
+def _metric_normal(q, cam, w, t, normal=False):
+    """Weighted 3d-3d residuals e = R a + t - b.
 
-    Jacobian rows: d(R a + t)/d(w, dt) = [-[R a]x, I], times the scale.
+    Each point's Jacobian is [-[q]x, I], so J^T W J and J^T W r are sums of
+    closed-form blocks in the weighted moments of q and e, all read off one
+    (4, N) @ (N, 6) product:
+    J^T W J = [[tr(Q) I - Q, [sum w q]x], [-[sum w q]x, (sum w) I]] with
+    Q = sum w q q^T, and J^T W r = [sum w q x e, sum w e].
     """
-    q = obj @ rot.T
-    r = ((q + t - cam) * scale[:, None]).ravel()
-    if not jac:
-        return r
-    q0, q1, q2 = (q * scale[:, None]).T
-    zero = np.zeros(len(q))
-    j = np.stack([zero, q2, -q1, scale, zero, zero,
-                  -q2, zero, q0, zero, scale, zero,
-                  q1, -q0, zero, zero, zero, scale], axis=1)
-    return r, j.reshape(-1, 6)
+    e = q + t - cam
+    phi = float(w @ np.einsum("ij,ij->i", e, e))
+    if not normal:
+        return phi
+    m = (w * np.vstack([np.ones(len(q)), q.T])) @ np.hstack([q, e])
+    wq, qq, qe = m[0, :3], m[1:, :3], m[1:, 3:]
+    jtj = np.zeros((6, 6))
+    jtj[:3, :3] = np.trace(qq) * np.eye(3) - qq
+    jtj[:3, 3:] = _hat(wq)
+    jtj[3:, :3] = -jtj[:3, 3:]
+    jtj[3:, 3:] = w.sum() * np.eye(3)
+    cross = [qe[1, 2] - qe[2, 1], qe[2, 0] - qe[0, 2], qe[0, 1] - qe[1, 0]]
+    return phi, jtj, np.concatenate([cross, m[0, 3:]])
 
 
-def _pixel_residuals(obj, img, scale, rot, t, k: Intrinsics, jac=False):
-    """Scaled reprojection residuals (pi(R a + t) - x) * scale, (N, 2) flattened.
-
-    Jacobian rows: g^T [-[R a]x, I] = [(R a) x g, g] for each row g of the
-    pinhole derivative d(u, v)/d(R a + t) = [[fx/z, 0, -fx x/z^2],
-    [0, fy/z, -fy y/z^2]], times the scale. Where the NEAR_EPS depth clamp is
-    active the depth derivative is 0.
-    """
-    q = obj @ rot.T
-    p = q + t
+def _pixel_error(p, img, k: Intrinsics):
+    """(N, 2) reprojection errors pi(p) - x of camera-frame points p, with the
+    depth clamped at NEAR_EPS."""
     z = np.maximum(p[:, 2], NEAR_EPS)
-    uv = np.column_stack([k.fx * p[:, 0] / z + k.cx, k.fy * p[:, 1] / z + k.cy])
-    r = ((uv - img) * scale[:, None]).ravel()
-    if not jac:
-        return r
+    return np.column_stack([k.fx * p[:, 0] / z + k.cx - img[:, 0],
+                            k.fy * p[:, 1] / z + k.cy - img[:, 1]])
+
+
+def _pixel_normal(q, img, w, t, k: Intrinsics, normal=False):
+    """Weighted reprojection residuals pi(R a + t) - x.
+
+    A point's Jacobian rows are g^T [-[q]x, I] = [q x g, g] for each row g of
+    the pinhole derivative d(u, v)/d(R a + t) = [[fx/z, 0, -fx x/z^2],
+    [0, fy/z, -fy y/z^2]]. Where the NEAR_EPS depth clamp is active the depth
+    derivative is 0. The u rows and the v rows form two (N, 6) blocks, each
+    given the residual as a 7th column, so one (7, N) @ (N, 7) product per
+    block holds its J^T W J and J^T W r.
+    """
+    p = q + t
+    d = _pixel_error(p, img, k)
+    phi = float(w @ np.einsum("ij,ij->i", d, d))
+    if not normal:
+        return phi
+    z = np.maximum(p[:, 2], NEAR_EPS)
     front = p[:, 2] > NEAR_EPS
-    a, b = k.fx / z * scale, k.fy / z * scale
+    a, b = k.fx / z, k.fy / z
     cu = np.where(front, -a * p[:, 0] / z, 0.0)
     cv = np.where(front, -b * p[:, 1] / z, 0.0)
     q0, q1, q2 = q.T
     zero = np.zeros(len(q))
-    j = np.stack([q1 * cu, q2 * a - q0 * cu, -q1 * a, a, zero, cu,
-                  q1 * cv - q2 * b, -q0 * cv, q0 * b, zero, b, cv], axis=1)
-    return r, j.reshape(-1, 6)
+    m = np.zeros((7, 7))
+    for rows in ([q1 * cu, q2 * a - q0 * cu, -q1 * a, a, zero, cu, d[:, 0]],
+                 [q1 * cv - q2 * b, -q0 * cv, q0 * b, zero, b, cv, d[:, 1]]):
+        block = np.array(rows)
+        m += (block * w) @ block.T
+    return phi, m[:6, :6], m[:6, 6]
 
 
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _gauss_newton(residual_fn, pose: Pose, max_iters: int, step_tol: float = 1e-10):
+def _gauss_newton(normal_fn, pose: Pose, max_iters: int, n_res: int,
+                  step_tol: float = 1e-10):
     """Gauss-Newton on (R, t) with a step-halving line search.
 
+    ``normal_fn(R, t)`` returns the objective phi of the ``n_res`` weighted
+    residuals; ``normal_fn(R, t, True)`` returns (phi, J^T W J, J^T W r).
     Each step solves the 6x6 normal equations for the left so(3) x R^3
     increment (w, dt). The solve stops before the line search once the
-    predicted decrease -g.delta is not above len(r) * eps * phi, the
+    predicted decrease -g.delta is not above n_res * eps * phi, the
     worst-case rounding error of the sum phi (Madsen, Nielsen & Tingleff,
     "Methods for Non-Linear Least Squares Problems", 2004, sec. 3). The
     accepted-objective trace is strictly decreasing. Returns
     (R, t, iterations, trace).
     """
     rot, t = pose.rotation, pose.translation
-    r = residual_fn(rot, t)
-    phi = float(r @ r)
+    phi = normal_fn(rot, t)
     if not np.isfinite(phi):
         raise Degenerate("initial state is invalid")
     trace = [phi]
     iters = 0
     for it in range(max_iters):
         iters = it + 1
-        r, jac = residual_fn(rot, t, True)
-        g = jac.T @ r
-        delta = np.linalg.lstsq(jac.T @ jac, -g, rcond=None)[0]
+        _, jtj, g = normal_fn(rot, t, True)
+        delta = np.linalg.lstsq(jtj, -g, rcond=None)[0]
         # Converged: no step can show a decrease this far below phi's rounding.
-        if not -float(g @ delta) > len(r) * _EPS * phi:
+        if not -float(g @ delta) > n_res * _EPS * phi:
             break
         alpha = 1.0
         accepted = False
         while alpha >= 2.0 ** -20:
             rot_new = _so3_exp(alpha * delta[:3]) @ rot
             t_new = t + alpha * delta[3:]
-            r_new = residual_fn(rot_new, t_new)
-            phi_new = float(r_new @ r_new)
+            phi_new = normal_fn(rot_new, t_new)
             if phi_new < phi:  # False for NaN: a non-finite trial is rejected
                 rot, t, phi = rot_new, t_new, phi_new
                 trace.append(phi)
@@ -332,19 +363,14 @@ def solve_2d3d(corr: CorrSet, k: Intrinsics, init: Pose | None = None) -> SolveR
         else:
             init = Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
 
-    sw = np.sqrt(corr.weights)
-    obj = corr.obj_pts
-    img = corr.img_pts
+    obj, img, w = corr.obj_pts, corr.img_pts, corr.weights
 
-    def residuals(rot, t, jac=False):
-        return _pixel_residuals(obj, img, sw, rot, t, k, jac)
+    def normal_fn(rot, t, normal=False):
+        return _pixel_normal(obj @ rot.T, img, w, t, k, normal)
 
-    rot, t, iters, trace = _gauss_newton(residuals, init, max_iters=100)
-    pose = Pose(rot, t)
-    err = _pixel_residuals(obj, img, np.ones(len(obj)), rot, t, k).reshape(-1, 2)
-    w = corr.weights / corr.weights.sum()
-    rmse = float(np.sqrt((w * (err ** 2).sum(axis=1)).sum()))
-    return SolveReport(pose, len(corr), rmse, iters, "2d3d", trace)
+    rot, t, iters, trace = _gauss_newton(normal_fn, init, 100, 2 * len(corr))
+    rmse = math.sqrt(trace[-1] / w.sum())
+    return SolveReport(Pose(rot, t), len(corr), rmse, iters, "2d3d", trace)
 
 
 def solve_fused(corr: CorrSet, k: Intrinsics, *, sigma_m: float = SIGMA_M,
@@ -364,22 +390,20 @@ def solve_fused(corr: CorrSet, k: Intrinsics, *, sigma_m: float = SIGMA_M,
         init = ransac(corr, "3d3d", inlier_tol=RANSAC_INLIER_TOL["3d3d"],
                       max_iters=ransac_iters, seed=seed).pose
 
-    sw = np.sqrt(corr.weights)
     obj, cam, img = corr.obj_pts, corr.cam_pts, corr.img_pts
-    s_m, s_px = sw / sigma_m, sw / sigma_px
+    w_m, w_px = corr.weights / sigma_m ** 2, corr.weights / sigma_px ** 2
 
-    def residuals(rot, t, jac=False):
-        m = _metric_residuals(obj, cam, s_m, rot, t, jac)
-        px = _pixel_residuals(obj, img, s_px, rot, t, k, jac)
-        if not jac:
-            return np.concatenate([m, px])
-        return np.concatenate([m[0], px[0]]), np.concatenate([m[1], px[1]])
+    def normal_fn(rot, t, normal=False):
+        q = obj @ rot.T
+        m = _metric_normal(q, cam, w_m, t, normal)
+        px = _pixel_normal(q, img, w_px, t, k, normal)
+        if not normal:
+            return m + px
+        return tuple(a + b for a, b in zip(m, px))
 
-    rot, t, iters, trace = _gauss_newton(residuals, init, max_iters=100)
-    pose = Pose(rot, t)
-    r = residuals(rot, t)
-    rmse = float(np.sqrt((r @ r) / (5.0 * corr.weights.sum())))
-    return SolveReport(pose, len(corr), rmse, iters, "fused", trace)
+    rot, t, iters, trace = _gauss_newton(normal_fn, init, 100, 5 * len(corr))
+    rmse = math.sqrt(trace[-1] / (5.0 * corr.weights.sum()))
+    return SolveReport(Pose(rot, t), len(corr), rmse, iters, "fused", trace)
 
 
 def _draw_samples(rng: np.random.Generator, n: int, m: int, h: int) -> np.ndarray:
@@ -398,47 +422,63 @@ def _draw_samples(rng: np.random.Generator, n: int, m: int, h: int) -> np.ndarra
     return samples
 
 
-def _best_3d3d(corr: CorrSet, samples: np.ndarray, inlier_tol: float):
-    """All (H, 3) minimal-sample hypotheses at once: batched collinearity
-    test and Kabsch, then residuals scored as (N, H) planes, one GEMM per
-    coordinate. Returns the winner as (count, rmse, index, pose, inlier
-    mask), or None when no hypothesis has an inlier."""
+def _sq_planes(obj: np.ndarray, cam: np.ndarray, rot: np.ndarray, t: np.ndarray):
+    """(len(obj), H) squared alignment errors of H hypotheses (R, t), built in
+    place one coordinate at a time, one GEMM each."""
+    sq = np.zeros((len(obj), len(rot)))
+    err = np.empty_like(sq)
+    for c in range(3):
+        np.matmul(obj, rot[:, c].T, out=err)
+        err += t[:, c]
+        err -= cam[:, c, None]
+        err *= err
+        sq += err
+    return sq
+
+
+def _best_3d3d(corr: CorrSet, samples: np.ndarray, subset: np.ndarray, inlier_tol: float):
+    """Preemptive scoring of all (H, 3) minimal-sample hypotheses (Nister,
+    "Preemptive RANSAC for live structure and motion estimation", ICCV 2003).
+
+    Batched collinearity test and Kabsch give every hypothesis. Each is
+    counted on the ``subset`` rows; the leaders, those whose count is at
+    least the ``PREEMPT_LEADERS``-th largest (ties included), are scored on
+    all rows. Returns the leader with the most inliers, then the lower rmse,
+    then the lower index, as (count, rmse, index, pose, inlier mask), or None
+    when no hypothesis has an inlier. When ``subset`` holds every row the
+    winner is the one an exhaustive scoring picks.
+    """
     obj, cam = corr.obj_pts[samples], corr.cam_pts[samples]
     w = corr.weights[samples]
     wsum = w.sum(axis=1)
     valid = _spread_ok(obj) & (wsum > 0)
     rot, t = _kabsch(obj, cam, w / np.where(wsum > 0, wsum, 1.0)[:, None])
-    # In place: the planes are the large arrays here.
-    sq = np.zeros((len(corr), len(samples)))
-    err = np.empty_like(sq)
-    for c in range(3):
-        np.matmul(corr.obj_pts, rot[:, c].T, out=err)
-        err += t[:, c]
-        err -= corr.cam_pts[:, c, None]
-        err *= err
-        sq += err
-    inliers = np.sqrt(sq, out=err) < inlier_tol
-    inliers &= valid
+    sub = _sq_planes(corr.obj_pts[subset], corr.cam_pts[subset], rot, t)
+    votes = np.where(valid, np.count_nonzero(np.sqrt(sub) < inlier_tol, axis=0), -1)
+    cut = np.sort(votes)[max(len(votes) - PREEMPT_LEADERS, 0)]
+    leaders = np.nonzero(valid & (votes >= cut))[0]
+    sq = _sq_planes(corr.obj_pts, corr.cam_pts, rot[leaders], t[leaders])
+    inliers = np.sqrt(sq) < inlier_tol
     count = np.count_nonzero(inliers, axis=0)
     if not count.any():
         return None
     sq *= inliers
     rmse = np.sqrt(sq.sum(axis=0) / np.maximum(count, 1))
-    i = int(np.lexsort((np.arange(len(count)), rmse, -count))[0])
-    return int(count[i]), float(rmse[i]), i, Pose(rot[i], t[i]), inliers[:, i]
+    j = int(np.lexsort((leaders, rmse, -count))[0])
+    i = int(leaders[j])
+    return int(count[j]), float(rmse[j]), i, Pose(rot[i], t[i]), inliers[:, j]
 
 
 def _best_2d3d(corr: CorrSet, samples: np.ndarray, inlier_tol: float, k: Intrinsics):
     """One Gauss-Newton hypothesis per (H, 6) sample; same return as ``_best_3d3d``."""
-    best, unit = None, np.ones(len(corr))
+    best = None
     for it, sample in enumerate(samples):
         try:
             hyp = solve_2d3d(corr.subset(sample), k).pose
         except Degenerate:
             continue
-        err = _pixel_residuals(corr.obj_pts, corr.img_pts, unit, hyp.rotation,
-                               hyp.translation, k)
-        norms = np.linalg.norm(err.reshape(-1, 2), axis=1)
+        norms = np.linalg.norm(_pixel_error(hyp.apply(corr.obj_pts), corr.img_pts, k),
+                               axis=1)
         inliers = norms < inlier_tol
         count = int(inliers.sum())
         if count == 0:
@@ -457,8 +497,9 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = RANSAC_
     (minimal sample 6, tolerance in pixels; requires ``k``). The iteration
     count is fixed, and the best hypothesis is chosen by (inlier count,
     lower rmse, lower hypothesis index), so results are bit-reproducible.
-    All minimal samples are drawn up front in one vectorized pass; 3d3d
-    hypotheses are solved and scored in one batched pass.
+    All minimal samples are drawn up front in one vectorized pass, then the
+    3d3d scoring subset of min(n, ``PREEMPT_SUBSET``) correspondences; 3d3d
+    hypotheses are solved in one batched pass and scored preemptively.
     """
     if mode not in ("3d3d", "2d3d"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -474,9 +515,11 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = RANSAC_
     if n < minimal:
         raise Degenerate(f"need >= {minimal} correspondences, got {n}")
 
-    samples = _draw_samples(np.random.default_rng(seed), n, minimal, max_iters)
+    rng = np.random.default_rng(seed)
+    samples = _draw_samples(rng, n, minimal, max_iters)
     if mode == "3d3d":
-        best = _best_3d3d(corr, samples, inlier_tol)
+        subset = np.sort(rng.choice(n, min(n, PREEMPT_SUBSET), replace=False))
+        best = _best_3d3d(corr, samples, subset, inlier_tol)
     else:
         best = _best_2d3d(corr, samples, inlier_tol, k)
 

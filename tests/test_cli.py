@@ -345,6 +345,9 @@ _JSON_FAULTS = {
     "anchors_without_anchors": ("header", _at("anchors", _drop("anchors"))),
     "anchors_a_list": ("header", _at("anchors", lambda obj: [obj])),
     "anchors_without_covering_radius": ("header", _at("anchors", _drop("covering_radius"))),
+    "anchors_inf_covering_radius": ("header", _at("anchors", _put("covering_radius", _INF))),
+    "anchors_nan_anchor": ("header", _at("anchors", _at("anchors", _in_first(
+        lambda a: [_NAN, *a[1:]])))),
     "header_without_scene_id": ("header", _drop("scene_id")),
     "header_without_object_id": ("header", _drop("object_id")),
     "header_object_id_not_the_anchors": ("header", _put("object_id", "other")),
@@ -736,7 +739,7 @@ def _readme_walkthrough() -> list[str]:
 def test_readme_walkthrough_runs(tmp_path):
     # the README's own commands, on 2 scenes instead of 50
     lines = _readme_walkthrough()
-    assert len(lines) == 8
+    assert len(lines) == 9
     for line in lines:
         argv = line.replace("out/", f"{tmp_path}/").replace("--scenes 50", "--scenes 2")
         assert main(shlex.split(argv)[1:]) == 0, line

@@ -48,6 +48,13 @@ class TestBuildAnchorSet:
         with pytest.raises(ValueError):
             AnchorSet("x", np.zeros((2, 3)), 0.0)
 
+    @pytest.mark.parametrize("anchor, radius", [
+        (np.nan, 0.5), (np.inf, 0.5), (0.0, np.inf), (0.0, np.nan), (0.0, -1.0)])
+    def test_non_finite_or_negative_values_rejected(self, anchor, radius):
+        # one anchor: the pairwise-distinct check cannot see a NaN here
+        with pytest.raises(ValueError):
+            AnchorSet("x", np.array([[anchor, 0.0, 0.0]]), radius)
+
 
 class TestEncodeDecode:
     def test_anchor_point_is_zero_residual(self, blob_anchors):

@@ -5,17 +5,19 @@ from scipy.stats import chi2
 from anchorpose import solver
 from anchorpose.camera_crop import adjust_intrinsics, crop_affine
 from anchorpose.correspondence import NoiseSpec, corrupt, ground_truth_maps
-from anchorpose.geom import Intrinsics, Pose
+from anchorpose.geom import NEAR_EPS, Intrinsics, Pose
 from anchorpose.mesh import ObjectModel
 from anchorpose.solver import (
+    PREEMPT_LEADERS,
+    PREEMPT_SUBSET,
     CorrSet,
     Degenerate,
     NoConsensus,
     NoForeground,
     _best_3d3d,
     _draw_samples,
-    _metric_residuals,
-    _pixel_residuals,
+    _metric_normal,
+    _pixel_normal,
     _so3_exp,
     extract_correspondences,
     pose_error,
@@ -300,16 +302,22 @@ class TestRansac:
 
 
 def _draws(n, iters, seed):
-    """The minimal samples ``ransac(..., "3d3d", max_iters=iters, seed=seed)`` draws."""
-    return _draw_samples(np.random.default_rng(seed), n, 3, iters)
+    """The minimal samples and the scoring subset that
+    ``ransac(..., "3d3d", max_iters=iters, seed=seed)`` draws."""
+    rng = np.random.default_rng(seed)
+    samples = _draw_samples(rng, n, 3, iters)
+    return samples, np.sort(rng.choice(n, min(n, PREEMPT_SUBSET), replace=False))
 
 
-def _reference_best_3d3d(corr, samples, tol):
+def _reference_best_3d3d(corr, samples, tol, subset=None):
     """Per-hypothesis loop that batched 3d3d scoring must reproduce.
 
+    Without ``subset`` every hypothesis competes (exhaustive scoring). With
+    it, only those whose inlier count on the subset rows is at least the
+    PREEMPT_LEADERS-th largest, ties included, do (the preemptive rule).
     Returns the winner as (count, rmse, index, pose, inlier mask) and the
     number of samples skipped as degenerate."""
-    best, skipped = None, 0
+    hyps, votes, skipped = {}, {}, 0
     for it, sample in enumerate(samples):
         try:
             hyp = solve_3d3d(corr.subset(sample)).pose
@@ -317,6 +325,14 @@ def _reference_best_3d3d(corr, samples, tol):
             skipped += 1
             continue
         norms = np.linalg.norm(hyp.apply(corr.obj_pts) - corr.cam_pts, axis=1)
+        hyps[it] = (hyp, norms)
+        votes[it] = 0 if subset is None else int((norms[subset] < tol).sum())
+    ranked = sorted(votes.values(), reverse=True)
+    cut = ranked[PREEMPT_LEADERS - 1] if len(ranked) >= PREEMPT_LEADERS else -1
+    best = None
+    for it, (hyp, norms) in hyps.items():
+        if votes[it] < cut:
+            continue
         inliers = norms < tol
         count = int(inliers.sum())
         if count == 0:
@@ -328,27 +344,32 @@ def _reference_best_3d3d(corr, samples, tol):
 
 
 class TestBatchedRansac3d3d:
-    @pytest.mark.parametrize("case", ["outliers", "collinear"])
+    @pytest.mark.parametrize("case", ["outliers", "collinear", "preemptive"])
     def test_matches_reference_loop(self, case):
         rng = np.random.default_rng(40)
         pose = _rand_pose(rng)
-        if case == "outliers":
-            n = 200
-            obj = rng.uniform(-0.06, 0.06, (n, 3))
-        else:
+        if case == "collinear":
             # 12 of 20 points on one line: about a fifth of the draws are collinear
             n = 20
             obj = rng.uniform(-0.06, 0.06, (n, 3))
             obj[:12] = np.outer(np.linspace(-0.05, 0.05, 12), [0.3, -0.5, 0.8])
+        else:
+            # at most PREEMPT_SUBSET points, the subset is all of them and
+            # scoring is exhaustive; above, only the leaders are scored in full
+            n = PREEMPT_SUBSET if case == "outliers" else 2 * PREEMPT_SUBSET
+            obj = rng.uniform(-0.06, 0.06, (n, 3))
         cam = pose.apply(obj) + rng.normal(0, 0.001, (n, 3))
-        if case == "outliers":
-            out = rng.choice(n, 60, replace=False)  # 30% gross outliers
-            cam[out] = pose.apply(rng.uniform(-0.06, 0.06, (60, 3)))
+        if case != "collinear":
+            m = 3 * n // 10  # 30% gross outliers
+            out = rng.choice(n, m, replace=False)
+            cam[out] = pose.apply(rng.uniform(-0.06, 0.06, (m, 3)))
         corr = CorrSet(obj, cam, weights=rng.uniform(0.5, 1.0, n))
-        samples = _draws(n, 128, seed=5)
+        samples, subset = _draws(n, 128, seed=5)
+        assert (len(subset) < n) == (case == "preemptive")
 
-        ref, skipped = _reference_best_3d3d(corr, samples, 0.005)
-        count, rmse, index, hyp, inliers = _best_3d3d(corr, samples, 0.005)
+        ref, skipped = _reference_best_3d3d(
+            corr, samples, 0.005, subset if case == "preemptive" else None)
+        count, rmse, index, hyp, inliers = _best_3d3d(corr, samples, subset, 0.005)
         assert (count, index) == (ref[0], ref[2])
         assert rmse == pytest.approx(ref[1], rel=1e-12)
         np.testing.assert_array_equal(inliers, ref[4])
@@ -362,12 +383,34 @@ class TestBatchedRansac3d3d:
         assert rep.pose.rotation.tobytes() == refit.rotation.tobytes()
         assert rep.pose.translation.tobytes() == refit.translation.tobytes()
 
+    def test_only_leaders_are_scored_in_full(self):
+        # Two exact poses: A holds 80 subset rows and 10 others, B 20 subset
+        # rows and 90 others. Exhaustive scoring picks B (110 inliers); the
+        # subset ranks the A hypotheses first, so preemption picks A (90).
+        rng = np.random.default_rng(46)
+        n = 2 * PREEMPT_SUBSET
+        samples, subset = _draws(n, 128, seed=5)
+        rest = np.setdiff1d(np.arange(n), subset)
+        group_a = np.concatenate([subset[:80], rest[:10]])
+        obj = rng.uniform(-0.06, 0.06, (n, 3))
+        pose_a, pose_b = _rand_pose(rng), _rand_pose(rng)
+        cam = pose_b.apply(obj)
+        cam[group_a] = pose_a.apply(obj[group_a])
+        corr = CorrSet(obj, cam)
+        assert np.isin(samples, group_a).all(axis=1).sum() >= PREEMPT_LEADERS
+
+        assert _reference_best_3d3d(corr, samples, 0.005)[0][0] == 110
+        ref, _ = _reference_best_3d3d(corr, samples, 0.005, subset)
+        count, _, index, _, inliers = _best_3d3d(corr, samples, subset, 0.005)
+        assert (count, index) == (ref[0], ref[2]) and count == 90
+        np.testing.assert_array_equal(np.nonzero(inliers)[0], np.sort(group_a))
+
     def test_ties_go_to_the_lower_index(self):
         rng = np.random.default_rng(43)
         pose, corr = _clean_corr(rng, n=30)
         corr = CorrSet(corr.obj_pts, corr.cam_pts + rng.normal(0, 0.001, (30, 3)))
-        a, b = _draws(30, 2, seed=1)
-        count, rmse, index, _, _ = _best_3d3d(corr, np.array([a, b, a, b]), 0.005)
+        (a, b), subset = _draws(30, 2, seed=1)
+        count, rmse, index, _, _ = _best_3d3d(corr, np.array([a, b, a, b]), subset, 0.005)
         assert index in (0, 1)
 
     def test_zero_weight_samples_skipped(self):
@@ -375,7 +418,7 @@ class TestBatchedRansac3d3d:
         rng = np.random.default_rng(45)
         pose, corr = _clean_corr(rng, n=6)
         corr = CorrSet(corr.obj_pts, corr.cam_pts, weights=[0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-        samples = _draws(6, 64, seed=0)
+        samples, _ = _draws(6, 64, seed=0)
         assert (corr.weights[samples].sum(axis=1) == 0).any()
         rep = ransac(corr, "3d3d", inlier_tol=0.005, max_iters=64, seed=0)
         assert rep.inlier_count == 6
@@ -395,12 +438,12 @@ class TestBatchedRansac3d3d:
         obj = rng.uniform(-0.06, 0.06, (n, 3))
         cam = rng.uniform(-0.3, 0.3, (n, 3)) + [0.0, 0.0, 1.0]
         # the first drawn sample plus one more point agree on a pose: 4 of 50
-        samples = _draws(n, 64, seed=0)
+        samples, subset = _draws(n, 64, seed=0)
         first = samples[0]
         support = np.append(first, np.setdiff1d(np.arange(n), first)[0])
         cam[support] = _rand_pose(rng).apply(obj[support])
         corr = CorrSet(obj, cam)
-        best = _best_3d3d(corr, samples, 0.005)
+        best = _best_3d3d(corr, samples, subset, 0.005)
         assert best is not None and 0 < best[0] < 0.1 * n
         with pytest.raises(NoConsensus):
             ransac(corr, "3d3d", inlier_tol=0.005, max_iters=64, seed=0)
@@ -452,19 +495,19 @@ def _noisy_fused_corr(seed, n=1000):
 
 class TestGaussNewtonStopRule:
     def _counting_solve(self, monkeypatch, corr, **kw):
-        """solve_fused, also returning the lengths of the residual-only runs
-        that follow each Jacobian evaluation (one run per line search)."""
+        """solve_fused, also returning the number of objective-only evaluations
+        that follow each normal-equation evaluation (one run per line search)."""
         runs = []
         inner = solver._gauss_newton
 
-        def gauss_newton(residual_fn, pose, max_iters, **gn_kw):
-            def counted(rot, t, jac=False):
-                if jac:
+        def gauss_newton(normal_fn, pose, max_iters, n_res, **gn_kw):
+            def counted(rot, t, normal=False):
+                if normal:
                     runs.append(0)
                 elif runs:
                     runs[-1] += 1
-                return residual_fn(rot, t, jac)
-            return inner(counted, pose, max_iters, **gn_kw)
+                return normal_fn(rot, t, normal)
+            return inner(counted, pose, max_iters, n_res, **gn_kw)
 
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_gauss_newton", gauss_newton)
@@ -484,6 +527,41 @@ class TestGaussNewtonStopRule:
         assert pose_error(again.pose, rep.pose)[0] < 1e-6
 
 
+# The stacked analytic Jacobians that the accumulated normal equations replace:
+# residuals scaled by sqrt(w) and their (len, 6) Jacobian with respect to the
+# left update (w, dt).
+
+def _stacked_metric(obj, cam, scale, rot, t):
+    """(R a + t - b) * scale flattened, rows s [-[R a]x, I]."""
+    q = obj @ rot.T
+    r = ((q + t - cam) * scale[:, None]).ravel()
+    q0, q1, q2 = (q * scale[:, None]).T
+    zero = np.zeros(len(q))
+    j = np.stack([zero, q2, -q1, scale, zero, zero,
+                  -q2, zero, q0, zero, scale, zero,
+                  q1, -q0, zero, zero, zero, scale], axis=1)
+    return r, j.reshape(-1, 6)
+
+
+def _stacked_pixel(obj, img, scale, rot, t, k):
+    """(pi(R a + t) - x) * scale flattened, rows s [(R a) x g, g] for each row g
+    of the pinhole derivative; 0 depth derivative where the clamp is active."""
+    q = obj @ rot.T
+    p = q + t
+    z = np.maximum(p[:, 2], NEAR_EPS)
+    uv = np.column_stack([k.fx * p[:, 0] / z + k.cx, k.fy * p[:, 1] / z + k.cy])
+    r = ((uv - img) * scale[:, None]).ravel()
+    front = p[:, 2] > NEAR_EPS
+    a, b = k.fx / z * scale, k.fy / z * scale
+    cu = np.where(front, -a * p[:, 0] / z, 0.0)
+    cv = np.where(front, -b * p[:, 1] / z, 0.0)
+    q0, q1, q2 = q.T
+    zero = np.zeros(len(q))
+    j = np.stack([q1 * cu, q2 * a - q0 * cu, -q1 * a, a, zero, cu,
+                  q1 * cv - q2 * b, -q0 * cv, q0 * b, zero, b, cv], axis=1)
+    return r, j.reshape(-1, 6)
+
+
 def _central_jacobian(fn, rot, t, h=1e-6):
     """Central differences of fn under the left update exp([w]x) R, t + dt."""
     cols = []
@@ -496,32 +574,59 @@ def _central_jacobian(fn, rot, t, h=1e-6):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("family", ["metric", "pixel"])
-def test_analytic_jacobian_matches_central_differences(family):
-    rng = np.random.default_rng(42)
+def _jacobian_case(seed=42, n=40):
+    """A pose, object points whose first 3 lie behind the camera (the
+    NEAR_EPS depth clamp is active there), metric and pixel targets and
+    per-point weights."""
+    rng = np.random.default_rng(seed)
     pose = _rand_pose(rng)
     rot, t = pose.rotation, pose.translation
-    n = 40
     cam = np.column_stack([rng.uniform(-0.2, 0.2, (n, 2)), rng.uniform(0.5, 1.5, n)])
-    cam[:3, 2] = -0.3  # behind the camera: the NEAR_EPS depth clamp is active
+    cam[:3, 2] = -0.3
     obj = (cam - t) @ rot
-    scale = rng.uniform(0.5, 2.0, n)
+    return (rot, t, obj, cam + rng.normal(0, 0.01, (n, 3)),
+            rng.uniform(0.0, 640.0, (n, 2)), rng.uniform(0.25, 4.0, n))
+
+
+@pytest.mark.parametrize("family", ["metric", "pixel"])
+def test_analytic_jacobian_matches_central_differences(family):
+    rot, t, obj, target_m, target_px, w = _jacobian_case()
+    scale = np.sqrt(w)
     if family == "metric":
-        target = cam + rng.normal(0, 0.01, (n, 3))
-
-        def fn(r, tr, jac=False):
-            return _metric_residuals(obj, target, scale, r, tr, jac)
+        def fn(r, tr):
+            return _stacked_metric(obj, target_m, scale, r, tr)
     else:
-        target = rng.uniform(0.0, 640.0, (n, 2))
+        def fn(r, tr):
+            return _stacked_pixel(obj, target_px, scale, r, tr, K)
 
-        def fn(r, tr, jac=False):
-            return _pixel_residuals(obj, target, scale, r, tr, K, jac)
-
-    res, jac = fn(rot, t, True)
-    np.testing.assert_array_equal(res, fn(rot, t))
-    num = _central_jacobian(fn, rot, t)
+    _, jac = fn(rot, t)
+    num = _central_jacobian(lambda r, tr: fn(r, tr)[0], rot, t)
     rel = np.abs(jac - num).max(axis=1) / np.abs(jac).max(axis=1)
     assert rel.max() < 1e-6
+
+
+@pytest.mark.parametrize("family", ["metric", "pixel", "fused"])
+def test_normal_equations_match_stacked_jacobian(family):
+    rot, t, obj, target_m, target_px, w = _jacobian_case()
+    q = obj @ rot.T
+    # fused weights as solve_fused forms them: w / sigma^2 per family
+    w_m, w_px = (w / 0.005 ** 2, w / 2.0 ** 2) if family == "fused" else (w, w)
+    stacked, normal = [], []
+    if family in ("metric", "fused"):
+        stacked.append(_stacked_metric(obj, target_m, np.sqrt(w_m), rot, t))
+        normal.append(_metric_normal(q, target_m, w_m, t, True))
+        assert _metric_normal(q, target_m, w_m, t) == normal[-1][0]
+    if family in ("pixel", "fused"):
+        stacked.append(_stacked_pixel(obj, target_px, np.sqrt(w_px), rot, t, K))
+        normal.append(_pixel_normal(q, target_px, w_px, t, K, True))
+        assert _pixel_normal(q, target_px, w_px, t, K) == normal[-1][0]
+        assert (q + t)[:3, 2].max() < NEAR_EPS  # clamped rows are covered
+    r = np.concatenate([s[0] for s in stacked])
+    jac = np.concatenate([s[1] for s in stacked])
+    phi, jtj, jtr = (sum(parts) for parts in zip(*normal))
+    assert phi == pytest.approx(float(r @ r), rel=1e-12)
+    np.testing.assert_allclose(jtj, jac.T @ jac, rtol=1e-12)
+    np.testing.assert_allclose(jtr, jac.T @ r, rtol=1e-12)
 
 
 class TestSolveFused:
