@@ -5,8 +5,10 @@ required --seed, so reruns produce byte-identical CSV/JSON outputs. The three
 ablations (`ablate_anchors_rows`, `ablate_corr_rows`, `ablate_k_rows`) are
 plain functions over in-memory benchmarks: each builds its list of variants
 (anchor set, solver mode, intrinsics, fused sigmas) and hands them to one
-sweep driver, which scores every (variant, scene) task through
-`scene_eval_record` on `--jobs` worker processes.
+sweep driver, which runs one task per scene on `--jobs` worker processes.
+Variants that share an anchor set and noise on a scene reuse one maps build
+and solve from the same correspondences; each variant is then scored through
+`scene_eval_record`, which computes ADD-S only for a symmetric object.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,6 @@ from . import camera_crop, codec, correspondence, geom, mesh, metrics, solver, s
 from .camera_crop import adjust_intrinsics, crop_affine, parsing
 from .codec import AnchorSet, build_anchor_set
 from .correspondence import (
-    DenseMaps,
     MapsHeader,
     NoiseSpec,
     corrupt,
@@ -109,7 +111,8 @@ def _pmap(fn, shared, items, jobs: int) -> list:
 
     ``shared`` (the model, anchors and scenes) reaches each worker once,
     through the pool initializer, so a task sends only its small ``item``
-    rather than megabytes of depth images.
+    rather than megabytes of depth images. The sweeps send one item per
+    scene, whose task covers every variant on that scene.
     """
     if jobs <= 1:
         return [fn(shared, it) for it in items]
@@ -124,22 +127,15 @@ def _pmap(fn, shared, items, jobs: int) -> list:
 MAX_CORR = 800  # the sweeps' cap on correspondences per solve; `solve` has none
 
 
-def _solve_maps(maps: DenseMaps, k: Intrinsics, mode: str, *, max_corr: int | None,
-                sigma_m: float, sigma_px: float, seed: int,
-                ransac_args: tuple[float | None, int] | None) -> solver.SolveReport:
-    """One pose solve in ``mode`` (3d3d, 2d3d or fused) with camera ``k`` from
-    the correspondences of ``maps``, decoded with the anchor set they carry.
+def _solve(corr: solver.CorrSet, k: Intrinsics, mode: str, *, sigma_m: float,
+           sigma_px: float, seed: int,
+           ransac_args: tuple[float | None, int] | None) -> solver.SolveReport:
+    """One pose solve in ``mode`` (3d3d, 2d3d or fused) with camera ``k``.
 
-    ``max_corr`` keeps at most that many evenly spaced correspondences (None
-    keeps them all). ``ransac_args`` = (inlier_tol, max_iters) runs a 3d3d or
-    2d3d solve under seeded RANSAC, with ``solver.RANSAC_INLIER_TOL`` for a
-    None tolerance. The fused solver runs its own robust initialization, so
-    it rejects them.
+    ``ransac_args`` = (inlier_tol, max_iters) runs a 3d3d or 2d3d solve under
+    seeded RANSAC, with ``solver.RANSAC_INLIER_TOL`` for a None tolerance.
+    The fused solver runs its own robust initialization, so it rejects them.
     """
-    corr = extract_correspondences(maps, maps.anchors)
-    if max_corr is not None and len(corr) > max_corr:
-        idx = np.round(np.linspace(0, len(corr) - 1, max_corr)).astype(np.intp)
-        corr = corr.subset(np.unique(idx))
     if mode not in ("3d3d", "2d3d", "fused"):
         raise ValueError(f"unknown mode {mode!r}")
     if ransac_args is not None:
@@ -156,12 +152,14 @@ def _solve_maps(maps: DenseMaps, k: Intrinsics, mode: str, *, max_corr: int | No
     return solve_fused(corr, k, sigma_m=sigma_m, sigma_px=sigma_px, seed=seed)
 
 
-def _score(model: ObjectModel, pose: Pose, scene: synth.SceneSample) -> EvalRecord:
+def _score(model: ObjectModel, pose: Pose, scene: synth.SceneSample, *,
+           adds: bool = True) -> EvalRecord:
+    """The record of ``pose``; without ADD-S (None) when ``adds`` is false."""
     rot, trans = pose_error(pose, scene.gt_pose)
     return EvalRecord(
         scene.object_id,
         add_metric(model, pose, scene.gt_pose),
-        adds_metric(model, pose, scene.gt_pose),
+        adds_metric(model, pose, scene.gt_pose) if adds else None,
         rot, trans, model.diameter, model.symmetric,
     )
 
@@ -171,53 +169,90 @@ def _failure_record(model: ObjectModel) -> EvalRecord:
     return EvalRecord(model.id, d, d, 180.0, d, d, model.symmetric)
 
 
-def scene_eval_record(model: ObjectModel, anchors: AnchorSet, scene: synth.SceneSample,
-                      *, res: int, noise: NoiseSpec, mode: str,
-                      intrinsic: str = "crop", sigma_m: float = solver.SIGMA_M,
-                      sigma_px: float = solver.SIGMA_PX, solver_seed: int = 0) -> EvalRecord:
-    """Encode, corrupt, solve (from at most ``MAX_CORR`` correspondences), and
-    score one scene. ``intrinsic`` picks the crop-adjusted ("crop") or the
-    raw ("org") camera matrix.
+@dataclass(frozen=True)
+class _Variant:
+    """One sweep row's setting: the anchor set the maps are coded with, the
+    solver mode, the crop-adjusted ("crop") or raw ("org") camera matrix,
+    and the fused solver's residual scales."""
 
-    A scene whose solve raises one of ``solver.SOLVE_ERRORS`` (no foreground
-    after corruption, a degenerate set, no RANSAC consensus) yields a
-    deterministic worst-case record instead, so sweeps never die half way.
+    anchors: AnchorSet
+    mode: str
+    intrinsic: str = "crop"
+    sigma_m: float = solver.SIGMA_M
+    sigma_px: float = solver.SIGMA_PX
+
+
+def scene_eval_record(model: ObjectModel, scene: synth.SceneSample, corr: solver.CorrSet,
+                      k: Intrinsics, *, mode: str, sigma_m: float, sigma_px: float,
+                      solver_seed: int) -> EvalRecord:
+    """Solve one sweep variant from a scene's correspondences and score it.
+
+    A solve that raises one of ``solver.SOLVE_ERRORS`` (a degenerate set, no
+    RANSAC consensus) yields a deterministic worst-case record instead, so
+    sweeps never die half way. ADD-S is computed only for a symmetric
+    object: the sweep columns read it for no other.
     """
-    roi = tight_roi(scene, res)
-    maps = ground_truth_maps(scene, anchors, roi)
-    noisy = corrupt(maps, noise)
-    k = (adjust_intrinsics(scene.intrinsics, crop_affine(roi)) if intrinsic == "crop"
-         else scene.intrinsics)
     try:
-        report = _solve_maps(noisy, k, mode, max_corr=MAX_CORR, sigma_m=sigma_m,
-                             sigma_px=sigma_px, seed=solver_seed, ransac_args=None)
+        report = _solve(corr, k, mode, sigma_m=sigma_m, sigma_px=sigma_px,
+                        seed=solver_seed, ransac_args=None)
     except solver.SOLVE_ERRORS:
         return _failure_record(model)
-    return _score(model, report.pose, scene)
+    return _score(model, report.pose, scene, adds=model.symmetric)
 
 
-def _sweep_task(shared, item) -> EvalRecord:
+def _scene_task(shared, item) -> list[EvalRecord]:
+    """Every variant's record on one scene, in variant order.
+
+    The variants that share an anchor set and a ``NoiseSpec`` on this scene
+    solve from one maps build: ``ground_truth_maps``, ``corrupt`` and the
+    extraction of at most ``MAX_CORR`` correspondences run once per group. A
+    group whose extraction raises one of ``solver.SOLVE_ERRORS`` (no
+    foreground left) gives each of its variants the worst-case record.
+    """
     model, scenes, variants, res = shared
-    j, i, noise, solver_seed = item
-    return scene_eval_record(model, scene=scenes[i], res=res, noise=noise,
-                             solver_seed=solver_seed, **variants[j])
+    i, noises = item
+    scene = scenes[i]
+    roi = tight_roi(scene, res)
+    ks = {"crop": adjust_intrinsics(scene.intrinsics, crop_affine(roi)),
+          "org": scene.intrinsics}
+    groups: dict[tuple, list[int]] = {}  # anchor sets are built once per sweep: keyed by id
+    for j, v in enumerate(variants):
+        groups.setdefault((id(v.anchors), noises[j][0]), []).append(j)
+    records: list = [None] * len(variants)
+    for js in groups.values():
+        anchors, noise = variants[js[0]].anchors, noises[js[0]][0]
+        noisy = corrupt(ground_truth_maps(scene, anchors, roi), noise)
+        try:
+            corr = extract_correspondences(noisy, noisy.anchors)
+        except solver.SOLVE_ERRORS:
+            for j in js:
+                records[j] = _failure_record(model)
+            continue
+        if len(corr) > MAX_CORR:
+            idx = np.round(np.linspace(0, len(corr) - 1, MAX_CORR)).astype(np.intp)
+            corr = corr.subset(np.unique(idx))
+        for j in js:
+            v = variants[j]
+            records[j] = scene_eval_record(model, scene, corr, ks[v.intrinsic], mode=v.mode,
+                                           sigma_m=v.sigma_m, sigma_px=v.sigma_px,
+                                           solver_seed=noises[j][1])
+    return records
 
 
-def _sweep(model: ObjectModel, scenes, variants: list[dict], task_noise, *,
+def _sweep(model: ObjectModel, scenes, variants: list[_Variant], task_noise, *,
            res: int, jobs: int) -> list[list[EvalRecord]]:
-    """Score every (variant, scene) task in one pool; records grouped by variant.
+    """Score every variant on every scene; records grouped by variant.
 
-    A variant is a dict of ``scene_eval_record`` keywords: ``anchors`` and
-    ``mode``, and optionally ``intrinsic``, ``sigma_m`` and ``sigma_px``.
     ``task_noise(j, i)`` gives the (NoiseSpec, solver seed) of variant ``j``
-    on scene ``i``. Tasks run variant-major, and the model, scenes and
-    variants (with their anchor sets) reach each worker once.
+    on scene ``i``. There is one pool task per scene (``_scene_task``), so
+    variants that share anchors and noise reuse one maps build; the model,
+    scenes and variants (with their anchor sets) reach each worker once.
+    The records come back in variant-major order whatever ``jobs`` is.
     """
     model.diameter, model.kdtree, model.half_gap  # cached here, so pool workers inherit them
-    n = len(scenes)
-    items = [(j, i, *task_noise(j, i)) for j in range(len(variants)) for i in range(n)]
-    records = _pmap(_sweep_task, (model, scenes, variants, res), items, jobs)
-    return [records[j * n:(j + 1) * n] for j in range(len(variants))]
+    items = [(i, [task_noise(j, i) for j in range(len(variants))]) for i in range(len(scenes))]
+    by_scene = _pmap(_scene_task, (model, scenes, variants, res), items, jobs)
+    return [[recs[j] for recs in by_scene] for j in range(len(variants))]
 
 
 def _summary_cells(records) -> list:
@@ -245,7 +280,7 @@ def ablate_anchors_rows(model: ObjectModel, scenes, *, k_list=DEFAULT_K_LIST,
         return NoiseSpec(residual_sigma=sigma, label_flip_prob=0.0, residual_bias_sigma=sigma,
                          seed=_child_seed(seed, k_list[j], i)), 0
 
-    variants = [{"anchors": anchors, "mode": "3d3d"} for anchors in anchor_sets]
+    variants = [_Variant(anchors, "3d3d") for anchors in anchor_sets]
     records = _sweep(model, scenes, variants, task_noise, res=res, jobs=jobs)
     return [[str(k), anchors.covering_radius, *_summary_cells(recs)]
             for k, anchors, recs in zip(k_list, anchor_sets, records)]
@@ -263,8 +298,7 @@ def ablate_corr_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
     sigma_m = max(1e-6, math.hypot(residual_sigma, depth_sigma))
     sigma_px = max(0.25, uv_sigma)
     modes = ("2d3d", "3d3d", "fused")
-    variants = [{"anchors": anchors, "mode": mode, "sigma_m": sigma_m, "sigma_px": sigma_px}
-                for mode in modes]
+    variants = [_Variant(anchors, mode, sigma_m=sigma_m, sigma_px=sigma_px) for mode in modes]
 
     def task_noise(j, i):
         return NoiseSpec(residual_sigma=residual_sigma, label_flip_prob=0.0,
@@ -287,8 +321,7 @@ def ablate_k_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
     """Intrinsic-adjustment sweep: reprojection solving with the raw vs the
     crop-adjusted camera matrix. Rows: k_org then k_crop."""
     intrinsics = ("org", "crop")
-    variants = [{"anchors": anchors, "mode": "2d3d", "intrinsic": intrinsic}
-                for intrinsic in intrinsics]
+    variants = [_Variant(anchors, "2d3d", intrinsic) for intrinsic in intrinsics]
 
     def task_noise(j, i):
         return NoiseSpec(residual_sigma=0.0, label_flip_prob=0.0, uv_sigma=uv_sigma,
@@ -451,9 +484,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     for i, path in enumerate(sorted(files)):
         maps, header = load_dense_maps(path)
         k_crop = adjust_intrinsics(header.intrinsics, crop_affine(maps.grids.roi))
-        report = _solve_maps(maps, k_crop, args.mode, max_corr=None, **sigmas,
-                             seed=_child_seed(args.seed, i),
-                             ransac_args=(args.inlier_tol, max_iters) if args.ransac else None)
+        report = _solve(extract_correspondences(maps, maps.anchors), k_crop, args.mode,
+                        **sigmas, seed=_child_seed(args.seed, i),
+                        ransac_args=(args.inlier_tol, max_iters) if args.ransac else None)
         results.append({"scene_id": header.scene_id, "object_id": header.object_id,
                         **report.to_json()})
     _write_json(args.out, results)

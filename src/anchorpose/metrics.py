@@ -26,22 +26,29 @@ class ZeroDiameter(ValueError):
 
 @dataclass
 class EvalRecord:
-    """Per-sample evaluation numbers for one predicted pose."""
+    """Per-sample evaluation numbers for one predicted pose.
+
+    ``add_s`` may be None for an asymmetric object, whose symmetry-dispatched
+    metrics read ``add`` alone; the ablation sweeps skip it there.
+    """
 
     object_id: str
     add: float
-    add_s: float
+    add_s: float | None
     rot_deg: float
     trans_m: float
     diameter: float
     symmetric: bool
 
     def __post_init__(self):
-        for name in ("add", "add_s", "rot_deg", "trans_m", "diameter"):
+        for name in ("add", "rot_deg", "trans_m", "diameter"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        if not self.add_s <= self.add + 1e-12:
-            raise ValueError("add_s cannot exceed add")
+        if self.add_s is None:
+            if self.symmetric:
+                raise ValueError("a symmetric object's record needs add_s")
+        elif not 0 <= self.add_s <= self.add + 1e-12:
+            raise ValueError("add_s must be >= 0 and cannot exceed add")
 
 
 def add_metric(model: ObjectModel, pred: Pose, gt: Pose) -> float:
@@ -132,7 +139,10 @@ def evaluate_batch(records) -> list[dict]:
     """Per-object rows plus an unweighted average row.
 
     Columns: ADD-S AUC, symmetry-dispatched ADD(-S) AUC, ADD(-S) 0.1d
-    accuracy %, and 10 deg / 10 cm accuracy %.
+    accuracy %, and 10 deg / 10 cm accuracy %. ADD-S AUC is None in a row
+    with a record that has no ADD-S, and in the average row when any row's
+    is None; ``write_summary_csv`` and ``format_summary_table`` reject such
+    rows.
     """
     records = list(records)
     if not records:
@@ -146,14 +156,16 @@ def evaluate_batch(records) -> list[dict]:
         mixed = [r.add_s if r.symmetric else r.add for r in recs]
         rows.append({
             "object_id": obj_id,
-            "add_s_auc": add_auc([r.add_s for r in recs]),
+            "add_s_auc": None if any(r.add_s is None for r in recs)
+            else add_auc([r.add_s for r in recs]),
             "adds_auc_mixed": add_auc(mixed),
             "add01d_pct": 100.0 * np.mean([add_01d(r) for r in recs]),
             "deg10cm10_pct": 100.0 * np.mean([deg_cm(r) for r in recs]),
         })
     avg = {"object_id": f"avg({len(rows)})"}
     for col in SUMMARY_COLUMNS[1:]:
-        avg[col] = float(np.mean([row[col] for row in rows]))
+        values = [row[col] for row in rows]
+        avg[col] = None if None in values else float(np.mean(values))
     rows.append(avg)
     return rows
 

@@ -261,8 +261,34 @@ class TestThresholds:
         with pytest.raises(ValueError):
             EvalRecord("o", 0.1, 0.2, 0.0, 0.0, 0.2, False)  # add_s > add
 
+    @pytest.mark.parametrize("add_s", [-1e-3, float("nan")])
+    def test_record_rejects_negative_or_nan_add_s(self, add_s):
+        with pytest.raises(ValueError):
+            EvalRecord("o", 0.1, add_s, 0.0, 0.0, 0.2, False)
+
+    def test_only_an_asymmetric_record_may_omit_add_s(self):
+        rec = EvalRecord("o", 0.1, None, 0.0, 0.0, 0.2, False)
+        assert add_01d(rec) is False  # reads add alone
+        with pytest.raises(ValueError):
+            EvalRecord("o", 0.1, None, 0.0, 0.0, 0.2, True)
+
 
 class TestEvaluateBatch:
+    def test_records_without_add_s_leave_only_its_auc_unset(self, tmp_path):
+        full = [_record(add=0.02 * i, add_s=0.01 * i, rot=5.0 * i, obj=o)
+                for i in range(4) for o in ("a", "b")]
+        rows = evaluate_batch(full)
+        bare = [EvalRecord(r.object_id, r.add, None if r.object_id == "a" else r.add_s,
+                           r.rot_deg, r.trans_m, r.diameter, r.symmetric) for r in full]
+        got = evaluate_batch(bare)
+        assert [r["add_s_auc"] for r in got] == [None, rows[1]["add_s_auc"], None]
+        for row, ref in zip(got, rows):
+            assert {c: v for c, v in row.items() if c != "add_s_auc"} == \
+                {c: v for c, v in ref.items() if c != "add_s_auc"}
+        with pytest.raises(TypeError):  # no made-up ADD-S AUC reaches a file
+            write_summary_csv(got, tmp_path / "summary.csv")
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_single_object_perfect(self):
         rows = evaluate_batch([_record() for _ in range(5)])
         per, avg = rows
