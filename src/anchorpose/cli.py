@@ -3,12 +3,13 @@
 Every subcommand is a pure function of its on-disk inputs, flags, and the
 required --seed, so reruns produce byte-identical CSV/JSON outputs. The three
 ablations (`ablate_anchors_rows`, `ablate_corr_rows`, `ablate_k_rows`) are
-plain functions over in-memory benchmarks: each builds its list of variants
-(anchor set, solver mode, intrinsics, fused sigmas) and hands them to one
-sweep driver, which runs one task per scene on `--jobs` worker processes.
-Variants that share an anchor set and noise on a scene reuse one maps build
-and solve from the same correspondences; each variant is then scored through
-`scene_eval_record`, which computes ADD-S only for a symmetric object.
+plain functions over in-memory benchmarks: each declares its map groups, an
+anchor set with the variants (solver mode, intrinsics, fused sigmas) that
+solve from it, and hands them to one sweep driver, which runs one task per
+scene on `--jobs` worker processes. On a scene, each group's maps are built,
+corrupted and read once, and every variant of the group solves from those
+correspondences; each variant is then scored through `scene_eval_record`,
+which computes ADD-S only for a symmetric object.
 """
 
 from __future__ import annotations
@@ -100,25 +101,24 @@ def _set_shared(shared) -> None:
     _shared = shared
 
 
-def _call_shared(task):
-    fn, item = task
-    return fn(_shared, item)
+def _shared_scene_task(item):
+    return _scene_task(_shared, item)
 
 
-def _pmap(fn, shared, items, jobs: int) -> list:
-    """``[fn(shared, it) for it in items]``, on ``jobs`` worker processes when
-    ``jobs > 1``.
+def _pmap(shared, items, jobs: int) -> list:
+    """``[_scene_task(shared, it) for it in items]``, on ``jobs`` worker
+    processes when ``jobs > 1``.
 
-    ``shared`` (the model, anchors and scenes) reaches each worker once,
+    ``shared`` (the model, scenes and map groups) reaches each worker once,
     through the pool initializer, so a task sends only its small ``item``
-    rather than megabytes of depth images. The sweeps send one item per
-    scene, whose task covers every variant on that scene.
+    (a scene index and that scene's draws) rather than megabytes of depth
+    images. Both are plain data, so any start method can ship them.
     """
     if jobs <= 1:
-        return [fn(shared, it) for it in items]
+        return [_scene_task(shared, it) for it in items]
     with ProcessPoolExecutor(max_workers=jobs, initializer=_set_shared,
                              initargs=(shared,)) as ex:
-        return list(ex.map(_call_shared, [(fn, it) for it in items]))
+        return list(ex.map(_shared_scene_task, items))
 
 
 # ---------------------------------------------------------------------------
@@ -128,23 +128,11 @@ MAX_CORR = 800  # the sweeps' cap on correspondences per solve; `solve` has none
 
 
 def _solve(corr: solver.CorrSet, k: Intrinsics, mode: str, *, sigma_m: float,
-           sigma_px: float, seed: int,
-           ransac_args: tuple[float | None, int] | None) -> solver.SolveReport:
-    """One pose solve in ``mode`` (3d3d, 2d3d or fused) with camera ``k``.
-
-    ``ransac_args`` = (inlier_tol, max_iters) runs a 3d3d or 2d3d solve under
-    seeded RANSAC, with ``solver.RANSAC_INLIER_TOL`` for a None tolerance.
-    The fused solver runs its own robust initialization, so it rejects them.
-    """
+           sigma_px: float, seed: int) -> solver.SolveReport:
+    """One pose solve in ``mode`` (3d3d, 2d3d or fused) with camera ``k``;
+    ``seed`` seeds the fused solver's RANSAC initialization."""
     if mode not in ("3d3d", "2d3d", "fused"):
         raise ValueError(f"unknown mode {mode!r}")
-    if ransac_args is not None:
-        if mode == "fused":
-            raise ValueError("RANSAC needs mode 3d3d or 2d3d; the fused solver "
-                             "runs its own robust initialization")
-        tol, max_iters = ransac_args
-        return ransac(corr, mode, solver.RANSAC_INLIER_TOL[mode] if tol is None else tol,
-                      max_iters, seed, k=k)
     if mode == "3d3d":
         return solve_3d3d(corr)
     if mode == "2d3d":
@@ -171,11 +159,10 @@ def _failure_record(model: ObjectModel) -> EvalRecord:
 
 @dataclass(frozen=True)
 class _Variant:
-    """One sweep row's setting: the anchor set the maps are coded with, the
-    solver mode, the crop-adjusted ("crop") or raw ("org") camera matrix,
-    and the fused solver's residual scales."""
+    """One sweep row's setting: the solver mode, the crop-adjusted ("crop")
+    or raw ("org") camera matrix, and the fused solver's residual scales.
+    The anchor set is its map group's."""
 
-    anchors: AnchorSet
     mode: str
     intrinsic: str = "crop"
     sigma_m: float = solver.SIGMA_M
@@ -193,66 +180,61 @@ def scene_eval_record(model: ObjectModel, scene: synth.SceneSample, corr: solver
     object: the sweep columns read it for no other.
     """
     try:
-        report = _solve(corr, k, mode, sigma_m=sigma_m, sigma_px=sigma_px,
-                        seed=solver_seed, ransac_args=None)
+        report = _solve(corr, k, mode, sigma_m=sigma_m, sigma_px=sigma_px, seed=solver_seed)
     except solver.SOLVE_ERRORS:
         return _failure_record(model)
     return _score(model, report.pose, scene, adds=model.symmetric)
 
 
 def _scene_task(shared, item) -> list[EvalRecord]:
-    """Every variant's record on one scene, in variant order.
+    """Every variant's record on one scene, in the order ``_sweep`` returns.
 
-    The variants that share an anchor set and a ``NoiseSpec`` on this scene
-    solve from one maps build: ``ground_truth_maps``, ``corrupt`` and the
-    extraction of at most ``MAX_CORR`` correspondences run once per group. A
+    Each map group runs ``ground_truth_maps``, ``corrupt`` under its drawn
+    ``NoiseSpec`` and the extraction of at most ``MAX_CORR`` correspondences
+    once; its variants then solve from those with the drawn solver seed. A
     group whose extraction raises one of ``solver.SOLVE_ERRORS`` (no
     foreground left) gives each of its variants the worst-case record.
     """
-    model, scenes, variants, res = shared
-    i, noises = item
+    model, scenes, groups, res = shared
+    i, draws = item
     scene = scenes[i]
     roi = tight_roi(scene, res)
     ks = {"crop": adjust_intrinsics(scene.intrinsics, crop_affine(roi)),
           "org": scene.intrinsics}
-    groups: dict[tuple, list[int]] = {}  # anchor sets are built once per sweep: keyed by id
-    for j, v in enumerate(variants):
-        groups.setdefault((id(v.anchors), noises[j][0]), []).append(j)
-    records: list = [None] * len(variants)
-    for js in groups.values():
-        anchors, noise = variants[js[0]].anchors, noises[js[0]][0]
+    records = []
+    for (anchors, variants), (noise, solver_seed) in zip(groups, draws):
         noisy = corrupt(ground_truth_maps(scene, anchors, roi), noise)
         try:
             corr = extract_correspondences(noisy, noisy.anchors)
         except solver.SOLVE_ERRORS:
-            for j in js:
-                records[j] = _failure_record(model)
+            records += [_failure_record(model) for _ in variants]
             continue
         if len(corr) > MAX_CORR:
             idx = np.round(np.linspace(0, len(corr) - 1, MAX_CORR)).astype(np.intp)
             corr = corr.subset(np.unique(idx))
-        for j in js:
-            v = variants[j]
-            records[j] = scene_eval_record(model, scene, corr, ks[v.intrinsic], mode=v.mode,
-                                           sigma_m=v.sigma_m, sigma_px=v.sigma_px,
-                                           solver_seed=noises[j][1])
+        records += [scene_eval_record(model, scene, corr, ks[v.intrinsic], mode=v.mode,
+                                      sigma_m=v.sigma_m, sigma_px=v.sigma_px,
+                                      solver_seed=solver_seed)
+                    for v in variants]
     return records
 
 
-def _sweep(model: ObjectModel, scenes, variants: list[_Variant], task_noise, *,
-           res: int, jobs: int) -> list[list[EvalRecord]]:
-    """Score every variant on every scene; records grouped by variant.
+def _sweep(model: ObjectModel, scenes, groups: list[tuple[AnchorSet, list[_Variant]]],
+           draw, *, res: int, jobs: int) -> list[list[EvalRecord]]:
+    """Score every variant on every scene; one list of records per variant.
 
-    ``task_noise(j, i)`` gives the (NoiseSpec, solver seed) of variant ``j``
-    on scene ``i``. There is one pool task per scene (``_scene_task``), so
-    variants that share anchors and noise reuse one maps build; the model,
-    scenes and variants (with their anchor sets) reach each worker once.
-    The records come back in variant-major order whatever ``jobs`` is.
+    ``groups`` declares the sweep's map groups: (anchor set, the variants
+    that solve from its maps). ``draw(g, i)`` gives group ``g``'s
+    (NoiseSpec, solver seed) on scene ``i``. The draws are evaluated here
+    and shipped in each scene's item, so no closure reaches a worker. There
+    is one pool task per scene (``_scene_task``); the model, scenes and
+    groups reach each worker once. The variants come back in group order,
+    each group's in turn, whatever ``jobs`` is.
     """
     model.diameter, model.kdtree, model.half_gap  # cached here, so pool workers inherit them
-    items = [(i, [task_noise(j, i) for j in range(len(variants))]) for i in range(len(scenes))]
-    by_scene = _pmap(_scene_task, (model, scenes, variants, res), items, jobs)
-    return [[recs[j] for recs in by_scene] for j in range(len(variants))]
+    items = [(i, [draw(g, i) for g in range(len(groups))]) for i in range(len(scenes))]
+    by_scene = _pmap((model, scenes, groups, res), items, jobs)
+    return [[recs[j] for recs in by_scene] for j in range(sum(len(vs) for _, vs in groups))]
 
 
 def _summary_cells(records) -> list:
@@ -274,14 +256,14 @@ def ablate_anchors_rows(model: ObjectModel, scenes, *, k_list=DEFAULT_K_LIST,
     """
     anchor_sets = [build_anchor_set(model, k) for k in k_list]
 
-    def task_noise(j, i):
-        radius = anchor_sets[j].covering_radius
+    def draw(g, i):
+        radius = anchor_sets[g].covering_radius
         sigma = absolute_sigma if absolute_sigma is not None else noise_rel * radius
         return NoiseSpec(residual_sigma=sigma, label_flip_prob=0.0, residual_bias_sigma=sigma,
-                         seed=_child_seed(seed, k_list[j], i)), 0
+                         seed=_child_seed(seed, k_list[g], i)), 0
 
-    variants = [_Variant(anchors, "3d3d") for anchors in anchor_sets]
-    records = _sweep(model, scenes, variants, task_noise, res=res, jobs=jobs)
+    groups = [(anchors, [_Variant("3d3d")]) for anchors in anchor_sets]
+    records = _sweep(model, scenes, groups, draw, res=res, jobs=jobs)
     return [[str(k), anchors.covering_radius, *_summary_cells(recs)]
             for k, anchors, recs in zip(k_list, anchor_sets, records)]
 
@@ -298,15 +280,15 @@ def ablate_corr_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
     sigma_m = max(1e-6, math.hypot(residual_sigma, depth_sigma))
     sigma_px = max(0.25, uv_sigma)
     modes = ("2d3d", "3d3d", "fused")
-    variants = [_Variant(anchors, mode, sigma_m=sigma_m, sigma_px=sigma_px) for mode in modes]
+    variants = [_Variant(mode, sigma_m=sigma_m, sigma_px=sigma_px) for mode in modes]
 
-    def task_noise(j, i):
+    def draw(g, i):
         return NoiseSpec(residual_sigma=residual_sigma, label_flip_prob=0.0,
                          depth_sigma=depth_sigma, uv_sigma=uv_sigma,
                          seed=_child_seed(seed, 17, i)), _child_seed(seed, 23, i)
 
     rows, stats = [], {}
-    for mode, recs in zip(modes, _sweep(model, scenes, variants, task_noise,
+    for mode, recs in zip(modes, _sweep(model, scenes, [(anchors, variants)], draw,
                                         res=res, jobs=jobs)):
         mean_rot = float(np.mean([r.rot_deg for r in recs]))
         mean_trans = float(np.mean([r.trans_m for r in recs]))
@@ -321,13 +303,13 @@ def ablate_k_rows(model: ObjectModel, anchors: AnchorSet, scenes, *,
     """Intrinsic-adjustment sweep: reprojection solving with the raw vs the
     crop-adjusted camera matrix. Rows: k_org then k_crop."""
     intrinsics = ("org", "crop")
-    variants = [_Variant(anchors, "2d3d", intrinsic) for intrinsic in intrinsics]
+    variants = [_Variant("2d3d", intrinsic) for intrinsic in intrinsics]
 
-    def task_noise(j, i):
+    def draw(g, i):
         return NoiseSpec(residual_sigma=0.0, label_flip_prob=0.0, uv_sigma=uv_sigma,
                          seed=_child_seed(seed, 29, i)), 0
 
-    records = _sweep(model, scenes, variants, task_noise, res=res, jobs=jobs)
+    records = _sweep(model, scenes, [(anchors, variants)], draw, res=res, jobs=jobs)
     return [[f"k_{intrinsic}", *_summary_cells(recs), float(np.mean([r.rot_deg for r in recs]))]
             for intrinsic, recs in zip(intrinsics, records)]
 
@@ -463,7 +445,11 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def _check_solve_flags(args: argparse.Namespace) -> None:
-    """Reject a ``solve`` flag that the chosen mode would ignore (exit 2)."""
+    """Reject a ``solve`` flag that the chosen mode cannot take or would
+    ignore (exit 2), before any file is read."""
+    if args.ransac and args.mode == "fused":
+        raise ValueError("--ransac needs --mode 3d3d or 2d3d; the fused solver "
+                         "runs its own robust initialization")
     for flag, value, needs, used in (
         ("--inlier-tol", args.inlier_tol, "--ransac", args.ransac),
         ("--max-iters", args.max_iters, "--ransac", args.ransac),
@@ -476,6 +462,8 @@ def _check_solve_flags(args: argparse.Namespace) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     _check_solve_flags(args)
+    inlier_tol = (solver.RANSAC_INLIER_TOL.get(args.mode) if args.inlier_tol is None
+                  else args.inlier_tol)
     max_iters = solver.RANSAC_ITERS if args.max_iters is None else args.max_iters
     sigmas = {"sigma_m": solver.SIGMA_M if args.sigma_m is None else args.sigma_m,
               "sigma_px": solver.SIGMA_PX if args.sigma_px is None else args.sigma_px}
@@ -484,9 +472,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     for i, path in enumerate(sorted(files)):
         maps, header = load_dense_maps(path)
         k_crop = adjust_intrinsics(header.intrinsics, crop_affine(maps.grids.roi))
-        report = _solve(extract_correspondences(maps, maps.anchors), k_crop, args.mode,
-                        **sigmas, seed=_child_seed(args.seed, i),
-                        ransac_args=(args.inlier_tol, max_iters) if args.ransac else None)
+        corr, seed = extract_correspondences(maps, maps.anchors), _child_seed(args.seed, i)
+        report = (ransac(corr, args.mode, inlier_tol, max_iters, seed, k=k_crop) if args.ransac
+                  else _solve(corr, k_crop, args.mode, **sigmas, seed=seed))
         results.append({"scene_id": header.scene_id, "object_id": header.object_id,
                         **report.to_json()})
     _write_json(args.out, results)

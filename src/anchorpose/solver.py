@@ -45,6 +45,7 @@ SIGMA_M, SIGMA_PX = 0.005, 1.0
 # of reprojection error.
 RANSAC_INLIER_TOL = {"3d3d": 0.01, "2d3d": 2.0}
 RANSAC_ITERS = 256  # hypotheses of a ransac call that does not set max_iters
+GN_STEP_TOL = 1e-10  # Gauss-Newton stops after an accepted step shorter than this
 # Preemptive 3d3d scoring: every hypothesis is counted on this many seeded
 # correspondences, and those with the top counts are scored on all of them.
 PREEMPT_SUBSET, PREEMPT_LEADERS = 100, 8
@@ -300,8 +301,7 @@ def _pixel_normal(q, img, w, t, k: Intrinsics, normal=False):
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _gauss_newton(normal_fn, pose: Pose, max_iters: int, n_res: int,
-                  step_tol: float = 1e-10):
+def _gauss_newton(normal_fn, pose: Pose, max_iters: int, n_res: int):
     """Gauss-Newton on (R, t) with a step-halving line search.
 
     ``normal_fn(R, t)`` returns the objective phi of the ``n_res`` weighted
@@ -341,9 +341,15 @@ def _gauss_newton(normal_fn, pose: Pose, max_iters: int, n_res: int,
             alpha *= 0.5
         if not accepted:
             break
-        if float(np.linalg.norm(alpha * delta)) < step_tol:
+        if float(np.linalg.norm(alpha * delta)) < GN_STEP_TOL:
             break
     return rot, t, iters, trace
+
+
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite value > 0, got {value!r}")
 
 
 def solve_2d3d(corr: CorrSet, k: Intrinsics, init: Pose | None = None) -> SolveReport:
@@ -381,8 +387,10 @@ def solve_fused(corr: CorrSet, k: Intrinsics, *, sigma_m: float = SIGMA_M,
     Each correspondence contributes its 3d-3d residual scaled by 1/sigma_m
     and its pixel residual scaled by 1/sigma_px. Initialization comes from
     robust 3d-3d RANSAC (``ransac_iters`` hypotheses at the 3d3d
-    ``RANSAC_INLIER_TOL``) unless an explicit pose is given.
+    ``RANSAC_INLIER_TOL``) unless an explicit pose is given. Each sigma must
+    be a finite value > 0 (ValueError otherwise).
     """
+    _check_positive(sigma_m=sigma_m, sigma_px=sigma_px)
     if corr.cam_pts is None or corr.img_pts is None:
         raise ValueError("fused solving requires both cam_pts and img_pts")
     _check_spread(corr.obj_pts, 3)
@@ -500,9 +508,14 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = RANSAC_
     All minimal samples are drawn up front in one vectorized pass, then the
     3d3d scoring subset of min(n, ``PREEMPT_SUBSET``) correspondences; 3d3d
     hypotheses are solved in one batched pass and scored preemptively.
+    ``max_iters`` must be >= 1 and ``inlier_tol`` a finite value > 0
+    (ValueError otherwise).
     """
     if mode not in ("3d3d", "2d3d"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
+    _check_positive(inlier_tol=inlier_tol)
     if mode == "3d3d" and corr.cam_pts is None:
         raise Degenerate("3d3d RANSAC requires cam_pts")
     if mode == "2d3d":

@@ -172,9 +172,44 @@ class TestPipeline:
     def test_solve_fused_rejects_ransac(self, pipeline, tmp_path):
         *_, maps, noisy, _ = pipeline
         out = tmp_path / "f.json"
-        assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(noisy),
-                     "--mode", "fused", "--ransac"]) == 2
+        for path in (noisy, tmp_path / "missing"):  # before any file is read
+            assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(path),
+                         "--mode", "fused", "--ransac"]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "3d3d", "--ransac", "--max-iters", "0"],
+        ["--mode", "2d3d", "--ransac", "--max-iters", "0"],
+        ["--mode", "3d3d", "--ransac", "--inlier-tol", "nan"],
+        ["--mode", "2d3d", "--ransac", "--inlier-tol", "-1"],
+        ["--mode", "fused", "--sigma-m", "0"],
+        ["--mode", "fused", "--sigma-m", "-0.005"],
+        ["--mode", "fused", "--sigma-m", "inf"],
+        ["--mode", "fused", "--sigma-px", "nan"],
+    ])
+    def test_solve_rejects_invalid_values(self, pipeline, tmp_path, flags):
+        *_, maps, noisy, _ = pipeline
+        out = tmp_path / "x.json"
+        assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(noisy),
+                     *flags]) == 2
+        assert not out.exists()
+
+    # sha256 of each poses JSON on the pipeline's noisy maps, pinned from the
+    # code in which the sweeps and `solve` shared one RANSAC dispatch.
+    @pytest.mark.parametrize("flags, digest", [
+        (["--mode", "3d3d", "--ransac"],
+         "1be75aecd5c1565b84d4ca22c7b161cacc090d61ee792662e611439a43070043"),
+        (["--mode", "2d3d", "--ransac", "--max-iters", "16"],
+         "9a30dee7cfc6135176c5d652bb5e5f682244972d14fa246b412df04b942ceafa"),
+        (["--mode", "fused"],
+         "3c2e4ee4d67e384f07b0c519a44ba1502211bd9688e6e4a17893654d7465dbe3"),
+    ], ids=["3d3d-ransac", "2d3d-ransac", "fused"])
+    def test_solve_bytes_are_pinned(self, pipeline, tmp_path, flags, digest):
+        *_, maps, noisy, _ = pipeline
+        out = tmp_path / "p.json"
+        assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(noisy),
+                     *flags]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def _truncate(path: Path) -> None:

@@ -300,6 +300,16 @@ class TestRansac:
         rot, trans = pose_error(rep.pose, pose)
         assert rot < 1e-4 and trans < 1e-5
 
+    @pytest.mark.parametrize("mode", ["3d3d", "2d3d"])
+    @pytest.mark.parametrize("name, value", [
+        ("max_iters", 0), ("max_iters", -3), ("inlier_tol", 0.0), ("inlier_tol", -1.0),
+        ("inlier_tol", float("nan")), ("inlier_tol", float("inf")),
+    ])
+    def test_invalid_arguments_rejected(self, mode, name, value):
+        _, corr = _clean_corr(np.random.default_rng(15))
+        with pytest.raises(ValueError, match=name):
+            ransac(corr, mode, **{"inlier_tol": 2.0, name: value}, seed=0, k=K)
+
 
 def _draws(n, iters, seed):
     """The minimal samples and the scoring subset that
@@ -644,6 +654,13 @@ class TestSolveFused:
         pose, corr = _clean_corr(rng)
         with pytest.raises(ValueError):
             solve_fused(CorrSet(corr.obj_pts, corr.cam_pts), K)
+
+    @pytest.mark.parametrize("name", ["sigma_m", "sigma_px"])
+    @pytest.mark.parametrize("value", [0.0, -0.005, float("nan"), float("inf")])
+    def test_invalid_sigma_rejected(self, name, value):
+        _, corr = _clean_corr(np.random.default_rng(17))
+        with pytest.raises(ValueError, match=name):
+            solve_fused(corr, K, **{name: value})
 
     def test_report_metadata(self):
         rng = np.random.default_rng(18)

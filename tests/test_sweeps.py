@@ -6,6 +6,9 @@ moves any row fails here, even if ``--jobs 1`` and ``--jobs 2`` still agree.
 The count tests pin how often a sweep builds maps and computes ADD-S.
 """
 
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -127,6 +130,16 @@ def root(tmp_path_factory):
 @pytest.mark.parametrize("name, bench, argv", CASES, ids=[c[0] for c in CASES])
 def test_csv_bytes_are_pinned(root, name, bench, argv, jobs):
     assert run_case(root, bench, argv, jobs) == GOLDEN[name]
+
+
+def test_spawned_workers_match_pinned_csv(root, monkeypatch):
+    # A spawned worker inherits nothing from the parent but what the pool
+    # pickles, as under forkserver, the default start method from Python 3.14.
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        functools.partial(ProcessPoolExecutor, mp_context=spawn))
+    name, bench, argv = next(c for c in CASES if c[0] == "blob-corr")
+    assert run_case(root, bench, argv, 2) == GOLDEN[name]
 
 
 def _count_calls(monkeypatch, name: str) -> list:
