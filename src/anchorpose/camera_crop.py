@@ -169,19 +169,23 @@ def cell_sample_grid(roi: Roi, width: int, height: int):
     return u, v, px, py, inside
 
 
-def make_grid_maps(depth: DepthImage, roi: Roi, k_org: Intrinsics) -> GridMaps:
+def make_grid_maps(depth: DepthImage, roi: Roi, k_org: Intrinsics,
+                   samples: tuple | None = None) -> GridMaps:
     """Build uv / camera-xyz / validity grids for a crop of a depth image.
 
     Depth is sampled nearest-neighbor (never interpolated, which would
     fabricate 3D points across depth discontinuities); cells falling
     outside the image or on zero depth are marked invalid rather than
-    clamped.
+    clamped. ``samples`` is ``cell_sample_grid(roi, depth.width,
+    depth.height)`` when the caller has already computed it.
     """
     if (roi.u0 > depth.width - 0.5 or roi.u0 + roi.size_u < -0.5
             or roi.v0 > depth.height - 0.5 or roi.v0 + roi.size_v < -0.5):
         raise EmptyIntersection("crop window does not overlap the image")
 
-    u, v, px, py, inside = cell_sample_grid(roi, depth.width, depth.height)
+    if samples is None:
+        samples = cell_sample_grid(roi, depth.width, depth.height)
+    u, v, px, py, inside = samples
     d = np.zeros_like(u)
     d[inside] = depth.data[py[inside], px[inside]]
     valid = inside & (d > 0)

@@ -444,9 +444,10 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_solve_flags(args: argparse.Namespace) -> None:
+def _check_solve_flags(args: argparse.Namespace) -> tuple[float, int, dict]:
     """Reject a ``solve`` flag that the chosen mode cannot take or would
-    ignore (exit 2), before any file is read."""
+    ignore, or a value the solver would reject (exit 2), before any file is
+    read. Returns the resolved (inlier_tol, max_iters, sigmas)."""
     if args.ransac and args.mode == "fused":
         raise ValueError("--ransac needs --mode 3d3d or 2d3d; the fused solver "
                          "runs its own robust initialization")
@@ -458,15 +459,20 @@ def _check_solve_flags(args: argparse.Namespace) -> None:
     ):
         if value is not None and not used:
             raise ValueError(f"{flag} has no effect without {needs}")
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
-    _check_solve_flags(args)
     inlier_tol = (solver.RANSAC_INLIER_TOL.get(args.mode) if args.inlier_tol is None
                   else args.inlier_tol)
     max_iters = solver.RANSAC_ITERS if args.max_iters is None else args.max_iters
     sigmas = {"sigma_m": solver.SIGMA_M if args.sigma_m is None else args.sigma_m,
               "sigma_px": solver.SIGMA_PX if args.sigma_px is None else args.sigma_px}
+    if args.ransac:
+        solver.check_solve_values(max_iters=max_iters, inlier_tol=inlier_tol)
+    if args.mode == "fused":
+        solver.check_solve_values(**sigmas)
+    return inlier_tol, max_iters, sigmas
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    inlier_tol, max_iters, sigmas = _check_solve_flags(args)
     files = _maps_files(args.maps)
     results = []
     for i, path in enumerate(sorted(files)):

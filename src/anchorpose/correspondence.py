@@ -131,8 +131,9 @@ def ground_truth_maps(scene: SceneSample, anchors: AnchorSet, roi: Roi) -> Dense
         raise ObjectMismatch(
             f"scene object {scene.object_id!r} != anchors object {anchors.object_id!r}"
         )
-    grids = make_grid_maps(scene.depth, roi, scene.intrinsics)
-    _, _, px, py, inside = cell_sample_grid(roi, scene.depth.width, scene.depth.height)
+    samples = cell_sample_grid(roi, scene.depth.width, scene.depth.height)
+    grids = make_grid_maps(scene.depth, roi, scene.intrinsics, samples)
+    _, _, px, py, inside = samples
     vis = np.zeros_like(inside)
     vis[inside] = scene.vis_mask[py[inside], px[inside]]
     fg = grids.valid & vis
@@ -157,37 +158,48 @@ def ground_truth_maps(scene: SceneSample, anchors: AnchorSet, roi: Roi) -> Dense
 def corrupt(maps: DenseMaps, noise: NoiseSpec) -> DenseMaps:
     """Apply the noise model; deterministic given ``noise.seed``.
 
-    Draw order is fixed (residual, labels, mask, depth, uv) and every draw
-    covers the full grid, so results depend only on the seed and shapes.
+    Draw order is fixed (residual, bias, labels, mask, depth, uv) and every
+    draw covers the full grid, so results depend only on the seed and shapes.
+    Draws after the last stage with a nonzero setting are not made; no stage
+    reads them, so skipping them changes no output.
     """
     rng = np.random.default_rng(noise.seed)
     r = maps.grids.out_res
     k = maps.k
     masked = maps.mask > 0.5
+    # The first `drawn` of the six draws are made: through the last nonzero setting.
+    settings = (noise.residual_sigma, noise.residual_bias_sigma, noise.label_flip_prob,
+                noise.mask_flip_prob, noise.depth_sigma, noise.uv_sigma)
+    drawn = max((i + 1 for i, s in enumerate(settings) if s > 0), default=0)
 
     residual = maps.residual.copy()
-    res_noise = rng.normal(0.0, 1.0, (r, r, 3))
-    bias = rng.normal(0.0, 1.0, 3)
+    if drawn > 0:
+        res_noise = rng.normal(0.0, 1.0, (r, r, 3))
+    if drawn > 1:
+        bias = rng.normal(0.0, 1.0, 3)
     if noise.residual_sigma > 0:
         residual[masked] += noise.residual_sigma * res_noise[masked]
     if noise.residual_bias_sigma > 0:
         residual[masked] += noise.residual_bias_sigma * bias
 
     classes = maps.classes.copy()
-    flip_draw = rng.random((r, r))
-    resampled = rng.integers(0, k + 1, (r, r))
+    if drawn > 2:
+        flip_draw = rng.random((r, r))
+        resampled = rng.integers(0, k + 1, (r, r))
     if noise.label_flip_prob > 0:
         flip = masked & (flip_draw < noise.label_flip_prob)
         classes[flip] = resampled[flip]
 
     mask = maps.mask.copy()
-    mask_draw = rng.random((r, r))
+    if drawn > 3:
+        mask_draw = rng.random((r, r))
     if noise.mask_flip_prob > 0:
         flip = mask_draw < noise.mask_flip_prob
         mask[flip] = 1.0 - mask[flip]
 
     cam_xyz = maps.grids.cam_xyz.copy()
-    depth_noise = rng.normal(0.0, 1.0, (r, r))
+    if drawn > 4:
+        depth_noise = rng.normal(0.0, 1.0, (r, r))
     if noise.depth_sigma > 0:
         valid = maps.grids.valid
         z = cam_xyz[..., 2]
@@ -196,8 +208,8 @@ def corrupt(maps: DenseMaps, noise: NoiseSpec) -> DenseMaps:
         cam_xyz *= factor[..., None]
 
     uv = maps.grids.uv.copy()
-    uv_noise = rng.normal(0.0, 1.0, (r, r, 2))
     if noise.uv_sigma > 0:
+        uv_noise = rng.normal(0.0, 1.0, (r, r, 2))
         a = crop_affine(maps.grids.roi)
         uv[..., 0] += (noise.uv_sigma / a.scale_u) * uv_noise[..., 0]
         uv[..., 1] += (noise.uv_sigma / a.scale_v) * uv_noise[..., 1]

@@ -11,17 +11,20 @@ Three routes are provided and jointly exercised by the ablation harness:
   (Sola et al., "A micro Lie theory for state estimation in robotics"), and
   a step-halving line search keeps the objective strictly decreasing. The
   normal equations are accumulated over the points; the stacked Jacobian
-  is never formed. The solve stops once the step's predicted decrease is
-  below the rounding error of the objective;
+  is never formed. Each point is evaluated once: the evaluation returns
+  the objective and a deferred step, and the normal equations are built
+  only at the start point and at accepted points, from that evaluation's
+  own arrays. The solve stops once the step's predicted decrease is below
+  the rounding error of the objective;
 * ``solve_fused`` — joint Gauss-Newton over both residual families,
   balanced by per-family noise scales.
 
 ``ransac`` wraps either route with seeded hypothesize-and-verify outlier
 rejection. All minimal samples are drawn in one vectorized pass, and 3d-3d
-hypotheses are solved in one batched pass and scored preemptively: all on a
-seeded subset, the leaders on every correspondence. All solvers are pure
-functions of their inputs (and seed), and reports carry the route used as
-``mode`` metadata.
+hypotheses are spread-tested in closed form, solved in one batched pass and
+scored preemptively: all on a seeded subset, the leaders on every
+correspondence. All solvers are pure functions of their inputs (and seed),
+and reports carry the route used as ``mode`` metadata.
 """
 
 from __future__ import annotations
@@ -175,6 +178,27 @@ def _spread_ok(pts: np.ndarray) -> np.ndarray:
     return s[..., 1] > 1e-9 * np.maximum(s[..., 0], 1e-12)
 
 
+def _triple_spread_ok(tri: np.ndarray) -> np.ndarray:
+    """``_spread_ok`` of (..., 3, 3) point triples in closed form, without an SVD.
+
+    The centred rows c_i of a triple span at most a plane, so its squared
+    singular values s0^2 >= s1^2 are the roots of x^2 - F x + P, with
+    F = ||C||_F^2 and P = sum_{i<j} |c_i x c_j|^2 (Lagrange's identity):
+    s0^2 = (F + sqrt(F^2 - 4P)) / 2 and s1^2 = 2P / (F + sqrt(F^2 - 4P)).
+    """
+    c = tri - tri.mean(axis=-2, keepdims=True)
+    f = np.einsum("...ij,...ij->...", c, c)
+    a, b = c[..., [0, 0, 1], :], c[..., [1, 2, 2], :]  # the pairs i < j
+    x = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    y = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    z = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    p = (x * x + y * y + z * z).sum(axis=-1)
+    root = f + np.sqrt(np.maximum(f * f - 4.0 * p, 0.0))
+    s1 = np.sqrt(np.divide(2.0 * p, root, out=np.zeros_like(root), where=root > 0))
+    s0 = np.sqrt(0.5 * root)
+    return s1 > 1e-9 * np.maximum(s0, 1e-12)
+
+
 def _check_spread(pts: np.ndarray, minimum: int) -> None:
     """Reject sets that are too small or (near-)collinear."""
     if len(pts) < minimum:
@@ -218,9 +242,15 @@ def solve_3d3d(corr: CorrSet) -> SolveReport:
 # ---------------------------------------------------------------------------
 # Gauss-Newton machinery: state (R, t), left update R <- exp([w]x) R, t <- t + dt.
 # A residual family takes q = obj R^T, computed once per evaluation, and
-# returns its weighted objective phi = sum w ||r||^2 and, when ``normal`` is
-# true, also its 6x6 normal equations J^T W J and J^T W r with respect to
-# (w, dt), accumulated over the points without forming J.
+# returns its weighted objective phi = sum w ||r||^2 together with a deferred
+# step: a function of no arguments that returns the family's 6x6 normal
+# equations J^T W J and J^T W r with respect to (w, dt), accumulated over the
+# points from that same evaluation's arrays without forming J. Each
+# evaluation owns the arrays its step reads, so a step can run after any
+# number of later evaluations.
+
+_EYE3 = np.eye(3)
+
 
 def _hat(v: np.ndarray) -> np.ndarray:
     """The cross-product matrix [v]x."""
@@ -236,8 +266,8 @@ def _so3_exp(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * wx + b * (wx @ wx)
 
 
-def _metric_normal(q, cam, w, t, normal=False):
-    """Weighted 3d-3d residuals e = R a + t - b.
+def _metric_normal(q, cam, w, t, w_sum):
+    """Weighted 3d-3d residuals e = R a + t - b; ``w_sum`` is ``w.sum()``.
 
     Each point's Jacobian is [-[q]x, I], so J^T W J and J^T W r are sums of
     closed-form blocks in the weighted moments of q and e, all read off one
@@ -247,28 +277,43 @@ def _metric_normal(q, cam, w, t, normal=False):
     """
     e = q + t - cam
     phi = float(w @ np.einsum("ij,ij->i", e, e))
-    if not normal:
-        return phi
-    m = (w * np.vstack([np.ones(len(q)), q.T])) @ np.hstack([q, e])
-    wq, qq, qe = m[0, :3], m[1:, :3], m[1:, 3:]
-    jtj = np.zeros((6, 6))
-    jtj[:3, :3] = np.trace(qq) * np.eye(3) - qq
-    jtj[:3, 3:] = _hat(wq)
-    jtj[3:, :3] = -jtj[:3, 3:]
-    jtj[3:, 3:] = w.sum() * np.eye(3)
-    cross = [qe[1, 2] - qe[2, 1], qe[2, 0] - qe[0, 2], qe[0, 1] - qe[1, 0]]
-    return phi, jtj, np.concatenate([cross, m[0, 3:]])
+
+    def normal():
+        n = len(q)
+        lhs = np.empty((4, n))
+        lhs[0] = w
+        np.multiply(q.T, w, out=lhs[1:])
+        rhs = np.empty((n, 6))
+        rhs[:, :3], rhs[:, 3:] = q, e
+        m = lhs @ rhs
+        wq, qq, qe = m[0, :3], m[1:, :3], m[1:, 3:]
+        jtj = np.zeros((6, 6))
+        jtj[:3, :3] = np.trace(qq) * _EYE3 - qq
+        jtj[:3, 3:] = _hat(wq)
+        jtj[3:, :3] = -jtj[:3, 3:]
+        jtj[3:, 3:] = w_sum * _EYE3
+        jtr = np.empty(6)
+        jtr[:3] = qe[1, 2] - qe[2, 1], qe[2, 0] - qe[0, 2], qe[0, 1] - qe[1, 0]
+        jtr[3:] = m[0, 3:]
+        return jtj, jtr
+    return phi, normal
 
 
 def _pixel_error(p, img, k: Intrinsics):
     """(N, 2) reprojection errors pi(p) - x of camera-frame points p, with the
-    depth clamped at NEAR_EPS."""
+    depth clamped at NEAR_EPS, and that clamped depth (N,)."""
     z = np.maximum(p[:, 2], NEAR_EPS)
-    return np.column_stack([k.fx * p[:, 0] / z + k.cx - img[:, 0],
-                            k.fy * p[:, 1] / z + k.cy - img[:, 1]])
+    d = np.empty((len(p), 2))
+    for c, (f, centre) in enumerate(((k.fx, k.cx), (k.fy, k.cy))):
+        col = d[:, c]
+        np.multiply(p[:, c], f, out=col)
+        col /= z
+        col += centre
+        col -= img[:, c]
+    return d, z
 
 
-def _pixel_normal(q, img, w, t, k: Intrinsics, normal=False):
+def _pixel_normal(q, img, w, t, k: Intrinsics):
     """Weighted reprojection residuals pi(R a + t) - x.
 
     A point's Jacobian rows are g^T [-[q]x, I] = [q x g, g] for each row g of
@@ -279,35 +324,48 @@ def _pixel_normal(q, img, w, t, k: Intrinsics, normal=False):
     block holds its J^T W J and J^T W r.
     """
     p = q + t
-    d = _pixel_error(p, img, k)
+    d, z = _pixel_error(p, img, k)
     phi = float(w @ np.einsum("ij,ij->i", d, d))
-    if not normal:
-        return phi
-    z = np.maximum(p[:, 2], NEAR_EPS)
-    front = p[:, 2] > NEAR_EPS
-    a, b = k.fx / z, k.fy / z
-    cu = np.where(front, -a * p[:, 0] / z, 0.0)
-    cv = np.where(front, -b * p[:, 1] / z, 0.0)
-    q0, q1, q2 = q.T
-    zero = np.zeros(len(q))
-    m = np.zeros((7, 7))
-    for rows in ([q1 * cu, q2 * a - q0 * cu, -q1 * a, a, zero, cu, d[:, 0]],
-                 [q1 * cv - q2 * b, -q0 * cv, q0 * b, zero, b, cv, d[:, 1]]):
-        block = np.array(rows)
-        m += (block * w) @ block.T
-    return phi, m[:6, :6], m[:6, 6]
+
+    def normal():
+        front = p[:, 2] > NEAR_EPS
+        a, b = k.fx / z, k.fy / z
+        cu, cv = -a * p[:, 0] / z, -b * p[:, 1] / z
+        if not front.all():
+            cu, cv = np.where(front, cu, 0.0), np.where(front, cv, 0.0)
+        q0, q1, q2 = q.T
+        m = np.zeros((7, 7))
+        rows = np.empty((7, len(q)))
+        # u rows [q x g, g, du] of g = (a, 0, cu)
+        np.multiply(q1, cu, out=rows[0])
+        np.multiply(q2, a, out=rows[1])
+        rows[1] -= q0 * cu
+        np.multiply(-q1, a, out=rows[2])
+        rows[3], rows[4], rows[5], rows[6] = a, 0.0, cu, d[:, 0]
+        m += (rows * w) @ rows.T
+        # v rows of g = (0, b, cv)
+        np.multiply(q1, cv, out=rows[0])
+        rows[0] -= q2 * b
+        np.multiply(-q0, cv, out=rows[1])
+        np.multiply(q0, b, out=rows[2])
+        rows[3], rows[4], rows[5], rows[6] = 0.0, b, cv, d[:, 1]
+        m += (rows * w) @ rows.T
+        return m[:6, :6], m[:6, 6]
+    return phi, normal
 
 
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _gauss_newton(normal_fn, pose: Pose, max_iters: int, n_res: int):
+def _gauss_newton(evaluate, pose: Pose, max_iters: int, n_res: int):
     """Gauss-Newton on (R, t) with a step-halving line search.
 
-    ``normal_fn(R, t)`` returns the objective phi of the ``n_res`` weighted
-    residuals; ``normal_fn(R, t, True)`` returns (phi, J^T W J, J^T W r).
-    Each step solves the 6x6 normal equations for the left so(3) x R^3
-    increment (w, dt). The solve stops before the line search once the
+    ``evaluate(R, t)`` returns the objective phi of the ``n_res`` weighted
+    residuals and a deferred step that returns (J^T W J, J^T W r) at that
+    point. Each point is evaluated once; the step runs only for the start
+    point and each accepted trial, so a rejected trial costs its objective
+    alone. Each step solves the 6x6 normal equations for the left so(3) x
+    R^3 increment (w, dt). The solve stops before the line search once the
     predicted decrease -g.delta is not above n_res * eps * phi, the
     worst-case rounding error of the sum phi (Madsen, Nielsen & Tingleff,
     "Methods for Non-Linear Least Squares Problems", 2004, sec. 3). The
@@ -315,14 +373,14 @@ def _gauss_newton(normal_fn, pose: Pose, max_iters: int, n_res: int):
     (R, t, iterations, trace).
     """
     rot, t = pose.rotation, pose.translation
-    phi = normal_fn(rot, t)
+    phi, normal = evaluate(rot, t)
     if not np.isfinite(phi):
         raise Degenerate("initial state is invalid")
     trace = [phi]
     iters = 0
     for it in range(max_iters):
         iters = it + 1
-        _, jtj, g = normal_fn(rot, t, True)
+        jtj, g = normal()
         delta = np.linalg.lstsq(jtj, -g, rcond=None)[0]
         # Converged: no step can show a decrease this far below phi's rounding.
         if not -float(g @ delta) > n_res * _EPS * phi:
@@ -332,9 +390,9 @@ def _gauss_newton(normal_fn, pose: Pose, max_iters: int, n_res: int):
         while alpha >= 2.0 ** -20:
             rot_new = _so3_exp(alpha * delta[:3]) @ rot
             t_new = t + alpha * delta[3:]
-            phi_new = normal_fn(rot_new, t_new)
+            phi_new, normal_new = evaluate(rot_new, t_new)
             if phi_new < phi:  # False for NaN: a non-finite trial is rejected
-                rot, t, phi = rot_new, t_new, phi_new
+                rot, t, phi, normal = rot_new, t_new, phi_new, normal_new
                 trace.append(phi)
                 accepted = True
                 break
@@ -346,9 +404,16 @@ def _gauss_newton(normal_fn, pose: Pose, max_iters: int, n_res: int):
     return rot, t, iters, trace
 
 
-def _check_positive(**values: float) -> None:
+def check_solve_values(**values: float) -> None:
+    """Raise ValueError unless a given ``max_iters`` is >= 1 and every other
+    given value (``inlier_tol``, ``sigma_m``, ``sigma_px``) is a finite
+    value > 0: the one copy of the rules that ``ransac``, ``solve_fused`` and
+    the ``solve`` command apply."""
     for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
+        if name == "max_iters":
+            if not value >= 1:
+                raise ValueError(f"max_iters must be >= 1, got {value!r}")
+        elif not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite value > 0, got {value!r}")
 
 
@@ -371,10 +436,10 @@ def solve_2d3d(corr: CorrSet, k: Intrinsics, init: Pose | None = None) -> SolveR
 
     obj, img, w = corr.obj_pts, corr.img_pts, corr.weights
 
-    def normal_fn(rot, t, normal=False):
-        return _pixel_normal(obj @ rot.T, img, w, t, k, normal)
+    def evaluate(rot, t):
+        return _pixel_normal(obj @ rot.T, img, w, t, k)
 
-    rot, t, iters, trace = _gauss_newton(normal_fn, init, 100, 2 * len(corr))
+    rot, t, iters, trace = _gauss_newton(evaluate, init, 100, 2 * len(corr))
     rmse = math.sqrt(trace[-1] / w.sum())
     return SolveReport(Pose(rot, t), len(corr), rmse, iters, "2d3d", trace)
 
@@ -390,7 +455,7 @@ def solve_fused(corr: CorrSet, k: Intrinsics, *, sigma_m: float = SIGMA_M,
     ``RANSAC_INLIER_TOL``) unless an explicit pose is given. Each sigma must
     be a finite value > 0 (ValueError otherwise).
     """
-    _check_positive(sigma_m=sigma_m, sigma_px=sigma_px)
+    check_solve_values(sigma_m=sigma_m, sigma_px=sigma_px)
     if corr.cam_pts is None or corr.img_pts is None:
         raise ValueError("fused solving requires both cam_pts and img_pts")
     _check_spread(corr.obj_pts, 3)
@@ -400,16 +465,19 @@ def solve_fused(corr: CorrSet, k: Intrinsics, *, sigma_m: float = SIGMA_M,
 
     obj, cam, img = corr.obj_pts, corr.cam_pts, corr.img_pts
     w_m, w_px = corr.weights / sigma_m ** 2, corr.weights / sigma_px ** 2
+    w_m_sum = w_m.sum()
 
-    def normal_fn(rot, t, normal=False):
+    def evaluate(rot, t):
         q = obj @ rot.T
-        m = _metric_normal(q, cam, w_m, t, normal)
-        px = _pixel_normal(q, img, w_px, t, k, normal)
-        if not normal:
-            return m + px
-        return tuple(a + b for a, b in zip(m, px))
+        phi_m, normal_m = _metric_normal(q, cam, w_m, t, w_m_sum)
+        phi_px, normal_px = _pixel_normal(q, img, w_px, t, k)
 
-    rot, t, iters, trace = _gauss_newton(normal_fn, init, 100, 5 * len(corr))
+        def normal():
+            (jtj_m, g_m), (jtj_px, g_px) = normal_m(), normal_px()
+            return jtj_m + jtj_px, g_m + g_px
+        return phi_m + phi_px, normal
+
+    rot, t, iters, trace = _gauss_newton(evaluate, init, 100, 5 * len(corr))
     rmse = math.sqrt(trace[-1] / (5.0 * corr.weights.sum()))
     return SolveReport(Pose(rot, t), len(corr), rmse, iters, "fused", trace)
 
@@ -448,18 +516,19 @@ def _best_3d3d(corr: CorrSet, samples: np.ndarray, subset: np.ndarray, inlier_to
     """Preemptive scoring of all (H, 3) minimal-sample hypotheses (Nister,
     "Preemptive RANSAC for live structure and motion estimation", ICCV 2003).
 
-    Batched collinearity test and Kabsch give every hypothesis. Each is
-    counted on the ``subset`` rows; the leaders, those whose count is at
-    least the ``PREEMPT_LEADERS``-th largest (ties included), are scored on
-    all rows. Returns the leader with the most inliers, then the lower rmse,
-    then the lower index, as (count, rmse, index, pose, inlier mask), or None
-    when no hypothesis has an inlier. When ``subset`` holds every row the
-    winner is the one an exhaustive scoring picks.
+    A closed-form collinearity test and a batched Kabsch give every
+    hypothesis. Each is counted on the ``subset`` rows; the leaders, those
+    whose count is at least the ``PREEMPT_LEADERS``-th largest (ties
+    included), are scored on all rows. Returns the leader with the most
+    inliers, then the lower rmse, then the lower index, as (count, rmse,
+    index, pose, inlier mask), or None when no hypothesis has an inlier.
+    When ``subset`` holds every row the winner is the one an exhaustive
+    scoring picks.
     """
     obj, cam = corr.obj_pts[samples], corr.cam_pts[samples]
     w = corr.weights[samples]
     wsum = w.sum(axis=1)
-    valid = _spread_ok(obj) & (wsum > 0)
+    valid = _triple_spread_ok(obj) & (wsum > 0)
     rot, t = _kabsch(obj, cam, w / np.where(wsum > 0, wsum, 1.0)[:, None])
     sub = _sq_planes(corr.obj_pts[subset], corr.cam_pts[subset], rot, t)
     votes = np.where(valid, np.count_nonzero(np.sqrt(sub) < inlier_tol, axis=0), -1)
@@ -485,7 +554,7 @@ def _best_2d3d(corr: CorrSet, samples: np.ndarray, inlier_tol: float, k: Intrins
             hyp = solve_2d3d(corr.subset(sample), k).pose
         except Degenerate:
             continue
-        norms = np.linalg.norm(_pixel_error(hyp.apply(corr.obj_pts), corr.img_pts, k),
+        norms = np.linalg.norm(_pixel_error(hyp.apply(corr.obj_pts), corr.img_pts, k)[0],
                                axis=1)
         inliers = norms < inlier_tol
         count = int(inliers.sum())
@@ -513,9 +582,7 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = RANSAC_
     """
     if mode not in ("3d3d", "2d3d"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not max_iters >= 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
-    _check_positive(inlier_tol=inlier_tol)
+    check_solve_values(max_iters=max_iters, inlier_tol=inlier_tol)
     if mode == "3d3d" and corr.cam_pts is None:
         raise Degenerate("3d3d RANSAC requires cam_pts")
     if mode == "2d3d":

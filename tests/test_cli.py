@@ -190,8 +190,9 @@ class TestPipeline:
     def test_solve_rejects_invalid_values(self, pipeline, tmp_path, flags):
         *_, maps, noisy, _ = pipeline
         out = tmp_path / "x.json"
-        assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(noisy),
-                     *flags]) == 2
+        for path in (noisy, tmp_path / "missing"):  # before any file is read
+            assert main(["solve", "--seed", "7", "--out", str(out), "--maps", str(path),
+                         *flags]) == 2
         assert not out.exists()
 
     # sha256 of each poses JSON on the pipeline's noisy maps, pinned from the

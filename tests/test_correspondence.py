@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,7 +134,38 @@ class TestDenseMapsValidation:
                                maps.grids.roi), maps.anchors)
 
 
+# Noise settings of the fused_blob benchmark workload, alone, without its
+# label flips and with each of the last three stages switched on.
+_FUSED_BLOB_NOISE = NoiseSpec(residual_sigma=0.005, label_flip_prob=0.02, seed=11)
+_CORRUPT_SPECS = {
+    "residual": replace(_FUSED_BLOB_NOISE, label_flip_prob=0.0),
+    "fused-blob": _FUSED_BLOB_NOISE,
+    "mask": replace(_FUSED_BLOB_NOISE, mask_flip_prob=0.05),
+    "depth": replace(_FUSED_BLOB_NOISE, depth_sigma=0.002),
+    "uv": replace(_FUSED_BLOB_NOISE, uv_sigma=1.0),
+}
+# sha256 of every array corrupt returns under each spec, pinned from the code
+# that made every draw of every stage whatever the settings.
+PINNED_CORRUPT = {
+    "residual": "ce799a48257bbb5301cf2eba670bd4f9abf2a624b5853e5fe1c19f665eb8fdef",
+    "fused-blob": "59ac7bbcdb5f7e23723af30d392d7a034aa39a4b2544d081416408f2a82adda4",
+    "mask": "b8aa43ac69280e80971bea44bad109cf810167653f564f3e47427c74c1bcc9ea",
+    "depth": "bb930c8c7093b6b8a1f3186a3c436279ad84cf7399ad811cb292f81665b3ab61",
+    "uv": "1b436ed01f3a8b997422922799c0763a8e0be052fd20d935997ff238fc065d3c",
+}
+
+
 class TestCorrupt:
+    @pytest.mark.parametrize("case", sorted(PINNED_CORRUPT))
+    def test_arrays_are_pinned(self, gt_setup, case):
+        *_, maps = gt_setup
+        out = corrupt(maps, _CORRUPT_SPECS[case])
+        h = hashlib.sha256()
+        for a in (out.mask, out.classes, out.residual, out.grids.uv, out.grids.cam_xyz,
+                  out.grids.valid):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == PINNED_CORRUPT[case]
+
     def test_zero_noise_is_identity(self, gt_setup):
         *_, maps = gt_setup
         out = corrupt(maps, NoiseSpec(0.0, 0.0, 0.0, 0.0, seed=1))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -19,6 +21,8 @@ from anchorpose.solver import (
     _metric_normal,
     _pixel_normal,
     _so3_exp,
+    _spread_ok,
+    _triple_spread_ok,
     extract_correspondences,
     pose_error,
     ransac,
@@ -459,6 +463,51 @@ class TestBatchedRansac3d3d:
             ransac(corr, "3d3d", inlier_tol=0.005, max_iters=64, seed=0)
 
 
+def _near_collinear_triples(rng, n, log_lo, log_hi):
+    """(n, 3, 3) triples along a random line, each pushed off it by a random
+    perpendicular of 10**uniform(log_lo, log_hi) times its length along it."""
+    base = rng.normal(size=(n, 1, 3))
+    d = rng.normal(size=(n, 1, 3))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    perp = rng.normal(size=(n, 3, 3))
+    perp -= (perp * d).sum(axis=-1, keepdims=True) * d
+    ratio = 10.0 ** rng.uniform(log_lo, log_hi, (n, 1, 1))
+    scale = rng.uniform(1e-3, 1.0, (n, 1, 1))
+    return base + scale * (rng.normal(size=(n, 3, 1)) * d + ratio * perp)
+
+
+class TestTripleSpread:
+    """The closed-form 3-point spread test equals the SVD one exactly."""
+
+    @pytest.mark.parametrize("seed, case", enumerate(
+        ["random", "collinear", "collinear-grid", "coincident", "near-coincident",
+         "near-collinear"]))
+    def test_matches_svd(self, seed, case):
+        rng = np.random.default_rng(seed)
+        n = 5000
+        line = rng.normal(size=(n, 1, 3)), rng.normal(size=(n, 1, 3))
+        tri = {
+            "random": lambda: rng.normal(size=(n, 3, 3)) * rng.uniform(1e-3, 1.0, (n, 1, 1)),
+            "collinear": lambda: line[0] + rng.normal(size=(n, 3, 1)) * line[1],
+            "collinear-grid": lambda: line[0] + rng.integers(-4, 4, (n, 3, 1)) / 8 * line[1],
+            "coincident": lambda: np.repeat(line[0], 3, axis=1),
+            "near-coincident": lambda: line[0] + rng.normal(size=(n, 3, 3)) * 1e-12,
+            "near-collinear": lambda: _near_collinear_triples(rng, n, -10.0, -7.0),
+        }[case]()
+        expected = _spread_ok(tri)
+        np.testing.assert_array_equal(_triple_spread_ok(tri), expected)
+        if case in ("collinear", "coincident"):
+            assert not expected.any()
+        if case == "near-collinear":  # both sides of the 1e-9 rule are covered
+            assert 0.2 < expected.mean() < 0.8
+
+    @pytest.mark.parametrize("exponent", [-7, -8, -9.5, -10])
+    def test_near_collinear_decade(self, exponent):
+        tri = _near_collinear_triples(np.random.default_rng(int(-exponent * 10)), 5000,
+                                      exponent - 0.25, exponent + 0.25)
+        np.testing.assert_array_equal(_triple_spread_ok(tri), _spread_ok(tri))
+
+
 class TestDrawSamples:
     @pytest.mark.parametrize("m", [3, 6])
     def test_rows_hold_distinct_indices_in_range(self, m):
@@ -503,38 +552,149 @@ def _noisy_fused_corr(seed, n=1000):
                          rng.uniform(0.5, 1.0, n))
 
 
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of each solve's pose, trace, inlier count, rmse and iterations on
+# _noisy_fused_corr sets, pinned from the code whose Gauss-Newton evaluated
+# every accepted point twice: once objective-only in the line search, then
+# again with its normal equations.
+_SOLVES = {
+    "fused": lambda corr, seed: solve_fused(corr, K, seed=seed, ransac_iters=32),
+    "2d3d": lambda corr, seed: solve_2d3d(corr, K),
+    "ransac-2d3d": lambda corr, seed: ransac(corr, "2d3d", 2.0, 12, seed, k=K),
+}
+PINNED_SOLVES = {
+    "fused/200": "c614695811740237bf7b0cbd1cb6d6620edb4f8fd3c37f927fada9b2dd662463",
+    "fused/201": "7b6ff7267079fc68b9f6c8d0775dcfecf14a3a494c6fec56297a99b1de8c4985",
+    "fused/202": "b958f334125eae82b9bfad38989b04151a72014b434b852fdd57dc2a11c6010b",
+    "2d3d/200": "10f0abc7e0dbaf90f76af7ae31a7a303ade99e13841b45e62fc6f819da69bb33",
+    "2d3d/201": "59e246050e6216504d8b43b0e010cf830199a10a2c90c90b3fd95880b0231654",
+    "2d3d/202": "9dfb3504c95ab87a38d741cfa723127f678223bc07087ea5850b637a4b9383a2",
+    "ransac-2d3d/200": "8a875a19f2480ca084ac5ba5093a4a3aea24ffa1cf08bd557b3acc0cf5a110a4",
+    "ransac-2d3d/201": "73e8bb76a4459ec37003ced6a8f18540c423bab45566bfa096bc3b823939f288",
+    "ransac-2d3d/202": "fa74d6d256cceb2be86f7f47b88c1c47bd0c3e3fb59529e40c71fcfcbd8760cf",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SOLVES))
+def test_solve_bytes_are_pinned(case):
+    route, seed = case.rsplit("/", 1)
+    _, corr = _noisy_fused_corr(int(seed), n=1000 if route != "ransac-2d3d" else 200)
+    rep = _SOLVES[route](corr, int(seed))
+    got = _digest(rep.pose.rotation, rep.pose.translation, rep.trace,
+                  [rep.inlier_count, rep.rmse, rep.iterations])
+    assert got == PINNED_SOLVES[case]
+
+
+def _captured_evaluate(monkeypatch, solve, *args, **kw):
+    """The ``evaluate(R, t)`` that ``solve`` hands to ``_gauss_newton``."""
+    captured, inner = [], solver._gauss_newton
+
+    def gauss_newton(evaluate, *gn_args, **gn_kw):
+        captured.append(evaluate)
+        return inner(evaluate, *gn_args, **gn_kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_gauss_newton", gauss_newton)
+        solve(*args, **kw)
+    return captured[0]
+
+
 class TestGaussNewtonStopRule:
-    def _counting_solve(self, monkeypatch, corr, **kw):
-        """solve_fused, also returning the number of objective-only evaluations
-        that follow each normal-equation evaluation (one run per line search)."""
-        runs = []
+    def _counting_solve(self, monkeypatch, solve, corr, **kw):
+        """``solve(corr, K, **kw)``, also returning the number of evaluations
+        that follow each deferred normal-equation step (one run per line
+        search) and the (R, t, phi) of every evaluation in order."""
+        runs, points = [], []
         inner = solver._gauss_newton
 
-        def gauss_newton(normal_fn, pose, max_iters, n_res, **gn_kw):
-            def counted(rot, t, normal=False):
-                if normal:
-                    runs.append(0)
-                elif runs:
+        def gauss_newton(evaluate, pose, max_iters, n_res, **gn_kw):
+            def counted(rot, t):
+                if runs:
                     runs[-1] += 1
-                return normal_fn(rot, t, normal)
+                phi, normal = evaluate(rot, t)
+                points.append((rot, t, phi))
+
+                def counted_normal():
+                    runs.append(0)
+                    return normal()
+                return phi, counted_normal
             return inner(counted, pose, max_iters, n_res, **gn_kw)
 
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_gauss_newton", gauss_newton)
-            return solve_fused(corr, K, **kw), runs
+            return solve(corr, K, **kw), runs, points
 
     @pytest.mark.parametrize("seed", range(6))
     def test_converges_without_confirming_line_search(self, monkeypatch, seed):
         pose, corr = _noisy_fused_corr(100 + seed)
         init = _perturbed(pose, np.random.default_rng(seed), deg=3.0, dt=0.02)
-        rep, runs = self._counting_solve(monkeypatch, corr, init=init)
+        rep, runs, _ = self._counting_solve(monkeypatch, solve_fused, corr, init=init)
         assert max(runs) < 21  # no line search halved 20 times without a decrease
         assert rep.iterations <= 6
         assert all(b < a for a, b in zip(rep.trace, rep.trace[1:]))
 
-        again, runs = self._counting_solve(monkeypatch, corr, init=rep.pose)
-        assert again.iterations <= 1 and runs == [0]
+        again, runs, points = self._counting_solve(monkeypatch, solve_fused, corr,
+                                                   init=rep.pose)
+        assert again.iterations <= 1 and runs == [0] and len(points) == 1
         assert pose_error(again.pose, rep.pose)[0] < 1e-6
+
+    @pytest.mark.parametrize("solve", [solve_fused, solve_2d3d], ids=["fused", "2d3d"])
+    def test_each_point_evaluated_once(self, monkeypatch, solve):
+        """m accepted and h rejected trials make 1 + m + h evaluations, and the
+        deferred step runs once per iteration: at the start point and at each
+        accepted point that does not end the solve."""
+        rejected_total = 0
+        for seed in range(6):
+            pose, corr = _noisy_fused_corr(100 + seed)
+            init = _perturbed(pose, np.random.default_rng(seed), deg=150.0, dt=0.1)
+            rep, runs, points = self._counting_solve(monkeypatch, solve, corr, init=init)
+            accepted, rejected, phi = [], 0, points[0][2]
+            for _, _, trial in points[1:]:
+                if trial < phi:
+                    accepted.append(trial)
+                    phi = trial
+                else:
+                    rejected += 1
+            assert accepted == rep.trace[1:]
+            assert len(points) == 1 + len(accepted) + rejected
+            assert len(runs) == rep.iterations
+            keys = {(r.tobytes(), t.tobytes()) for r, t, _ in points}
+            assert len(keys) == len(points)  # no point is evaluated twice
+            rejected_total += rejected
+        if solve is solve_2d3d:  # from 150 degrees off, full pixel steps overshoot
+            assert rejected_total > 0
+
+    @pytest.mark.parametrize("route", ["fused", "2d3d", "metric", "pixel"])
+    def test_deferred_step_survives_later_evaluations(self, monkeypatch, route):
+        pose, corr = _noisy_fused_corr(7, n=300)
+        w = corr.weights
+        if route == "fused":
+            evaluate = _captured_evaluate(monkeypatch, solve_fused, corr, K, init=pose)
+        elif route == "2d3d":
+            evaluate = _captured_evaluate(monkeypatch, solve_2d3d, corr, K, init=pose)
+        elif route == "metric":
+            def evaluate(rot, t):
+                return _metric_normal(corr.obj_pts @ rot.T, corr.cam_pts, w, t, w.sum())
+        else:
+            def evaluate(rot, t):
+                return _pixel_normal(corr.obj_pts @ rot.T, corr.img_pts, w, t, K)
+        rng = np.random.default_rng(3)
+        first = _perturbed(pose, rng, deg=2.0, dt=0.01)
+        phi, step = evaluate(first.rotation, first.translation)
+        alone = evaluate(first.rotation, first.translation)[1]()
+        for _ in range(3):
+            later = _perturbed(pose, rng, deg=10.0, dt=0.05)
+            later_phi, later_step = evaluate(later.rotation, later.translation)
+            later_step()
+            assert later_phi != phi
+        jtj, jtr = step()
+        assert np.array_equal(jtj, alone[0]) and np.array_equal(jtr, alone[1])
 
 
 # The stacked analytic Jacobians that the accumulated normal equations replace:
@@ -624,12 +784,12 @@ def test_normal_equations_match_stacked_jacobian(family):
     stacked, normal = [], []
     if family in ("metric", "fused"):
         stacked.append(_stacked_metric(obj, target_m, np.sqrt(w_m), rot, t))
-        normal.append(_metric_normal(q, target_m, w_m, t, True))
-        assert _metric_normal(q, target_m, w_m, t) == normal[-1][0]
+        phi, step = _metric_normal(q, target_m, w_m, t, w_m.sum())
+        normal.append((phi, *step()))
     if family in ("pixel", "fused"):
         stacked.append(_stacked_pixel(obj, target_px, np.sqrt(w_px), rot, t, K))
-        normal.append(_pixel_normal(q, target_px, w_px, t, K, True))
-        assert _pixel_normal(q, target_px, w_px, t, K) == normal[-1][0]
+        phi, step = _pixel_normal(q, target_px, w_px, t, K)
+        normal.append((phi, *step()))
         assert (q + t)[:3, 2].max() < NEAR_EPS  # clamped rows are covered
     r = np.concatenate([s[0] for s in stacked])
     jac = np.concatenate([s[1] for s in stacked])
