@@ -105,18 +105,25 @@ def _shared_scene_task(item):
     return _scene_task(_shared, item)
 
 
+def _check_jobs(jobs: int) -> None:
+    """Raise ValueError unless ``jobs`` (the sweeps' worker count) is >= 1."""
+    if not jobs >= 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs!r}")
+
+
 def _pmap(shared, items, jobs: int) -> list:
-    """``[_scene_task(shared, it) for it in items]``, on ``jobs`` worker
-    processes when ``jobs > 1``.
+    """``[_scene_task(shared, it) for it in items]``, on min(``jobs``,
+    ``len(items)``) worker processes when that is more than one.
 
     ``shared`` (the model, scenes and map groups) reaches each worker once,
     through the pool initializer, so a task sends only its small ``item``
     (a scene index and that scene's draws) rather than megabytes of depth
     images. Both are plain data, so any start method can ship them.
     """
-    if jobs <= 1:
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [_scene_task(shared, it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_set_shared,
+    with ProcessPoolExecutor(max_workers=workers, initializer=_set_shared,
                              initargs=(shared,)) as ex:
         return list(ex.map(_shared_scene_task, items))
 
@@ -229,9 +236,14 @@ def _sweep(model: ObjectModel, scenes, groups: list[tuple[AnchorSet, list[_Varia
     and shipped in each scene's item, so no closure reaches a worker. There
     is one pool task per scene (``_scene_task``); the model, scenes and
     groups reach each worker once. The variants come back in group order,
-    each group's in turn, whatever ``jobs`` is.
+    each group's in turn, whatever ``jobs`` is (ValueError below 1).
     """
-    model.diameter, model.kdtree, model.half_gap  # cached here, so pool workers inherit them
+    _check_jobs(jobs)
+    # Cached here, so pool workers inherit them; only ADD-S, which a sweep
+    # computes for a symmetric model alone, reads the kd tree and gaps.
+    model.diameter
+    if model.symmetric:
+        model.kdtree, model.half_gap
     items = [(i, [draw(g, i) for g in range(len(groups))]) for i in range(len(scenes))]
     by_scene = _pmap((model, scenes, groups, res), items, jobs)
     return [[recs[j] for recs in by_scene] for j in range(sum(len(vs) for _, vs in groups))]
@@ -514,6 +526,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _scenes_and_model(args: argparse.Namespace):
+    _check_jobs(args.jobs)  # before any file is read
     scenes, models = _load_benchmark_dir(args.scenes)
     ids = {s.object_id for _, s in scenes}
     if len(ids) != 1:

@@ -23,8 +23,12 @@ Three routes are provided and jointly exercised by the ablation harness:
 rejection. All minimal samples are drawn in one vectorized pass, and 3d-3d
 hypotheses are spread-tested in closed form, solved in one batched pass and
 scored preemptively: all on a seeded subset, the leaders on every
-correspondence. All solvers are pure functions of their inputs (and seed),
-and reports carry the route used as ``mode`` metadata.
+correspondence. 3d-3d RANSAC stops at full consensus: when a hypothesis
+with the full subset vote holds every correspondence (with a 1e-9 relative
+margin) and the set is not collinear, every tied winner's inliers are all
+rows, so the leaders' tie-break cannot change the refit on them and is
+skipped. All solvers are pure functions of their inputs (and seed), and
+reports carry the route used as ``mode`` metadata.
 """
 
 from __future__ import annotations
@@ -512,18 +516,14 @@ def _sq_planes(obj: np.ndarray, cam: np.ndarray, rot: np.ndarray, t: np.ndarray)
     return sq
 
 
-def _best_3d3d(corr: CorrSet, samples: np.ndarray, subset: np.ndarray, inlier_tol: float):
-    """Preemptive scoring of all (H, 3) minimal-sample hypotheses (Nister,
-    "Preemptive RANSAC for live structure and motion estimation", ICCV 2003).
+def _hypotheses_3d3d(corr: CorrSet, samples: np.ndarray, subset: np.ndarray,
+                     inlier_tol: float):
+    """All (H, 3) minimal-sample hypotheses and their votes on ``subset``.
 
     A closed-form collinearity test and a batched Kabsch give every
-    hypothesis. Each is counted on the ``subset`` rows; the leaders, those
-    whose count is at least the ``PREEMPT_LEADERS``-th largest (ties
-    included), are scored on all rows. Returns the leader with the most
-    inliers, then the lower rmse, then the lower index, as (count, rmse,
-    index, pose, inlier mask), or None when no hypothesis has an inlier.
-    When ``subset`` holds every row the winner is the one an exhaustive
-    scoring picks.
+    hypothesis. Returns (R, t, votes): (H, 3, 3), (H, 3) and each
+    hypothesis's inlier count on the ``subset`` rows, -1 for a collinear or
+    weightless sample.
     """
     obj, cam = corr.obj_pts[samples], corr.cam_pts[samples]
     w = corr.weights[samples]
@@ -532,8 +532,23 @@ def _best_3d3d(corr: CorrSet, samples: np.ndarray, subset: np.ndarray, inlier_to
     rot, t = _kabsch(obj, cam, w / np.where(wsum > 0, wsum, 1.0)[:, None])
     sub = _sq_planes(corr.obj_pts[subset], corr.cam_pts[subset], rot, t)
     votes = np.where(valid, np.count_nonzero(np.sqrt(sub) < inlier_tol, axis=0), -1)
+    return rot, t, votes
+
+
+def _best_3d3d(corr: CorrSet, rot: np.ndarray, t: np.ndarray, votes: np.ndarray,
+               inlier_tol: float):
+    """Preemptive scoring of ``_hypotheses_3d3d`` (Nister, "Preemptive RANSAC
+    for live structure and motion estimation", ICCV 2003).
+
+    The leaders, the valid hypotheses whose vote is at least the
+    ``PREEMPT_LEADERS``-th largest (ties included), are scored on all rows.
+    Returns the leader with the most inliers, then the lower rmse, then the
+    lower index, as (count, rmse, index, pose, inlier mask), or None when no
+    hypothesis has an inlier. When the votes were counted on every row the
+    winner is the one an exhaustive scoring picks.
+    """
     cut = np.sort(votes)[max(len(votes) - PREEMPT_LEADERS, 0)]
-    leaders = np.nonzero(valid & (votes >= cut))[0]
+    leaders = np.nonzero(votes >= max(cut, 0))[0]
     sq = _sq_planes(corr.obj_pts, corr.cam_pts, rot[leaders], t[leaders])
     inliers = np.sqrt(sq) < inlier_tol
     count = np.count_nonzero(inliers, axis=0)
@@ -544,6 +559,33 @@ def _best_3d3d(corr: CorrSet, samples: np.ndarray, subset: np.ndarray, inlier_to
     j = int(np.lexsort((leaders, rmse, -count))[0])
     i = int(leaders[j])
     return int(count[j]), float(rmse[j]), i, Pose(rot[i], t[i]), inliers[:, j]
+
+
+def _full_consensus(corr: CorrSet, rot: np.ndarray, t: np.ndarray, votes: np.ndarray,
+                    n_sub: int, inlier_tol: float) -> SolveReport | None:
+    """``solve_3d3d`` of every row when a hypothesis provably holds every row.
+
+    Only a hypothesis with the full vote ``n_sub`` can hold every row; the
+    first ``PREEMPT_LEADERS`` of them are scored on all rows against
+    ``inlier_tol * (1 - 1e-9)``, a margin far above the rounding of any
+    product order, so ``_best_3d3d`` would count every row of such a one
+    too. Its winner's inlier mask is then all rows, whichever hypothesis
+    wins the tie, and ``ransac``'s refit on that mask is this solve.
+    Returns None, and ``ransac`` scores the leaders, when no tested
+    hypothesis clears the margin on every row or when this refit is
+    degenerate: ``ransac`` then returns the winner's own pose, which the
+    tie-break decides.
+    """
+    top = np.nonzero(votes == n_sub)[0][:PREEMPT_LEADERS]
+    if not len(top):
+        return None
+    sq = _sq_planes(corr.obj_pts, corr.cam_pts, rot[top], t[top])
+    if not (np.sqrt(sq.max(axis=0)) < inlier_tol * (1.0 - 1e-9)).any():
+        return None
+    try:
+        return solve_3d3d(corr)
+    except Degenerate:
+        return None
 
 
 def _best_2d3d(corr: CorrSet, samples: np.ndarray, inlier_tol: float, k: Intrinsics):
@@ -576,7 +618,10 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = RANSAC_
     lower rmse, lower hypothesis index), so results are bit-reproducible.
     All minimal samples are drawn up front in one vectorized pass, then the
     3d3d scoring subset of min(n, ``PREEMPT_SUBSET``) correspondences; 3d3d
-    hypotheses are solved in one batched pass and scored preemptively.
+    hypotheses are solved in one batched pass and scored preemptively. At
+    full consensus (``_full_consensus``: a hypothesis holds every row and
+    the set is not collinear) 3d3d skips the leaders' scoring and returns
+    the refit on every row, the pose and rmse the full scoring would give.
     ``max_iters`` must be >= 1 and ``inlier_tol`` a finite value > 0
     (ValueError otherwise).
     """
@@ -599,7 +644,11 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = RANSAC_
     samples = _draw_samples(rng, n, minimal, max_iters)
     if mode == "3d3d":
         subset = np.sort(rng.choice(n, min(n, PREEMPT_SUBSET), replace=False))
-        best = _best_3d3d(corr, samples, subset, inlier_tol)
+        hyps = _hypotheses_3d3d(corr, samples, subset, inlier_tol)
+        refit = _full_consensus(corr, *hyps, len(subset), inlier_tol)
+        if refit is not None:
+            return SolveReport(refit.pose, n, refit.rmse, max_iters, mode)
+        best = _best_3d3d(corr, *hyps, inlier_tol)
     else:
         best = _best_2d3d(corr, samples, inlier_tol, k)
 

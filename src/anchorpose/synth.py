@@ -216,14 +216,11 @@ def _icosphere_dirs(n_points: int) -> np.ndarray:
     """Unit directions from a subdivided icosahedron with >= n_points vertices."""
     verts, faces = _icosahedron()
     f = max(1, math.ceil(math.sqrt(max(n_points - 2, 1) / 10.0)))
-    pts = []
-    for tri in faces:
-        a, b, c = verts[tri]
-        for i in range(f + 1):
-            for j in range(f + 1 - i):
-                k = f - i - j
-                pts.append((i * a + j * b + k * c) / f)
-    pts = _dedupe(np.asarray(pts))
+    i, j = np.divmod(np.arange((f + 1) ** 2), f + 1)
+    keep = i + j <= f  # the barycentric grid (i, j, f - i - j) of each face
+    i, j = i[keep, None], j[keep, None]
+    a, b, c = (verts[faces[:, m], None] for m in range(3))  # (20, 1, 3) face corners
+    pts = _dedupe(((i * a + j * b + (f - i - j) * c) / f).reshape(-1, 3))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 

@@ -18,6 +18,8 @@ from anchorpose.solver import (
     NoForeground,
     _best_3d3d,
     _draw_samples,
+    _full_consensus,
+    _hypotheses_3d3d,
     _metric_normal,
     _pixel_normal,
     _so3_exp,
@@ -263,7 +265,7 @@ class TestRansac:
         np.testing.assert_allclose(rep.pose.translation, direct.pose.translation,
                                    atol=1e-9)
 
-    def test_thirty_percent_outliers(self):
+    def test_thirty_percent_outliers(self, stops):
         ok = 0
         for trial in range(20):
             rng = np.random.default_rng(20_000 + trial)
@@ -276,6 +278,7 @@ class TestRansac:
             rot, trans = pose_error(rep.pose, pose)
             ok += (rot < 0.5 and trans < 0.005)
         assert ok == 20
+        assert stops == [False] * 20
 
     def test_all_outliers_no_consensus(self):
         rng = np.random.default_rng(13)
@@ -323,6 +326,25 @@ def _draws(n, iters, seed):
     return samples, np.sort(rng.choice(n, min(n, PREEMPT_SUBSET), replace=False))
 
 
+@pytest.fixture
+def stops(monkeypatch):
+    """Whether each ``ransac`` 3d3d call stopped at full consensus, in order."""
+    fired, inner = [], solver._full_consensus
+
+    def spy(*args):
+        refit = inner(*args)
+        fired.append(refit is not None)
+        return refit
+
+    monkeypatch.setattr(solver, "_full_consensus", spy)
+    return fired
+
+
+def _best(corr, samples, subset, tol):
+    """``_best_3d3d`` of the hypotheses ``ransac`` builds from these draws."""
+    return _best_3d3d(corr, *_hypotheses_3d3d(corr, samples, subset, tol), tol)
+
+
 def _reference_best_3d3d(corr, samples, tol, subset=None):
     """Per-hypothesis loop that batched 3d3d scoring must reproduce.
 
@@ -359,7 +381,7 @@ def _reference_best_3d3d(corr, samples, tol, subset=None):
 
 class TestBatchedRansac3d3d:
     @pytest.mark.parametrize("case", ["outliers", "collinear", "preemptive"])
-    def test_matches_reference_loop(self, case):
+    def test_matches_reference_loop(self, case, stops):
         rng = np.random.default_rng(40)
         pose = _rand_pose(rng)
         if case == "collinear":
@@ -383,7 +405,7 @@ class TestBatchedRansac3d3d:
 
         ref, skipped = _reference_best_3d3d(
             corr, samples, 0.005, subset if case == "preemptive" else None)
-        count, rmse, index, hyp, inliers = _best_3d3d(corr, samples, subset, 0.005)
+        count, rmse, index, hyp, inliers = _best(corr, samples, subset, 0.005)
         assert (count, index) == (ref[0], ref[2])
         assert rmse == pytest.approx(ref[1], rel=1e-12)
         np.testing.assert_array_equal(inliers, ref[4])
@@ -393,6 +415,8 @@ class TestBatchedRansac3d3d:
 
         rep = ransac(corr, "3d3d", inlier_tol=0.005, max_iters=128, seed=5)
         refit = solve_3d3d(corr.subset(np.nonzero(ref[4])[0])).pose
+        # every collinear-case row is an inlier, so that call stops early
+        assert stops == [case == "collinear"]
         assert rep.inlier_count == ref[0]
         assert rep.pose.rotation.tobytes() == refit.rotation.tobytes()
         assert rep.pose.translation.tobytes() == refit.translation.tobytes()
@@ -415,7 +439,7 @@ class TestBatchedRansac3d3d:
 
         assert _reference_best_3d3d(corr, samples, 0.005)[0][0] == 110
         ref, _ = _reference_best_3d3d(corr, samples, 0.005, subset)
-        count, _, index, _, inliers = _best_3d3d(corr, samples, subset, 0.005)
+        count, _, index, _, inliers = _best(corr, samples, subset, 0.005)
         assert (count, index) == (ref[0], ref[2]) and count == 90
         np.testing.assert_array_equal(np.nonzero(inliers)[0], np.sort(group_a))
 
@@ -424,7 +448,7 @@ class TestBatchedRansac3d3d:
         pose, corr = _clean_corr(rng, n=30)
         corr = CorrSet(corr.obj_pts, corr.cam_pts + rng.normal(0, 0.001, (30, 3)))
         (a, b), subset = _draws(30, 2, seed=1)
-        count, rmse, index, _, _ = _best_3d3d(corr, np.array([a, b, a, b]), subset, 0.005)
+        count, rmse, index, _, _ = _best(corr, np.array([a, b, a, b]), subset, 0.005)
         assert index in (0, 1)
 
     def test_zero_weight_samples_skipped(self):
@@ -457,10 +481,141 @@ class TestBatchedRansac3d3d:
         support = np.append(first, np.setdiff1d(np.arange(n), first)[0])
         cam[support] = _rand_pose(rng).apply(obj[support])
         corr = CorrSet(obj, cam)
-        best = _best_3d3d(corr, samples, subset, 0.005)
+        best = _best(corr, samples, subset, 0.005)
         assert best is not None and 0 < best[0] < 0.1 * n
         with pytest.raises(NoConsensus):
             ransac(corr, "3d3d", inlier_tol=0.005, max_iters=64, seed=0)
+
+
+def _consensus_corr(seed, n, sigma, weighted):
+    """A sweep-like set: exact correspondences plus ``sigma`` of camera noise
+    per axis, far below the 1 cm tolerance, so every row is an inlier."""
+    rng = np.random.default_rng(seed)
+    pose = _rand_pose(rng)
+    obj = rng.uniform(-0.06, 0.06, (n, 3))
+    cam = pose.apply(obj) + rng.normal(0, sigma, (n, 3))
+    return pose, CorrSet(obj, cam, weights=rng.uniform(0.5, 1.0, n) if weighted else None)
+
+
+class TestFullConsensus:
+    """``ransac`` skips the leaders' tie-break when a hypothesis holds every
+    row and the all-rows refit is sound; it returns what the full path does."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.001])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("n", [60, PREEMPT_SUBSET, 800])
+    def test_equals_refit_of_reference_winner(self, stops, sigma, weighted, n):
+        _, corr = _consensus_corr(300, n, sigma, weighted)
+        samples, subset = _draws(n, 128, seed=300)
+        ref, _ = _reference_best_3d3d(corr, samples, 0.01, subset)
+        assert ref[0] == n
+        refit = solve_3d3d(corr.subset(np.nonzero(ref[4])[0]))
+        rep = ransac(corr, "3d3d", 0.01, 128, 300)
+        assert stops == [True]
+        assert (rep.inlier_count, rep.rmse) == (n, refit.rmse)
+        assert rep.pose.rotation.tobytes() == refit.pose.rotation.tobytes()
+        assert rep.pose.translation.tobytes() == refit.pose.translation.tobytes()
+
+    def test_outliers_cost_no_extra_scoring(self, monkeypatch, stops):
+        # With a third of the rows gross outliers no hypothesis has the full
+        # subset vote, so only the subset pass and the leaders are scored.
+        columns, inner = [], solver._sq_planes
+        monkeypatch.setattr(solver, "_sq_planes",
+                            lambda obj, cam, rot, t: columns.append(len(rot)) or
+                            inner(obj, cam, rot, t))
+        _, corr = _consensus_corr(302, 800, 0.001, False)
+        cam = corr.cam_pts.copy()
+        cam[::3] += 0.05
+        rep = ransac(CorrSet(corr.obj_pts, cam), "3d3d", 0.01, 128, 302)
+        assert stops == [False] and rep.inlier_count == 533
+        assert len(columns) == 2 and columns[0] == 128
+
+    def test_degenerate_refit_returns_the_winner(self, stops):
+        # 1000 points on a line, one of them 1e-9 m off it: the set as a whole
+        # is collinear to the 1e-9 rule, but a triple holding that point is not
+        rng = np.random.default_rng(47)
+        n, seed = 1000, 3
+        line = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+        obj = np.outer(np.linspace(-0.06, 0.06, n), line)
+        obj[n // 3] += 1e-9 * np.cross(line, [1.0, 0.0, 0.0]) / np.linalg.norm(line[1:])
+        corr = CorrSet(obj, Pose(random_rotation_aa(rng), [0.0, 0.0, 1.0]).apply(obj))
+        samples, subset = _draws(n, 128, seed)
+        votes = _hypotheses_3d3d(corr, samples, subset, 0.01)[2]
+        assert not _spread_ok(corr.obj_pts) and (votes == len(subset)).any()
+        with pytest.raises(Degenerate):
+            solve_3d3d(corr)
+
+        ref, _ = _reference_best_3d3d(corr, samples, 0.01, subset)
+        rep = ransac(corr, "3d3d", 0.01, 128, seed)
+        assert stops == [False]
+        assert rep.inlier_count == ref[0] == n
+        assert rep.pose.rotation.tobytes() == ref[3].rotation.tobytes()
+        assert rep.pose.translation.tobytes() == ref[3].translation.tobytes()
+
+    @pytest.mark.parametrize("offset, stop", [(0.5e-9, False), (2e-9, True)])
+    def test_rounding_margin(self, stops, offset, stop):
+        # One row that no sample holds sits tol * (1 - offset) from every
+        # hypothesis: an inlier either way, but inside the 1e-9 margin only
+        # the full path may count it.
+        tol, n = 0.01, 2 * PREEMPT_SUBSET
+        pose, corr = _consensus_corr(301, n, 0.0, False)
+        samples, subset = _draws(n, 128, seed=301)
+        row = np.setdiff1d(np.arange(n), samples)[0]
+        cam = corr.cam_pts.copy()
+        cam[row] += tol * (1.0 - offset) * pose.rotation[:, 0]
+        corr = CorrSet(corr.obj_pts, cam)
+        rot, t, votes = _hypotheses_3d3d(corr, samples, subset, tol)
+        dist = np.linalg.norm(corr.obj_pts[row] @ rot.transpose(0, 2, 1) + t - cam[row],
+                              axis=-1)
+        assert np.all((dist < tol) & ((dist < tol * (1 - 1e-9)) == stop))
+
+        rep = ransac(corr, "3d3d", tol, 128, 301)
+        refit = solve_3d3d(corr.subset(np.arange(n)))
+        assert stops == [stop]
+        assert (rep.inlier_count, rep.rmse) == (n, refit.rmse)
+        assert rep.pose.rotation.tobytes() == refit.pose.rotation.tobytes()
+        assert rep.pose.translation.tobytes() == refit.pose.translation.tobytes()
+
+
+# sha256 of ransac(..., "3d3d", 0.01, 128, seed)'s pose, inlier count and rmse
+# on _consensus_corr sets, pinned from the code that scored every leader on
+# all rows before the full-consensus stop.
+PINNED_RANSAC_3D3D = {
+    "0/u/60/300": "e7f923694e28d16640964295513344301302bd0e40fd04a3e7a0690924330db1",
+    "0/u/60/301": "a4faf5eafe07dfc8db3f9ffaa9da8dc35f3b3604ad06a44de5865511eaea3bb2",
+    "0/u/100/300": "4a2240746ccf244b3ff8773c67535876d8e5389a565c3450c78e2c7c2b3d2e68",
+    "0/u/100/301": "0e43111e961c4db78009257f7710352a2061cb6ffbfd81c812cc3eb37b5d4d16",
+    "0/u/800/300": "803e4ac7fc1298e1425d140163f32b3598aa331ac12aedf15f58d4c7ae3d1be8",
+    "0/u/800/301": "b382d3f8772256d4cdaf97bcb89ae4ff4446ea80d89c384e76aa6e7a1c04f89d",
+    "0/w/60/300": "37c2108cd4e13daf33bf93ee673e6ee4f6249908577febc1045acbfe70f24341",
+    "0/w/60/301": "df18f500000d4fef600ff682d7217878c96db223b002c027e22c4726edcb7a6d",
+    "0/w/100/300": "7466e1c6b819747ff4b0de9ef2dac5726864e19d0948b8d1b9caa4c9c087ee60",
+    "0/w/100/301": "04952d9fc052edc46fbf7a0557ca00dfc78287254bb3df5df085e73c06b8c679",
+    "0/w/800/300": "c4c5b0ce7386a62868c77fc27584a93778a6cd8040f666db61c5442babd66266",
+    "0/w/800/301": "fb1e03affd10dd1f717873d3a24a315e9c95f48be5a0c4b148612159b28215dc",
+    "0.001/u/60/300": "5351258f14fe983d73d7ba836788734c90153db5b525b91f07f6de5f0ae552d7",
+    "0.001/u/60/301": "20f10cea880b28d63928486b662948b3ca2f75c1826d1176dcb26f66fa35b3c3",
+    "0.001/u/100/300": "b6ae49ca5ed75d9aa1966f66c2c4be71ccd6707e6dc825dad6d75ef296ac26ea",
+    "0.001/u/100/301": "abbc7280be9630d3a4294bbe89250b340b266d0e2ac939259c37d41ae047077e",
+    "0.001/u/800/300": "82108f7f28859f46939a3f072c35e2097cd477c07737381e39a493f2bb8547f5",
+    "0.001/u/800/301": "89b29530fc6d72173dc62aefe08b67f2c12ac95f7f5520f06c6a8a388e9a98cf",
+    "0.001/w/60/300": "13c0650b6a291aab5b4628a10a7740fae3f749b51682a6a961762bc5e793bb6a",
+    "0.001/w/60/301": "84782db336784f63dfcf2f0845e43f72987e9e9b519925a0095d157a3df48657",
+    "0.001/w/100/300": "129f03dfd0d437b1fa5fd84d50bbb387f1150f710566b8cb5fc49584bf9ca250",
+    "0.001/w/100/301": "e2b9f250d9666e68d305402e547df7d50c7ad794ce5c6d3d798e35ba4cddb937",
+    "0.001/w/800/300": "b821f366ae1cad8cd79b4bebe2bc2594be6444971aac15a4773b3c7ae47fa458",
+    "0.001/w/800/301": "458cb2ece9a762bfd328f05767cad2db663e276534b764b87c2d83c993c4ea37",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RANSAC_3D3D))
+def test_ransac_3d3d_bytes_are_pinned(case, stops):
+    sigma, weighted, n, seed = case.split("/")
+    _, corr = _consensus_corr(int(seed), int(n), float(sigma), weighted == "w")
+    rep = ransac(corr, "3d3d", 0.01, 128, int(seed))
+    assert stops == [True]
+    assert _digest(rep.pose.rotation, rep.pose.translation,
+                   [rep.inlier_count, rep.rmse]) == PINNED_RANSAC_3D3D[case]
 
 
 def _near_collinear_triples(rng, n, log_lo, log_hi):

@@ -15,6 +15,8 @@ import pytest
 
 from anchorpose import cli
 from anchorpose.cli import main
+from anchorpose.codec import build_anchor_set
+from anchorpose.synth import make_model
 
 _CAMERA = ["--points", "800", "--width", "160", "--height", "120", "--fx", "170",
            "--fy", "170", "--depth-range", "0.6", "1.0"]
@@ -28,6 +30,7 @@ BENCHES = {
              "--occlusion-levels", "1.0", "0.6"],
     "sliver": ["--seed", "4", "--shape", "blob", "--scenes", "4", *_CAMERA,
                "--occlusion-levels", "0.05"],
+    "three": ["--seed", "11", "--shape", "blob", "--scenes", "3", *_CAMERA],
 }
 
 # (case name, bench, sweep command and its arguments after --scenes)
@@ -180,3 +183,80 @@ def test_sweep_shares_maps_and_skips_unread_adds(root, monkeypatch, bench, argv,
     scenes = 4
     assert len(maps) == builds_per_scene * scenes
     assert len(adds) == (variants * scenes if bench == "cube" else 0)
+
+
+@pytest.mark.parametrize("bench", ["blob", "cube"])
+def test_adds_structures_cached_for_symmetric_models_only(root, monkeypatch, bench):
+    # The sweep caches the kd tree and gaps before the pool starts, so the
+    # workers inherit them, but only ADD-S reads them, and only a symmetric
+    # object's sweep computes ADD-S.
+    at_pool, models, pmap = [], [], cli._pmap
+
+    def spy(shared, *args):
+        models.append(shared[0])
+        at_pool.append({"kdtree", "half_gap"} & set(vars(shared[0])))
+        return pmap(shared, *args)
+
+    monkeypatch.setattr(cli, "_pmap", spy)
+    run_case(root, bench, ["ablate-k", "--res", "24", "--k", "8"], 1)
+    adds = {"kdtree", "half_gap"} if bench == "cube" else set()
+    assert at_pool == [adds]
+    assert {"kdtree", "half_gap"} & set(vars(models[0])) == adds
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool by one that records its size and runs every
+    task in this process; returns the list of sizes."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_shared", None)  # the initializer sets it here
+    return sizes
+
+
+def test_pool_never_outnumbers_the_scenes(root, inline_pool):
+    argv = ["ablate-corr", "--res", "24", "--k", "8"]
+    assert run_case(root, "three", argv, 64) == run_case(root, "three", argv, 1)
+    assert inline_pool == [3]
+
+
+def test_pool_of_one_runs_serially(monkeypatch, inline_pool):
+    monkeypatch.setattr(cli, "_scene_task", lambda shared, item: item)
+    assert cli._pmap(None, ["a"], 64) == ["a"]
+    assert cli._pmap(None, ["a", "b"], 64) == ["a", "b"]
+    assert inline_pool == [2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("cmd", ["ablate-anchors", "ablate-corr", "ablate-k"])
+def test_jobs_below_one_exit_2_before_any_file_is_read(tmp_path, cmd, jobs):
+    out = tmp_path / "sweep.csv"
+    assert main([cmd, "--seed", "3", "--out", str(out), "--scenes", str(tmp_path / "missing"),
+                 "--jobs", jobs]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_functions_reject_jobs_below_one(jobs):
+    model = make_model("blob", 100, 0.12, 5)
+    anchors = build_anchor_set(model, 4)
+    for sweep in (functools.partial(cli.ablate_anchors_rows, model, [], k_list=(1, 4)),
+                  functools.partial(cli.ablate_corr_rows, model, anchors, []),
+                  functools.partial(cli.ablate_k_rows, model, anchors, [])):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            sweep(jobs=jobs)

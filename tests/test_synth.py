@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ from scipy.spatial import cKDTree
 from anchorpose.camera_crop import Roi
 from anchorpose.geom import Intrinsics, Pose
 from anchorpose.mesh import ObjectModel
+from anchorpose import synth
 from anchorpose.synth import (
     BinUnfillable,
     Occluder,
@@ -62,6 +64,59 @@ class TestMakeModel:
     def test_unknown_shape(self):
         with pytest.raises(ValueError):
             make_model("torus", 100, 0.1, 0)
+
+
+def _icosphere_dirs_loop(n_points):
+    """The per-vertex loop that ``_icosphere_dirs`` vectorizes, as an oracle."""
+    verts, faces = synth._icosahedron()
+    f = max(1, math.ceil(math.sqrt(max(n_points - 2, 1) / 10.0)))
+    pts = []
+    for tri in faces:
+        a, b, c = verts[tri]
+        for i in range(f + 1):
+            for j in range(f + 1 - i):
+                k = f - i - j
+                pts.append((i * a + j * b + k * c) / f)
+    pts = synth._dedupe(np.asarray(pts))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n_points", [4, 12, 50, 642, 2500, 10000, 26000])
+def test_icosphere_dirs_equal_the_loop(n_points):
+    assert synth._icosphere_dirs(n_points).tobytes() == _icosphere_dirs_loop(n_points).tobytes()
+
+
+# sha256 of make_model(shape, n, 0.12, 7).points, pinned from the code that
+# built icosphere vertices one at a time in a Python loop.
+PINNED_MODELS = {
+    "cube/4": "e8418f2ea4ac1fe42f17d4beceaaaeb39cb0bdbfc68bb1b828bd7fa44512ed2d",
+    "cube/50": "3aa13277787ae1f18c4b0749bbaca1ec81584c4851ca7188f801904b1887c707",
+    "cube/642": "7d25645dbd535631b7fd1a4fc70357af42fa979350cd51914fb9db9760ea0eeb",
+    "cube/2500": "4d8d536780a616b30e3446be3abbafe849583ee9e371f437945edc57a71f60bb",
+    "cube/10000": "2d041ee15dbf45a54d42bb91c3767a93c0dd65f3fc4872b2e3ff66c65b2ab701",
+    "cylinder/4": "b783575f09845d96b3caca25a39284f5efe4532d3091566bda8b9965f908e147",
+    "cylinder/50": "8958072fe7e0ac2b7b55546a775d068c83c44ccc46852a43c0358175eec2ff89",
+    "cylinder/642": "f205d1281b144260e8de266191aa56b36c4c3c0ae98bf24e18ab0b21b11d5a4d",
+    "cylinder/2500": "a981a89dbdb30e3d34361fa3df844c8ab818a55e16237308e9e12bcf07a10bec",
+    "cylinder/10000": "d6093d4b291abd08b120166290613ae5f515cd5064841d6f7c041dff7de7da0f",
+    "icosphere/4": "2ddafe77f0d673f0bd36235253bbb68aa3fbd8f5b063175182ed7e4544e53d74",
+    "icosphere/50": "c90c076fa56b9b8de7b0ac1fc5b78a3a3c665ca977e4786875428060755350e4",
+    "icosphere/642": "ae881e00a94922e128f1fcb41b33e695182f315a8963a113b291f0d3bd7c0038",
+    "icosphere/2500": "afbfd46ff846360bb455691b3fca130d5f161a6e7818695acf4edb799ca7e1b6",
+    "icosphere/10000": "d9e5ea159b6a7dcadb9cb6c7ac224fd5c6721fed98b53b247dff4c11cc053b16",
+    "blob/4": "506272530e3d4695f1c4bf0e95b944a8f29d18fe1f18cdec828aa040edac03e9",
+    "blob/50": "0bc71316ab15b7e77d887fd54ac6b3d563a7c9182ec99ecc0a467b25fe95c2f1",
+    "blob/642": "cf596dfa9438519db0a29088ae67089279ace1394a2f8c7221b3b5570694b3ad",
+    "blob/2500": "249c33940b5818efbb63341b80bcddd5558291ff95434449ca623e2d0dbfd762",
+    "blob/10000": "eb281bde3381d2b8ea2be1ac8cf0d9df90d80d8e68be91632d9a97e62a59ce0f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_MODELS))
+def test_model_bytes_are_pinned(case):
+    shape, n = case.split("/")
+    points = make_model(shape, int(n), 0.12, 7).points
+    assert hashlib.sha256(points.tobytes()).hexdigest() == PINNED_MODELS[case]
 
 
 class TestRender:
