@@ -21,7 +21,6 @@ from .codec import (
     encode_points,
 )
 from .camera_crop import (
-    DepthImage,
     GridMaps,
     Roi,
     adjust_intrinsics,

@@ -5,8 +5,9 @@ map A on pixel coordinates; applying the same A on the left of the camera
 matrix yields crop intrinsics under which projection into the output is
 exact. Grid maps carry, per output cell, the original-image uv coordinate
 of the cell center and the camera-frame xyz point obtained from the depth
-image; computing xyz through the original intrinsics plus the warp or
-directly through the crop intrinsics must agree to float precision.
+at its nearest pixel; computing xyz through the original intrinsics plus
+the warp or directly through the crop intrinsics must agree to float
+precision.
 
 Scenes and dense maps are stored the same way on disk: one uncompressed
 ``.npz`` holding arrays and a JSON header with a format tag, read without
@@ -87,28 +88,6 @@ class Roi:
 
 
 @dataclass
-class DepthImage:
-    """Row-major depth grid in meters; 0 encodes invalid."""
-
-    width: int
-    height: int
-    data: np.ndarray  # (height, width) float64
-
-    def __post_init__(self):
-        d = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if d.shape != (self.height, self.width):
-            raise ValueError(
-                f"data shape {d.shape} != (height={self.height}, width={self.width})"
-            )
-        if not np.all(np.isfinite(d)):
-            raise ValueError("depth values must be finite")
-        if d.size and d.min() < 0:
-            raise ValueError("depth values must be >= 0")
-        d.setflags(write=False)
-        self.data = d
-
-
-@dataclass
 class GridMaps:
     """Per-cell uv (original-image pixels), camera xyz, and validity grids.
 
@@ -153,12 +132,16 @@ def adjust_intrinsics(k_org: Intrinsics, a: CropAffine) -> Intrinsics:
 
 
 def cell_sample_grid(roi: Roi, width: int, height: int):
-    """Continuous uv of each output cell center plus nearest sample pixels.
+    """Continuous uv of each output cell center and its nearest pixel.
 
-    Returns (u, v, px, py, inside): (R, R) float grids of original-image
-    coordinates, integer nearest-neighbor pixel indices, and an in-image
-    mask.
+    Returns (u, v, flat): (R, R) float grids of original-image coordinates
+    and the flat index ``py * width + px`` of each cell's nearest pixel, -1
+    for a cell outside the image. Raises ``EmptyIntersection`` when the crop
+    window does not overlap the ``width`` x ``height`` image.
     """
+    if (roi.u0 > width - 0.5 or roi.u0 + roi.size_u < -0.5
+            or roi.v0 > height - 0.5 or roi.v0 + roi.size_v < -0.5):
+        raise EmptyIntersection("crop window does not overlap the image")
     a = crop_affine(roi)
     jj, ii = np.meshgrid(np.arange(roi.out_res), np.arange(roi.out_res))
     u = (jj - a.offset_u) / a.scale_u
@@ -166,31 +149,21 @@ def cell_sample_grid(roi: Roi, width: int, height: int):
     px = np.floor(u + 0.5).astype(np.int64)
     py = np.floor(v + 0.5).astype(np.int64)
     inside = (px >= 0) & (px < width) & (py >= 0) & (py < height)
-    return u, v, px, py, inside
+    return u, v, np.where(inside, py * width + px, -1)
 
 
-def make_grid_maps(depth: DepthImage, roi: Roi, k_org: Intrinsics,
-                   samples: tuple | None = None) -> GridMaps:
-    """Build uv / camera-xyz / validity grids for a crop of a depth image.
+def make_grid_maps(u: np.ndarray, v: np.ndarray, depth: np.ndarray, roi: Roi,
+                   k_org: Intrinsics) -> GridMaps:
+    """Build uv / camera-xyz / validity grids from the cell centers (u, v)
+    of ``roi`` and the depth sampled at them.
 
-    Depth is sampled nearest-neighbor (never interpolated, which would
-    fabricate 3D points across depth discontinuities); cells falling
-    outside the image or on zero depth are marked invalid rather than
-    clamped. ``samples`` is ``cell_sample_grid(roi, depth.width,
-    depth.height)`` when the caller has already computed it.
+    The depth of a cell is its nearest pixel's (never interpolated, which
+    would fabricate 3D points across depth discontinuities); cells falling
+    outside the image or on zero depth carry 0 and are marked invalid
+    rather than clamped.
     """
-    if (roi.u0 > depth.width - 0.5 or roi.u0 + roi.size_u < -0.5
-            or roi.v0 > depth.height - 0.5 or roi.v0 + roi.size_v < -0.5):
-        raise EmptyIntersection("crop window does not overlap the image")
-
-    if samples is None:
-        samples = cell_sample_grid(roi, depth.width, depth.height)
-    u, v, px, py, inside = samples
-    d = np.zeros_like(u)
-    d[inside] = depth.data[py[inside], px[inside]]
-    valid = inside & (d > 0)
-
-    cam = backproject_grid(u, v, d, k_org)
+    valid = depth > 0
+    cam = backproject_grid(u, v, depth, k_org)
     cam[~valid] = 0.0
     return GridMaps(np.stack([u, v], axis=-1), cam, valid, roi)
 

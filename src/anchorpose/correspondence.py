@@ -26,7 +26,7 @@ from .camera_crop import (
 )
 from .codec import AnchorSet, encode_points
 from .geom import Intrinsics, Pose
-from .synth import SceneSample
+from .synth import SceneSample, lookup_pixels
 
 
 class ObjectMismatch(ValueError):
@@ -131,12 +131,9 @@ def ground_truth_maps(scene: SceneSample, anchors: AnchorSet, roi: Roi) -> Dense
         raise ObjectMismatch(
             f"scene object {scene.object_id!r} != anchors object {anchors.object_id!r}"
         )
-    samples = cell_sample_grid(roi, scene.depth.width, scene.depth.height)
-    grids = make_grid_maps(scene.depth, roi, scene.intrinsics, samples)
-    _, _, px, py, inside = samples
-    vis = np.zeros_like(inside)
-    vis[inside] = scene.vis_mask[py[inside], px[inside]]
-    fg = grids.valid & vis
+    u, v, flat = cell_sample_grid(roi, scene.width, scene.height)
+    depth, fg = lookup_pixels(scene, flat)  # a visible pixel has depth > 0
+    grids = make_grid_maps(u, v, depth, roi, scene.intrinsics)
 
     r = roi.out_res
     classes = np.full((r, r), anchors.k, dtype=np.intp)

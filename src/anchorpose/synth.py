@@ -4,8 +4,8 @@ The generator stands in for a real sensor-plus-annotation pipeline: it
 splats model points into a z-buffer depth image, optionally drops
 rectangular occluder planes in front of the object, and adds Gaussian
 sensor noise. Everything is a pure function of (config, seed), so scenes
-are exactly reproducible. On disk a scene is one sparse ``.npz`` archive
-(``save_scene``): only the pixels with positive depth, in float64, so a
+are exactly reproducible. A scene holds only the pixels with positive
+depth, in memory as on disk (one ``.npz`` archive, ``save_scene``), so a
 loaded scene equals the generated one bit for bit.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .camera_crop import DepthImage, Roi, load_archive, save_archive
+from .camera_crop import Roi, load_archive, save_archive
 from .geom import NEAR_EPS, Intrinsics, Pose, backproject_grid
 from .mesh import ObjectModel
 
@@ -47,6 +47,10 @@ class Occluder:
     v_hi: float
     depth: float
 
+    def __post_init__(self):
+        if not self.depth > 0:
+            raise ValueError("occluder depth must be positive")
+
 
 @dataclass(frozen=True)
 class OccluderSpec:
@@ -74,26 +78,62 @@ class SceneConfig:
             raise ValueError("depth range must be positive and increasing")
 
 
-@dataclass
+_SCENE_ARRAYS = {"pixels": np.int64, "depth": np.float64, "visible": np.bool_}
+
+
+@dataclass(frozen=True)
 class SceneSample:
-    """Ground truth for one synthetic frame."""
+    """Ground truth for one synthetic frame of ``width`` x ``height`` pixels.
+
+    Only the pixels with positive depth are held: ``pixels`` are their
+    increasing flat indices ``v * width + u``, ``depth`` their depths in
+    meters and ``visible`` whether the object owns them. Every other pixel
+    has depth 0 (invalid) and is not visible. The arrays are read-only.
+    """
 
     object_id: str
     gt_pose: Pose
-    depth: DepthImage
-    vis_mask: np.ndarray  # (H, W) bool, pixels owned by the object
     intrinsics: Intrinsics
     visible_fraction: float
+    width: int
+    height: int
+    pixels: np.ndarray   # (n,) int64
+    depth: np.ndarray    # (n,) float64
+    visible: np.ndarray  # (n,) bool
 
     def __post_init__(self):
-        m = np.asarray(self.vis_mask, dtype=bool)
-        if m.shape != self.depth.data.shape:
-            raise ValueError("vis_mask shape differs from depth shape")
-        if np.any(self.depth.data[m] <= 0):
-            raise ValueError("visible pixels must have positive depth")
+        if not isinstance(self.object_id, str):
+            raise TypeError(f"object_id {self.object_id!r} is not a string")
+        for size in (self.width, self.height):
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+                raise ValueError(f"image size {size!r} is not an integer >= 1")
+        n = int(self.width) * int(self.height)
+        if n > np.iinfo(np.int64).max:
+            raise ValueError(f"{self.width} x {self.height} pixels overflow an int64 index")
+        p = self.pixels
+        for name, dtype in _SCENE_ARRAYS.items():
+            a = getattr(self, name)
+            if a.dtype != dtype or a.shape != (len(p),):
+                raise ValueError(f"{name} is not {len(p)} values of {np.dtype(dtype)}")
+            a.setflags(write=False)
+        if np.any(np.diff(p) <= 0) or (len(p) and (p[0] < 0 or p[-1] >= n)):
+            raise ValueError(f"pixels are not increasing indices in [0, {n})")
+        if not np.all((self.depth > 0) & (self.depth < np.inf)):  # false for NaN too
+            raise ValueError("depth values must be positive and finite")
         if not 0.0 <= self.visible_fraction <= 1.0:
             raise ValueError("visible_fraction must be in [0, 1]")
-        self.vis_mask = m
+
+
+def lookup_pixels(scene: SceneSample, flat: np.ndarray):
+    """(depth, visible) of ``scene`` at the flat pixel indices ``flat``, any
+    shape: depth 0 and not visible where a pixel has no depth or an index is
+    negative."""
+    p = scene.pixels
+    if len(p) == 0:
+        return np.zeros(flat.shape), np.zeros(flat.shape, dtype=bool)
+    i = np.minimum(np.searchsorted(p, flat), len(p) - 1)
+    hit = p[i] == flat
+    return np.where(hit, scene.depth[i], 0.0), hit & scene.visible[i]
 
 
 def _rng(seed, stream) -> np.random.Generator:
@@ -266,20 +306,6 @@ def make_model(shape: str, n_points: int, scale: float, seed: int) -> ObjectMode
 # ---------------------------------------------------------------------------
 # Rendering
 
-def _splat(points_cam: np.ndarray, k: Intrinsics, width: int, height: int):
-    """Project points and z-buffer them; returns (zbuf, px, py, kept mask)."""
-    z = points_cam[:, 2]
-    front = z > NEAR_EPS
-    u = np.where(front, k.fx * points_cam[:, 0] / np.where(front, z, 1.0) + k.cx, -1.0)
-    v = np.where(front, k.fy * points_cam[:, 1] / np.where(front, z, 1.0) + k.cy, -1.0)
-    px = np.floor(u + 0.5).astype(np.int64)
-    py = np.floor(v + 0.5).astype(np.int64)
-    ok = front & (px >= 0) & (px < width) & (py >= 0) & (py < height)
-    zbuf = np.full(height * width, np.inf)
-    np.minimum.at(zbuf, py[ok] * width + px[ok], z[ok])
-    return zbuf.reshape(height, width), px, py, ok
-
-
 def _sample_occluders(spec: OccluderSpec, rng: np.random.Generator,
                       box, z_near: float) -> list[Occluder]:
     u_lo, v_lo, u_hi, v_hi = box
@@ -303,48 +329,64 @@ def render(model: ObjectModel, pose: Pose, config: SceneConfig,
     Occluders default to a seeded sample from ``config.occluders`` (none if
     that is None); pass an explicit list to override. Gaussian depth noise
     of ``config.depth_sigma`` is added after z-buffering, clamped positive.
+    Only the window that can hold depth is z-buffered: the object's pixel
+    box united with the occluder rectangles that fall on the image.
     """
-    w, h = config.width, config.height
+    w, h, k = config.width, config.height, config.intrinsics
     cam = pose.apply(model.points)
-    zbuf_obj, px, py, ok = _splat(cam, config.intrinsics, w, h)
-    unocc = np.isfinite(zbuf_obj)
-    if not unocc.any():
+    z = cam[:, 2]
+    front = z > NEAR_EPS
+    u = np.where(front, k.fx * cam[:, 0] / np.where(front, z, 1.0) + k.cx, -1.0)
+    v = np.where(front, k.fy * cam[:, 1] / np.where(front, z, 1.0) + k.cy, -1.0)
+    px = np.floor(u + 0.5).astype(np.int64)
+    py = np.floor(v + 0.5).astype(np.int64)
+    ok = front & (px >= 0) & (px < w) & (py >= 0) & (py < h)
+    if not ok.any():
         raise ObjectOutOfView("no model point projects into the image")
+    px, py, z = px[ok], py[ok], z[ok]
 
     if occluders is None:
         if config.occluders is None:
             occluders = []
         else:
-            box = (px[ok].min(), py[ok].min(), px[ok].max(), py[ok].max())
             occluders = _sample_occluders(
                 config.occluders, _rng(config.seed, _STREAM_OCCLUDERS),
-                box, float(cam[ok, 2].min()),
+                (px.min(), py.min(), px.max(), py.max()), float(z.min()),
             )
+    rects = [(max(0, math.floor(o.u_lo)), max(0, math.floor(o.v_lo)),
+              min(w, math.ceil(o.u_hi)), min(h, math.ceil(o.v_hi)), o.depth)
+             for o in occluders]
+    rects = [r for r in rects if r[0] < r[2] and r[1] < r[3]]
 
-    zbuf_occ = np.full((h, w), np.inf)
-    for occ in occluders:
-        u0, v0 = max(0, math.floor(occ.u_lo)), max(0, math.floor(occ.v_lo))
-        u1, v1 = min(w, math.ceil(occ.u_hi)), min(h, math.ceil(occ.v_hi))
-        if u0 < u1 and v0 < v1:
-            np.minimum(zbuf_occ[v0:v1, u0:u1], occ.depth, out=zbuf_occ[v0:v1, u0:u1])
+    # The window [u0, u1) x [v0, v1); its z-buffers are indexed from (u0, v0).
+    boxes = np.array([(px.min(), py.min(), px.max() + 1, py.max() + 1),
+                      *(r[:4] for r in rects)])
+    u0, v0 = boxes[:, :2].min(axis=0)
+    u1, v1 = boxes[:, 2:].max(axis=0)
+    zbuf_obj = np.full((v1 - v0, u1 - u0), np.inf)
+    np.minimum.at(zbuf_obj.reshape(-1), (py - v0) * (u1 - u0) + (px - u0), z)
+    zbuf_occ = np.full_like(zbuf_obj, np.inf)
+    for ru0, rv0, ru1, rv1, d in rects:
+        part = zbuf_occ[rv0 - v0:rv1 - v0, ru0 - u0:ru1 - u0]
+        np.minimum(part, d, out=part)
 
     vis = zbuf_obj < zbuf_occ
     if not vis.any():
         raise ObjectOutOfView("object is fully occluded")
 
     zbuf = np.minimum(zbuf_obj, zbuf_occ)
-    depth = np.where(np.isfinite(zbuf), zbuf, 0.0)
+    has_depth = zbuf < np.inf
+    depth = zbuf[has_depth]
     if config.depth_sigma > 0:
         noise = _rng(config.seed, _STREAM_SENSOR).normal(0.0, config.depth_sigma, (h, w))
-        depth = np.where(depth > 0, np.maximum(depth + noise, 1e-6), 0.0)
+        depth = np.maximum(depth + noise[v0:v1, u0:u1][has_depth], 1e-6)
+    rows, cols = np.nonzero(has_depth)
 
     return SceneSample(
-        object_id=model.id,
-        gt_pose=pose,
-        depth=DepthImage(w, h, depth),
-        vis_mask=vis,
-        intrinsics=config.intrinsics,
-        visible_fraction=float(vis.sum() / unocc.sum()),
+        object_id=model.id, gt_pose=pose, intrinsics=k,
+        visible_fraction=float(vis.sum() / np.isfinite(zbuf_obj).sum()), width=w, height=h,
+        pixels=((rows + v0) * w + (cols + u0)).astype(np.int64),
+        depth=depth, visible=vis[has_depth],
     )
 
 
@@ -418,12 +460,11 @@ def make_benchmark(model: ObjectModel, config: SceneConfig, n_scenes: int,
 
 def tight_roi(scene: SceneSample, out_res: int) -> Roi:
     """Square RoI around the visible object pixels."""
-    vs = np.flatnonzero(scene.vis_mask.any(axis=1))
+    vs, us = np.divmod(scene.pixels[scene.visible], scene.width)
     if len(vs) == 0:
         raise ObjectOutOfView("scene has no visible pixels")
-    v0, v1 = vs[0], vs[-1]
-    us = np.flatnonzero(scene.vis_mask[v0:v1 + 1].any(axis=0))
-    u0, u1 = us[0], us[-1]
+    v0, v1 = vs[0], vs[-1]  # pixels increase, so their rows do too
+    u0, u1 = us.min(), us.max()
     side = float(max(u1 - u0 + 1, v1 - v0 + 1))
     return Roi((float(u0) + float(u1)) / 2.0, (float(v0) + float(v1)) / 2.0,
                side, side, out_res)
@@ -433,50 +474,25 @@ def tight_roi(scene: SceneSample, out_res: int) -> Roi:
 # Scene archive i/o: the pixels with positive depth, stored sparsely
 
 SCENE_FORMAT = "anchorpose-scene-v1"
-_SCENE_ARRAYS = {"pixels": np.int64, "depth": np.float64, "visible": np.bool_}
 
 
 def save_scene(scene: SceneSample, path) -> None:
-    """Write ``scene`` to the ``.npz`` file ``path``, losslessly.
-
-    ``pixels`` holds the increasing flat indices of the pixels with positive
-    depth, ``depth`` and ``visible`` their float64 depths and visibility (a
-    visible pixel always has positive depth); ``meta`` holds the format tag,
-    the image size and the scene's ground truth.
-    """
-    d = scene.depth
-    pixels = np.flatnonzero(d.data).astype(np.int64)
+    """Write ``scene`` to the ``.npz`` file ``path``, losslessly: its arrays
+    as they are, and in ``meta`` the format tag, the image size and the
+    scene's ground truth."""
     save_archive(path, SCENE_FORMAT, {
-        "width": d.width, "height": d.height, "object_id": scene.object_id,
+        "width": scene.width, "height": scene.height, "object_id": scene.object_id,
         "pose": scene.gt_pose.to_json(), "intrinsics": scene.intrinsics.to_json(),
         "visible_fraction": scene.visible_fraction,
-    }, {"pixels": pixels, "depth": d.data.ravel()[pixels],
-        "visible": scene.vis_mask.ravel()[pixels]})
+    }, {name: getattr(scene, name) for name in _SCENE_ARRAYS})
 
 
 def _scene_from(a: dict, meta: dict) -> SceneSample:
-    w, h = int(meta["width"]), int(meta["height"])
-    if not isinstance(meta["object_id"], str):
-        raise TypeError(f"object_id {meta['object_id']!r} is not a string")
-    p = a["pixels"]
-    for name, dtype in _SCENE_ARRAYS.items():
-        if a[name].dtype != dtype or a[name].shape != (len(p),):
-            raise ValueError(f"{name} is not {len(p)} values of {np.dtype(dtype)}")
-    if np.any(np.diff(p) <= 0) or (len(p) and (p[0] < 0 or p[-1] >= w * h)):
-        raise ValueError(f"pixels are not increasing indices in [0, {w * h})")
-    if not np.all(a["depth"] > 0):  # false for NaN too; DepthImage rejects inf
-        raise ValueError("depth values must be positive")
-    depth = np.zeros(h * w)
-    depth[p] = a["depth"]
-    vis = np.zeros(h * w, dtype=bool)
-    vis[p] = a["visible"]
     return SceneSample(
-        object_id=meta["object_id"],
-        gt_pose=Pose.from_json(meta["pose"]),
-        depth=DepthImage(w, h, depth.reshape(h, w)),
-        vis_mask=vis.reshape(h, w),
+        object_id=meta["object_id"], gt_pose=Pose.from_json(meta["pose"]),
         intrinsics=Intrinsics.from_json(meta["intrinsics"]),
         visible_fraction=float(meta["visible_fraction"]),
+        width=meta["width"], height=meta["height"], **a,
     )
 
 

@@ -99,11 +99,13 @@ def test_c3_intrinsic_adjustment(benchmark200):
 
     # dual-path grid-map equality on every cell of every scene
     worst = 0.0
-    from anchorpose.camera_crop import adjust_intrinsics, make_grid_maps
+    from anchorpose.camera_crop import adjust_intrinsics, cell_sample_grid, make_grid_maps
+    from anchorpose.synth import lookup_pixels
 
     for scene in scenes:
         roi = tight_roi(scene, 64)
-        grids = make_grid_maps(scene.depth, roi, scene.intrinsics)
+        u, v, flat = cell_sample_grid(roi, scene.width, scene.height)
+        grids = make_grid_maps(u, v, lookup_pixels(scene, flat)[0], roi, scene.intrinsics)
         kc = adjust_intrinsics(scene.intrinsics, crop_affine(roi))
         jj, ii = np.meshgrid(np.arange(64), np.arange(64))
         alt = backproject_grid(jj.astype(float), ii.astype(float),

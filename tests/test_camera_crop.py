@@ -3,10 +3,10 @@ import pytest
 
 from anchorpose.camera_crop import (
     CORR_RES,
-    DepthImage,
     EmptyIntersection,
     Roi,
     adjust_intrinsics,
+    cell_sample_grid,
     crop_affine,
     make_grid_maps,
 )
@@ -16,9 +16,11 @@ from conftest import random_rotation_aa
 K = Intrinsics(500.0, 500.0, 320.0, 240.0)
 
 
-def _depth(a) -> DepthImage:
-    a = np.asarray(a, dtype=np.float64)
-    return DepthImage(a.shape[1], a.shape[0], a)
+def _grid_maps(data, roi, k):
+    """``make_grid_maps`` on the dense (height, width) depth image ``data``,
+    sampled at the cell centers of ``roi``."""
+    u, v, flat = cell_sample_grid(roi, data.shape[1], data.shape[0])
+    return make_grid_maps(u, v, np.where(flat >= 0, data.ravel()[flat], 0.0), roi, k)
 
 
 def _roi_from_window(u0, v0, size, out_res):
@@ -78,10 +80,9 @@ class TestAdjustIntrinsics:
 
 class TestGridMaps:
     def test_constant_depth_principal_point(self):
-        depth = _depth(np.ones((640, 640)))
         k = Intrinsics(500.0, 500.0, 320.0, 320.0)
         roi = _roi_from_window(0.0, 0.0, 640.0, 640)
-        grids = make_grid_maps(depth, roi, k)
+        grids = _grid_maps(np.ones((640, 640)), roi, k)
         np.testing.assert_allclose(grids.cam_xyz[320, 320], [0.0, 0.0, 1.0], atol=1e-12)
         assert grids.valid.all()
 
@@ -92,11 +93,10 @@ class TestGridMaps:
         for _ in range(20):
             data = rng.uniform(0.5, 2.0, (60, 80))
             data[rng.random((60, 80)) < 0.2] = 0.0
-            depth = _depth(data)
             size = rng.uniform(10.0, 70.0)
             roi = Roi(rng.uniform(0, 80), rng.uniform(0, 60), size, size,
                       int(rng.integers(8, 48)))
-            grids = make_grid_maps(depth, roi, K)
+            grids = _grid_maps(data, roi, K)
             kc = adjust_intrinsics(K, crop_affine(roi))
             jj, ii = np.meshgrid(np.arange(roi.out_res), np.arange(roi.out_res))
             alt = backproject_grid(jj.astype(float), ii.astype(float),
@@ -108,30 +108,20 @@ class TestGridMaps:
     def test_zero_depth_invalid(self):
         data = np.ones((48, 48))
         data[:, :24] = 0.0
-        grids = make_grid_maps(
-            _depth(data), _roi_from_window(0.0, 0.0, 48.0, 48), K
-        )
+        grids = _grid_maps(data, _roi_from_window(0.0, 0.0, 48.0, 48), K)
         assert not grids.valid[:, :24].any()
         np.testing.assert_array_equal(grids.cam_xyz[:, :24], 0.0)
         assert grids.valid[:, 24:].all()
 
     def test_out_of_image_cells_invalid_not_clamped(self):
-        depth = _depth(np.ones((48, 48)))
         roi = _roi_from_window(-24.0, 0.0, 48.0, 48)  # left half outside
-        grids = make_grid_maps(depth, roi, K)
+        grids = _grid_maps(np.ones((48, 48)), roi, K)
         assert not grids.valid[:, :20].any()
         assert grids.valid[:, 30:].all()
 
     def test_empty_intersection(self):
-        depth = _depth(np.ones((48, 48)))
         with pytest.raises(EmptyIntersection):
-            make_grid_maps(depth, _roi_from_window(100.0, 0.0, 20.0, 16), K)
-
-    def test_depth_image_validation(self):
-        with pytest.raises(ValueError):
-            _depth(np.array([[1.0, -0.5]]))
-        with pytest.raises(ValueError):
-            _depth(np.array([[np.nan]]))
+            _grid_maps(np.ones((48, 48)), _roi_from_window(100.0, 0.0, 20.0, 16), K)
 
     @pytest.mark.parametrize("field", ["center_u", "center_v", "size_u", "size_v"])
     def test_roi_rejects_non_finite(self, field):

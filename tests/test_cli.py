@@ -313,6 +313,10 @@ _SCENE_FAULTS = {
     "short_visible": _shorten("visible"),
     "one_depth_for_all": _edit_arrays(lambda a: a.update(depth=a["depth"][:1])),
     "bad_format_tag": _edit_meta(lambda meta: {**meta, "format": "anchorpose-maps-v2"}),
+    "fractional_width": _edit_meta(lambda meta: {**meta, "width": meta["width"] + 0.5}),
+    "negative_size": _edit_meta(
+        lambda meta: {**meta, "width": -meta["width"], "height": -meta["height"]}),
+    "size_past_int64": _edit_meta(lambda meta: {**meta, "width": 2**32, "height": 2**31}),
 }
 
 
@@ -443,6 +447,17 @@ class TestMalformedFiles:
         code = main(["encode", "--seed", "7", "--out", str(tmp_path / "maps"),
                      "--scenes", str(copy), "--k", "16", "--res", "32"])
         assert code == 3
+
+    def test_scene_without_pixels_is_out_of_view(self, pipeline, tmp_path):
+        root, bench, *_ = pipeline
+        copy = tmp_path / "bench"
+        shutil.copytree(bench, copy)
+        _edit_arrays(lambda a: a.update({name: a[name][:0]
+                                         for name in ("pixels", "depth", "visible")}))(
+            copy / "scene_0000.npz")
+        code = main(["encode", "--seed", "7", "--out", str(tmp_path / "maps"),
+                     "--scenes", str(copy), "--k", "16", "--res", "32"])
+        assert code == 6  # "scene has no visible pixels"
 
     @pytest.mark.parametrize("command", ["encode", "eval"])
     @pytest.mark.parametrize("fault", list(_PLY_FAULTS))
@@ -662,6 +677,23 @@ class TestDeterminismAndErrors:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert _tree_digest(a) == _tree_digest(b)
+
+    # sha256 of each scene archive of a small occluded, noisy gen bench,
+    # pinned from the code that z-buffered the full image into a dense scene.
+    @pytest.mark.parametrize("shape, digests", [
+        ("cube", ["88745e245bf94840d8eba41dbf794c65ce4a6b051969a9472ef9d4e2ec0bba76",
+                  "14c64cb9309ad763815266ebc45967dbd68ac59ad1e25cf71bfdc98becaee614",
+                  "9599642a4f13fe2077a975b9ece549a983cb9772f4b02335bbc461963043a533"]),
+        ("blob", ["fd444b6c69681f2d6f47a2ffa071e0dc2362cc004c794ce2969c98372b105955",
+                  "3c0c7b2391388d4171842ed13c1a6b2c2ec77d9c8114aa30676d50d30b993b31",
+                  "fac55c4b5b533da1db4eff8ae48107075c3f5bdb09bebbf7ddb0e5ce53127f80"]),
+    ], ids=["cube", "blob"])
+    def test_gen_scene_bytes_are_pinned(self, tmp_path, shape, digests):
+        assert main(["gen", "--seed", "5", "--out", str(tmp_path), "--shape", shape,
+                     "--scenes", "3", "--points", "400", "--occlusion-levels", "1.0", "0.6",
+                     "0.3", "--depth-sigma", "0.002"]) == 0
+        assert [hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(tmp_path.glob("scene_*.npz"))] == digests
 
     def test_missing_input_exit_code(self, pipeline, tmp_path):
         _, bench, *_ = pipeline

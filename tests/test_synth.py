@@ -15,7 +15,9 @@ from anchorpose.synth import (
     Occluder,
     ObjectOutOfView,
     SceneConfig,
+    SceneSample,
     load_scene,
+    lookup_pixels,
     make_benchmark,
     make_model,
     random_pose,
@@ -119,16 +121,26 @@ def test_model_bytes_are_pinned(case):
     assert hashlib.sha256(points.tobytes()).hexdigest() == PINNED_MODELS[case]
 
 
+def _dense(scene):
+    """The scene's (height, width) depth and visibility images."""
+    depth = np.zeros(scene.height * scene.width)
+    depth[scene.pixels] = scene.depth
+    vis = np.zeros(scene.height * scene.width, dtype=bool)
+    vis[scene.pixels] = scene.visible
+    return depth.reshape(scene.height, scene.width), vis.reshape(scene.height, scene.width)
+
+
 class TestRender:
     def test_single_point_at_principal_ray(self):
         model = ObjectModel("pt", [[0.0, 0.0, 0.0]])
         cfg = small_config(0)
         scene = render(model, Pose(np.eye(3), [0.0, 0.0, 1.0]), cfg)
-        ys, xs = np.nonzero(scene.depth.data > 0)
+        depth, vis_mask = _dense(scene)
+        ys, xs = np.nonzero(depth > 0)
         assert len(ys) == 1
         assert (xs[0], ys[0]) == (TEST_K.cx, TEST_K.cy)
-        assert scene.depth.data[ys[0], xs[0]] == 1.0
-        assert scene.vis_mask[ys[0], xs[0]]
+        assert depth[ys[0], xs[0]] == 1.0
+        assert vis_mask[ys[0], xs[0]]
         assert scene.visible_fraction == 1.0
 
     def test_half_occluder_fraction(self):
@@ -145,9 +157,9 @@ class TestRender:
         model = make_model("blob", 2500, 0.12, 3)
         cfg = small_config(2)
         pose = random_pose(np.random.default_rng(5), cfg)
-        scene = render(model, pose, cfg)
-        ys, xs = np.nonzero(scene.vis_mask)
-        z = scene.depth.data[ys, xs]
+        depth, vis_mask = _dense(render(model, pose, cfg))
+        ys, xs = np.nonzero(vis_mask)
+        z = depth[ys, xs]
         pts = np.column_stack([
             (xs - TEST_K.cx) * z / TEST_K.fx,
             (ys - TEST_K.cy) * z / TEST_K.fy,
@@ -161,31 +173,31 @@ class TestRender:
         model = make_model("cube", 600, 0.1, 0)
         cfg = small_config(3)
         pose = random_pose(np.random.default_rng(8), cfg)
-        scene = render(model, pose, cfg)
+        depth, vis_mask = _dense(render(model, pose, cfg))
         cam = pose.apply(model.points)
         u = TEST_K.fx * cam[:, 0] / cam[:, 2] + TEST_K.cx
         v = TEST_K.fy * cam[:, 1] / cam[:, 2] + TEST_K.cy
         px, py = np.floor(u + 0.5).astype(int), np.floor(v + 0.5).astype(int)
-        ys, xs = np.nonzero(scene.vis_mask)
+        ys, xs = np.nonzero(vis_mask)
         for y, x in list(zip(ys, xs))[:200]:
             here = (px == x) & (py == y)
             assert here.any()
-            assert scene.depth.data[y, x] == cam[here, 2].min()
+            assert depth[y, x] == cam[here, 2].min()
 
     def test_depth_noise_clamped_positive(self):
         model = make_model("cube", 600, 0.1, 0)
         cfg = small_config(4, depth_sigma=0.05)
-        scene = render(model, Pose(np.eye(3), [0.0, 0.0, 0.8]), cfg)
-        assert scene.depth.data[scene.vis_mask].min() > 0
+        depth, vis_mask = _dense(render(model, Pose(np.eye(3), [0.0, 0.0, 0.8]), cfg))
+        assert depth[vis_mask].min() > 0
 
     def test_render_deterministic(self):
         model = make_model("blob", 1500, 0.12, 3)
         cfg = small_config(5, occluded=True, depth_sigma=0.002)
         pose = random_pose(np.random.default_rng(6), cfg)
-        a = render(model, pose, cfg)
-        b = render(model, pose, cfg)
-        assert np.array_equal(a.depth.data, b.depth.data)
-        assert np.array_equal(a.vis_mask, b.vis_mask)
+        a = _dense(render(model, pose, cfg))
+        b = _dense(render(model, pose, cfg))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_object_out_of_view(self):
         model = ObjectModel("pt", [[0.0, 0.0, 0.0]])
@@ -205,7 +217,7 @@ class TestBenchmark:
         a = make_benchmark(model, small_config(10, occluded=True), 4, [0.6])
         b = make_benchmark(model, small_config(10, occluded=True), 4, [0.6])
         for s, t in zip(a, b):
-            assert np.array_equal(s.depth.data, t.depth.data)
+            assert np.array_equal(_dense(s)[0], _dense(t)[0])
             assert s.gt_pose.to_json() == t.gt_pose.to_json()
 
     def test_occlusion_levels_achievable(self):
@@ -243,16 +255,17 @@ class TestSceneIo:
         assert back.gt_pose.to_json() == scenes[0].gt_pose.to_json()
         assert back.intrinsics == scenes[0].intrinsics
         assert back.visible_fraction == scenes[0].visible_fraction
-        assert np.array_equal(back.vis_mask, scenes[0].vis_mask)
-        assert back.depth.data.dtype == np.float64
-        assert np.array_equal(back.depth.data, scenes[0].depth.data)
+        (back_depth, back_vis), (depth, vis) = _dense(back), _dense(scenes[0])
+        assert np.array_equal(back_vis, vis)
+        assert back.depth.dtype == np.float64
+        assert np.array_equal(back_depth, depth)
 
     def test_tight_roi_square_around_mask(self):
         model = make_model("blob", 2500, 0.12, 3)
         cfg = small_config(14)
         scene = render(model, random_pose(np.random.default_rng(2), cfg), cfg)
         roi = tight_roi(scene, 64)
-        ys, xs = np.nonzero(scene.vis_mask)
+        ys, xs = np.nonzero(_dense(scene)[1])
         assert roi.size_u == roi.size_v
         assert roi.size_u == max(xs.max() - xs.min() + 1, ys.max() - ys.min() + 1)
         assert roi.center_u == (xs.min() + xs.max()) / 2.0
@@ -283,14 +296,138 @@ def _masks():
     yield np.ones((5, 8), dtype=bool)
 
 
+def _masked_scene(mask, rng):
+    """A scene stand-in whose visible pixels are ``mask``, among pixels with
+    depth that also hold some hidden (occluder) ones."""
+    pixels = np.flatnonzero(mask | (rng.random(mask.shape) < 0.1))
+    return SimpleNamespace(width=mask.shape[1], pixels=pixels, visible=mask.ravel()[pixels])
+
+
 def test_tight_roi_matches_nonzero_reference():
+    rng = np.random.default_rng(3)
     for i, mask in enumerate(_masks()):
-        assert tight_roi(SimpleNamespace(vis_mask=mask), 32) == _nonzero_roi(mask, 32), i
+        assert tight_roi(_masked_scene(mask, rng), 32) == _nonzero_roi(mask, 32), i
 
 
 def test_tight_roi_empty_mask_out_of_view():
+    mask = np.zeros((6, 9), dtype=bool)
     with pytest.raises(ObjectOutOfView):
-        tight_roi(SimpleNamespace(vis_mask=np.zeros((6, 9), dtype=bool)), 32)
+        tight_roi(_masked_scene(mask, np.random.default_rng(4)), 32)
+
+
+def _scene_fields(**changes):
+    fields = dict(object_id="pt", gt_pose=Pose(np.eye(3), [0.0, 0.0, 1.0]),
+                  intrinsics=TEST_K, visible_fraction=1.0, width=4, height=3,
+                  pixels=np.array([1, 5, 11]), depth=np.array([1.0, 0.5, 2.0]),
+                  visible=np.array([True, False, True]))
+    return {**fields, **changes}
+
+
+# The archive faults of tests/test_cli.py's _SCENE_FAULTS reach these checks
+# through load_scene; these are the rest.
+@pytest.mark.parametrize("changes", [
+    {"depth": np.array([1.0, -0.5, 2.0])},
+    {"depth": np.array([1.0, np.nan, 2.0])},
+    {"width": True},
+    {"width": 0},
+    {"visible_fraction": 1.5},
+], ids=["negative_depth", "nan_depth", "bool_width", "zero_width",
+        "visible_fraction_above_1"])
+def test_scene_sample_validation(changes):
+    with pytest.raises(ValueError):
+        SceneSample(**_scene_fields(**changes))
+
+
+def test_scene_sample_arrays_read_only():
+    scene = SceneSample(**_scene_fields())
+    for a in (scene.pixels, scene.depth, scene.visible):
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+
+
+def test_lookup_pixels():
+    scene = SceneSample(**_scene_fields())
+    depth, visible = lookup_pixels(scene, np.array([[-1, 0, 1], [5, 11, 12]]))
+    assert np.array_equal(depth, [[0.0, 0.0, 1.0], [0.5, 2.0, 0.0]])
+    assert np.array_equal(visible, [[False, False, True], [False, True, False]])
+    empty = SceneSample(**_scene_fields(pixels=np.array([], dtype=np.int64),
+                                        depth=np.array([]), visible=np.array([], bool)))
+    depth, visible = lookup_pixels(empty, np.array([-1, 0, 11]))
+    assert not depth.any() and not visible.any()
+
+
+def _dense_render(model, pose, config, occluders):
+    """Reference render: z-buffers the full (height, width) image, then keeps
+    the pixels with depth; returns (pixels, depth, visible, visible_fraction).
+    The poses it is given put every model point in front of the camera."""
+    w, h = config.width, config.height
+    cam = pose.apply(model.points)
+    z = cam[:, 2]
+    px = np.floor(config.intrinsics.fx * cam[:, 0] / z + config.intrinsics.cx + 0.5)
+    py = np.floor(config.intrinsics.fy * cam[:, 1] / z + config.intrinsics.cy + 0.5)
+    px, py = px.astype(np.int64), py.astype(np.int64)
+    ok = (z > 0) & (px >= 0) & (px < w) & (py >= 0) & (py < h)
+    if occluders is None:  # the seeded sample that render draws
+        occluders = synth._sample_occluders(
+            config.occluders, synth._rng(config.seed, synth._STREAM_OCCLUDERS),
+            (px[ok].min(), py[ok].min(), px[ok].max(), py[ok].max()), float(z[ok].min()))
+    zbuf_obj = np.full(h * w, np.inf)
+    np.minimum.at(zbuf_obj, py[ok] * w + px[ok], z[ok])
+    zbuf_obj = zbuf_obj.reshape(h, w)
+    zbuf_occ = np.full((h, w), np.inf)
+    for occ in occluders:
+        u0, v0 = max(0, math.floor(occ.u_lo)), max(0, math.floor(occ.v_lo))
+        u1, v1 = min(w, math.ceil(occ.u_hi)), min(h, math.ceil(occ.v_hi))
+        if u0 < u1 and v0 < v1:
+            np.minimum(zbuf_occ[v0:v1, u0:u1], occ.depth, out=zbuf_occ[v0:v1, u0:u1])
+    vis = zbuf_obj < zbuf_occ
+    zbuf = np.minimum(zbuf_obj, zbuf_occ)
+    depth = np.where(np.isfinite(zbuf), zbuf, 0.0)
+    if config.depth_sigma > 0:
+        noise = synth._rng(config.seed, synth._STREAM_SENSOR).normal(
+            0.0, config.depth_sigma, (h, w))
+        depth = np.where(depth > 0, np.maximum(depth + noise, 1e-6), 0.0)
+    pixels = np.flatnonzero(depth)
+    return (pixels, depth.ravel()[pixels], vis.ravel()[pixels],
+            float(vis.sum() / np.isfinite(zbuf_obj).sum()))
+
+
+def _edge_occluders(cfg, rng):
+    """Random rectangles, some past each image edge and some off the image."""
+    w, h = cfg.width, cfg.height
+    occ = []
+    for u_lo, v_lo, u_hi, v_hi in [(-50, 30, 40, 90), (w - 30, 10, w + 60, 70),
+                                   (100, -40, 180, 20), (60, h - 25, 150, h + 80),
+                                   (-90, -90, -10, -10), (w + 5, 20, w + 90, 90),
+                                   (30, h + 0.5, 90, h + 40), (-5, -5, w + 5, 0.4)]:
+        jitter = rng.uniform(-3.0, 3.0, 4)
+        occ.append(Occluder(u_lo + jitter[0], v_lo + jitter[1], u_hi + jitter[2],
+                            v_hi + jitter[3], rng.uniform(0.3, 1.5)))
+    return [occ[j] for j in rng.permutation(len(occ))[:rng.integers(1, len(occ) + 1)]]
+
+
+@pytest.mark.parametrize("shape", ["cube", "blob"])
+@pytest.mark.parametrize("depth_sigma", [0.0, 0.003])
+def test_windowed_render_matches_dense_reference(shape, depth_sigma):
+    model = make_model(shape, 900, 0.12, 5)
+    rng = np.random.default_rng(17)
+    checked = 0
+    for i in range(30):
+        cfg = small_config(100 + i, occluded=True, depth_sigma=depth_sigma,
+                           center_margin=0.02)
+        pose = random_pose(rng, cfg)
+        occluders = _edge_occluders(cfg, rng) if i % 3 else None
+        try:
+            scene = render(model, pose, cfg, occluders)
+        except ObjectOutOfView:
+            continue
+        pixels, depth, visible, fraction = _dense_render(model, pose, cfg, occluders)
+        assert np.array_equal(scene.pixels, pixels)
+        assert np.array_equal(scene.depth, depth)
+        assert np.array_equal(scene.visible, visible)
+        assert scene.visible_fraction == fraction
+        checked += 1
+    assert checked >= 20
 
 
 def test_scene_config_validation():
