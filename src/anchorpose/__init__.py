@@ -61,7 +61,6 @@ from .synth import (
     SceneSample,
     make_benchmark,
     make_model,
-    render,
     tight_roi,
 )
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import CropAffine, Intrinsics, backproject_grid
+from .geom import CropAffine, Intrinsics, backproject_grid, json_number
 
 # Default resolution of the dense correspondence maps.
 CORR_RES = 64
@@ -81,10 +81,10 @@ class Roi:
 
     @staticmethod
     def from_json(obj: dict) -> "Roi":
-        return Roi(
-            float(obj["cu"]), float(obj["cv"]),
-            float(obj["su"]), float(obj["sv"]), int(obj["res"]),
-        )
+        res = obj["res"]
+        if isinstance(res, bool) or not isinstance(res, int):
+            raise TypeError(f"res {res!r} is not an integer")
+        return Roi(*(json_number(obj[key]) for key in ("cu", "cv", "su", "sv")), res)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geom import json_number
 from .mesh import ObjectModel, fps
 
 DEFAULT_ANCHOR_COUNT = 32
@@ -61,8 +62,8 @@ class AnchorSet:
     def from_json(obj: dict) -> "AnchorSet":
         return AnchorSet(
             obj["object_id"],
-            np.asarray(obj["anchors"], dtype=np.float64),
-            float(obj["covering_radius"]),
+            np.array([[json_number(x) for x in anchor] for anchor in obj["anchors"]]),
+            json_number(obj["covering_radius"]),
         )
 
 

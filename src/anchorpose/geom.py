@@ -42,6 +42,18 @@ def _vec3(x) -> np.ndarray:
     return v
 
 
+def json_number(x) -> float:
+    """The JSON number ``x`` (an int or a float, not a bool) as a float.
+    TypeError for any other value, so that a header never reads a string or
+    a boolean as a number; ValueError for an int past the float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a JSON number")
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise ValueError(f"{x!r} is past the float range") from exc
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
@@ -88,8 +100,8 @@ class Pose:
 
     @staticmethod
     def from_json(obj: dict) -> "Pose":
-        r = np.asarray(obj["R"], dtype=np.float64).reshape(3, 3)
-        return Pose(r, np.asarray(obj["t"], dtype=np.float64))
+        r = np.array([json_number(x) for x in obj["R"]]).reshape(3, 3)
+        return Pose(r, [json_number(x) for x in obj["t"]])
 
 
 @dataclass(frozen=True)
@@ -112,9 +124,7 @@ class Intrinsics:
 
     @staticmethod
     def from_json(obj: dict) -> "Intrinsics":
-        return Intrinsics(
-            float(obj["fx"]), float(obj["fy"]), float(obj["cx"]), float(obj["cy"])
-        )
+        return Intrinsics(*(json_number(obj[key]) for key in ("fx", "fy", "cx", "cy")))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,12 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 
 class EmptyModel(ValueError):
@@ -61,7 +64,10 @@ class ObjectModel:
 
     @cached_property
     def kdtree(self) -> cKDTree:
-        """kd-tree over ``points`` (object frame), built on first use."""
+        """kd-tree over ``points`` (object frame), built on first use. scipy's
+        kd-tree module is imported here, so only ADD-S pays for loading it."""
+        from scipy.spatial import cKDTree
+
         return cKDTree(self.points)
 
     @cached_property

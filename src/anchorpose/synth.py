@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .camera_crop import Roi, load_archive, save_archive
-from .geom import NEAR_EPS, Intrinsics, Pose, backproject_grid
+from .geom import NEAR_EPS, Intrinsics, Pose, backproject_grid, json_number
 from .mesh import ObjectModel
 
 _STREAM_OCCLUDERS = 1
@@ -322,28 +322,36 @@ def _sample_occluders(spec: OccluderSpec, rng: np.random.Generator,
     return occluders
 
 
-def render(model: ObjectModel, pose: Pose, config: SceneConfig,
-           occluders: list[Occluder] | None = None) -> SceneSample:
-    """Point-splat z-buffer render of the posed model, occluders first.
+@dataclass(frozen=True)
+class _Splat:
+    """An attempt z-buffered over the object's own pixel box
+    [u0, u1) x [v0, v1): the object's depths there, which of them the
+    occluders leave visible, and the occluder rectangles on the image."""
 
-    Occluders default to a seeded sample from ``config.occluders`` (none if
-    that is None); pass an explicit list to override. Gaussian depth noise
-    of ``config.depth_sigma`` is added after z-buffering, clamped positive.
-    Only the window that can hold depth is z-buffered: the object's pixel
-    box united with the occluder rectangles that fall on the image.
-    """
+    box: tuple        # (u0, v0, u1, v1)
+    zbuf: np.ndarray  # object depth per box pixel, inf where no point lands
+    visible: np.ndarray
+    rects: list       # (u0, v0, u1, v1, depth), clipped to the image
+    visible_fraction: float
+
+
+def _splat(model: ObjectModel, pose: Pose, config: SceneConfig,
+           occluders: list[Occluder] | None) -> _Splat:
+    """Project the posed model, place the occluders and z-buffer the
+    object's pixel box: all that the visible fraction needs."""
     w, h, k = config.width, config.height, config.intrinsics
     cam = pose.apply(model.points)
     z = cam[:, 2]
     front = z > NEAR_EPS
-    u = np.where(front, k.fx * cam[:, 0] / np.where(front, z, 1.0) + k.cx, -1.0)
-    v = np.where(front, k.fy * cam[:, 1] / np.where(front, z, 1.0) + k.cy, -1.0)
-    px = np.floor(u + 0.5).astype(np.int64)
-    py = np.floor(v + 0.5).astype(np.int64)
+    z_div = np.where(front, z, 1.0)  # a point behind the camera fails ``ok`` below
+    px = np.floor(k.fx * cam[:, 0] / z_div + k.cx + 0.5).astype(np.int64)
+    py = np.floor(k.fy * cam[:, 1] / z_div + k.cy + 0.5).astype(np.int64)
     ok = front & (px >= 0) & (px < w) & (py >= 0) & (py < h)
-    if not ok.any():
-        raise ObjectOutOfView("no model point projects into the image")
-    px, py, z = px[ok], py[ok], z[ok]
+    if not ok.all():
+        if not ok.any():
+            raise ObjectOutOfView("no model point projects into the image")
+        px, py, z = px[ok], py[ok], z[ok]
+    u0, v0, u1, v1 = int(px.min()), int(py.min()), int(px.max()) + 1, int(py.max()) + 1
 
     if occluders is None:
         if config.occluders is None:
@@ -351,30 +359,46 @@ def render(model: ObjectModel, pose: Pose, config: SceneConfig,
         else:
             occluders = _sample_occluders(
                 config.occluders, _rng(config.seed, _STREAM_OCCLUDERS),
-                (px.min(), py.min(), px.max(), py.max()), float(z.min()),
+                (u0, v0, u1 - 1, v1 - 1), float(z.min()),
             )
     rects = [(max(0, math.floor(o.u_lo)), max(0, math.floor(o.v_lo)),
               min(w, math.ceil(o.u_hi)), min(h, math.ceil(o.v_hi)), o.depth)
              for o in occluders]
     rects = [r for r in rects if r[0] < r[2] and r[1] < r[3]]
 
-    # The window [u0, u1) x [v0, v1); its z-buffers are indexed from (u0, v0).
-    boxes = np.array([(px.min(), py.min(), px.max() + 1, py.max() + 1),
-                      *(r[:4] for r in rects)])
+    zbuf = np.full((v1 - v0, u1 - u0), np.inf)
+    np.minimum.at(zbuf.reshape(-1), (py - v0) * (u1 - u0) + (px - u0), z)
+    zbuf_occ = np.full_like(zbuf, np.inf)
+    for ru0, rv0, ru1, rv1, d in rects:
+        part = zbuf_occ[max(rv0 - v0, 0):max(rv1 - v0, 0), max(ru0 - u0, 0):max(ru1 - u0, 0)]
+        np.minimum(part, d, out=part)
+    vis = zbuf < zbuf_occ
+    n_vis = np.count_nonzero(vis)
+    if n_vis == 0:
+        raise ObjectOutOfView("object is fully occluded")
+    return _Splat((u0, v0, u1, v1), zbuf, vis, rects,
+                  n_vis / np.count_nonzero(zbuf < np.inf))
+
+
+def _finish(model: ObjectModel, pose: Pose, config: SceneConfig, s: _Splat) -> SceneSample:
+    """The scene of splat ``s``: z-buffer the window that can hold depth,
+    the object's box united with the occluder rectangles, then add noise."""
+    w, h = config.width, config.height
+    boxes = np.array([s.box, *(r[:4] for r in s.rects)])
     u0, v0 = boxes[:, :2].min(axis=0)
     u1, v1 = boxes[:, 2:].max(axis=0)
-    zbuf_obj = np.full((v1 - v0, u1 - u0), np.inf)
-    np.minimum.at(zbuf_obj.reshape(-1), (py - v0) * (u1 - u0) + (px - u0), z)
-    zbuf_occ = np.full_like(zbuf_obj, np.inf)
-    for ru0, rv0, ru1, rv1, d in rects:
-        part = zbuf_occ[rv0 - v0:rv1 - v0, ru0 - u0:ru1 - u0]
+    # The window [u0, u1) x [v0, v1); its z-buffer is indexed from (u0, v0).
+    zbuf = np.full((v1 - v0, u1 - u0), np.inf)
+    for ru0, rv0, ru1, rv1, d in s.rects:
+        part = zbuf[rv0 - v0:rv1 - v0, ru0 - u0:ru1 - u0]
         np.minimum(part, d, out=part)
+    bu0, bv0, bu1, bv1 = s.box
+    box = (slice(bv0 - v0, bv1 - v0), slice(bu0 - u0, bu1 - u0))
+    part = zbuf[box]
+    np.minimum(part, s.zbuf, out=part)
+    vis = np.zeros(zbuf.shape, dtype=bool)
+    vis[box] = s.visible
 
-    vis = zbuf_obj < zbuf_occ
-    if not vis.any():
-        raise ObjectOutOfView("object is fully occluded")
-
-    zbuf = np.minimum(zbuf_obj, zbuf_occ)
     has_depth = zbuf < np.inf
     depth = zbuf[has_depth]
     if config.depth_sigma > 0:
@@ -383,11 +407,22 @@ def render(model: ObjectModel, pose: Pose, config: SceneConfig,
     rows, cols = np.nonzero(has_depth)
 
     return SceneSample(
-        object_id=model.id, gt_pose=pose, intrinsics=k,
-        visible_fraction=float(vis.sum() / np.isfinite(zbuf_obj).sum()), width=w, height=h,
+        object_id=model.id, gt_pose=pose, intrinsics=config.intrinsics,
+        visible_fraction=s.visible_fraction, width=w, height=h,
         pixels=((rows + v0) * w + (cols + u0)).astype(np.int64),
         depth=depth, visible=vis[has_depth],
     )
+
+
+def _render(model: ObjectModel, pose: Pose, config: SceneConfig,
+            occluders: list[Occluder] | None = None) -> SceneSample:
+    """Point-splat z-buffer render of the posed model, occluders first.
+
+    Occluders default to a seeded sample from ``config.occluders`` (none if
+    that is None); pass an explicit list to override. Gaussian depth noise
+    of ``config.depth_sigma`` is added after z-buffering, clamped positive.
+    """
+    return _finish(model, pose, config, _splat(model, pose, config, occluders))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -428,11 +463,11 @@ def sample_scene(model: ObjectModel, config: SceneConfig, target_level: float,
         )
         pose = random_pose(rng_pose, config)
         try:
-            scene = render(model, pose, cfg)
+            splat = _splat(model, pose, cfg, None)
         except ObjectOutOfView:
             continue
-        if abs(scene.visible_fraction - target_level) <= 0.1:
-            return scene
+        if abs(splat.visible_fraction - target_level) <= 0.1:
+            return _finish(model, pose, cfg, splat)
     raise BinUnfillable(
         f"no scene within 0.1 of visibility {target_level} in {MAX_ATTEMPTS} attempts"
     )
@@ -491,7 +526,7 @@ def _scene_from(a: dict, meta: dict) -> SceneSample:
     return SceneSample(
         object_id=meta["object_id"], gt_pose=Pose.from_json(meta["pose"]),
         intrinsics=Intrinsics.from_json(meta["intrinsics"]),
-        visible_fraction=float(meta["visible_fraction"]),
+        visible_fraction=json_number(meta["visible_fraction"]),
         width=meta["width"], height=meta["height"], **a,
     )
 

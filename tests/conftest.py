@@ -8,9 +8,9 @@ from anchorpose.geom import Intrinsics
 from anchorpose.synth import (
     OccluderSpec,
     SceneConfig,
+    _render,
     make_model,
     random_pose,
-    render,
     tight_roi,
 )
 
@@ -52,7 +52,7 @@ def scene_bundle(seed: int = 3, *, shape: str = "blob", n_points: int = 2500,
     model = make_model(shape, n_points, scale, 7)
     cfg = small_config(seed)
     pose = random_pose(np.random.default_rng(seed), cfg)
-    scene = render(model, pose, cfg)
+    scene = _render(model, pose, cfg)
     anchors = build_anchor_set(model, k)
     return model, anchors, scene, tight_roi(scene, res)
 

@@ -2,9 +2,12 @@ import argparse
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import shlex
 import shutil
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from anchorpose.correspondence import ground_truth_maps
 from anchorpose.solver import extract_correspondences, solve_2d3d, pose_error
 from anchorpose.codec import build_anchor_set
 from anchorpose.geom import Intrinsics
-from anchorpose.synth import SceneConfig, make_model, render, random_pose
+from anchorpose.synth import SceneConfig, _render, make_model, random_pose
 from anchorpose import camera_crop, cli, mesh, solver, synth
 from conftest import TEST_K
 
@@ -255,6 +258,12 @@ def _class_k_plus_1(arrays) -> None:
     arrays["classes"][0, 0] = k + 1
 
 
+def _edit_field(key, field, edit):
+    """A fault that replaces ``meta[key][field]`` of an .npz archive by
+    ``edit`` of it."""
+    return _edit_meta(lambda meta: {**meta, key: {**meta[key], field: edit(meta[key][field])}})
+
+
 _MAPS_FAULTS = {
     "truncated": _truncate,
     "not_a_zip": lambda path: path.write_bytes(b"not a zip archive\n"),
@@ -262,6 +271,18 @@ _MAPS_FAULTS = {
     "class_k_plus_1": _edit_arrays(_class_k_plus_1),
     "wrong_shape_residual": _edit_arrays(lambda a: a.update(residual=a["residual"][1:])),
     "pickled_array": _edit_arrays(lambda a: a.update(residual=a["residual"].astype(object))),
+    # header numbers must be JSON numbers, and the crop resolution an integer
+    "fractional_roi_res": _edit_field("roi", "res", lambda res: res + 0.7),
+    "string_roi_res": _edit_field("roi", "res", str),
+    "string_fx": _edit_field("intrinsics", "fx", str),
+    "bool_fx": _edit_field("intrinsics", "fx", lambda fx: True),
+    "fx_past_float": _edit_field("intrinsics", "fx", lambda fx: 10**400),
+    "string_roi_cu": _edit_field("roi", "cu", str),
+    "string_rotation": _edit_field("gt_pose", "R", lambda rot: [str(x) for x in rot]),
+    "string_covering_radius": _edit_field("anchors", "covering_radius", str),
+    "bool_covering_radius": _edit_field("anchors", "covering_radius", lambda r: True),
+    "string_anchor": _edit_field("anchors", "anchors",
+                                 lambda a: [[str(x) for x in a[0]], *a[1:]]),
 }
 
 
@@ -317,6 +338,8 @@ _SCENE_FAULTS = {
     "negative_size": _edit_meta(
         lambda meta: {**meta, "width": -meta["width"], "height": -meta["height"]}),
     "size_past_int64": _edit_meta(lambda meta: {**meta, "width": 2**32, "height": 2**31}),
+    "bool_fx": _edit_field("intrinsics", "fx", lambda fx: True),
+    "string_visible_fraction": _edit_meta(lambda meta: {**meta, "visible_fraction": "0.5"}),
 }
 
 
@@ -786,7 +809,7 @@ def test_identity_crop_makes_both_intrinsic_rows_equal():
     cfg = SceneConfig(seed=5, width=96, height=96,
                       intrinsics=TEST_K, depth_range=(0.9, 1.1), occluders=None,
                       center_margin=0.45)
-    scene = render(model, random_pose(np.random.default_rng(4), cfg), cfg)
+    scene = _render(model, random_pose(np.random.default_rng(4), cfg), cfg)
     anchors = build_anchor_set(model, 16)
     roi = Roi(48.0, 48.0, 96.0, 96.0, 96)  # full image, scale 1
     maps = ground_truth_maps(scene, anchors, roi)
@@ -811,3 +834,41 @@ def test_readme_walkthrough_runs(tmp_path):
     for line in lines:
         argv = line.replace("out/", f"{tmp_path}/").replace("--scenes 50", "--scenes 2")
         assert main(shlex.split(argv)[1:]) == 0, line
+
+
+# Runs each argv list given on its command line through one process's
+# cli.main and prints, after the import and after each command, whether
+# scipy.spatial has been imported.
+_SPATIAL_PROBE = """
+import json, sys
+from anchorpose.cli import main
+loaded = ["scipy.spatial" in sys.modules]
+for argv in sys.argv[1:]:
+    assert main(json.loads(argv)) == 0, argv
+    loaded.append("scipy.spatial" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_spatial_loads_only_for_adds(tmp_path):
+    # Only ADD-S builds a kd-tree: eval always does, sweeps only for a
+    # symmetric model, so no other command on a blob bench imports scipy's
+    # kd-tree module.
+    bench, maps, noisy, poses = (str(tmp_path / name)
+                                 for name in ("bench", "maps", "noisy", "poses.json"))
+    runs = [
+        ["gen", "--out", bench, "--shape", "blob", "--scenes", "2", "--points", "800",
+         "--width", "256", "--height", "192", "--fx", "260", "--fy", "260"],
+        ["encode", "--out", maps, "--scenes", bench, "--k", "16", "--res", "32"],
+        ["corrupt", "--out", noisy, "--maps", maps],
+        ["solve", "--out", poses, "--maps", noisy, "--mode", "3d3d"],
+        ["ablate-corr", "--out", str(tmp_path / "corr.csv"), "--scenes", bench,
+         "--k", "16", "--res", "32"],
+        ["eval", "--out", str(tmp_path / "summary.csv"), "--pred", poses, "--scenes", bench],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(anchorpose.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", _SPATIAL_PROBE,
+         *(json.dumps([*argv, "--seed", "7"]) for argv in runs)],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [False] * 6 + [True]

@@ -32,7 +32,7 @@ from anchorpose.solver import (
     solve_3d3d,
     solve_fused,
 )
-from anchorpose.synth import SceneConfig, render, tight_roi
+from anchorpose.synth import SceneConfig, _render, tight_roi
 from anchorpose.codec import build_anchor_set
 from conftest import TEST_K, random_rotation_aa, rodrigues, scene_bundle
 
@@ -92,7 +92,7 @@ class TestExtract:
         model = ObjectModel("gridplane", pts.reshape(-1, 3))
         cfg = SceneConfig(seed=0, width=64, height=64, intrinsics=k,
                           depth_range=(0.5, 2.0), occluders=None)
-        scene = render(model, Pose.identity(), cfg)
+        scene = _render(model, Pose.identity(), cfg)
         anchors = build_anchor_set(model, 16)
         from anchorpose.camera_crop import Roi
 

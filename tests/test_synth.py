@@ -16,13 +16,13 @@ from anchorpose.synth import (
     ObjectOutOfView,
     SceneConfig,
     SceneSample,
+    _render,
     load_scene,
     lookup_pixels,
     make_benchmark,
     make_model,
     random_pose,
     random_rotation,
-    render,
     save_scene,
     tight_roi,
 )
@@ -134,7 +134,7 @@ class TestRender:
     def test_single_point_at_principal_ray(self):
         model = ObjectModel("pt", [[0.0, 0.0, 0.0]])
         cfg = small_config(0)
-        scene = render(model, Pose(np.eye(3), [0.0, 0.0, 1.0]), cfg)
+        scene = _render(model, Pose(np.eye(3), [0.0, 0.0, 1.0]), cfg)
         depth, vis_mask = _dense(scene)
         ys, xs = np.nonzero(depth > 0)
         assert len(ys) == 1
@@ -149,7 +149,7 @@ class TestRender:
         pose = Pose(np.eye(3), [0.0, 0.0, 0.9])
         # left half of the image occluded at 0.5 m
         occ = [Occluder(-1.0, -1.0, cfg.width / 2.0, cfg.height + 1.0, 0.5)]
-        scene = render(model, pose, cfg, occluders=occ)
+        scene = _render(model, pose, cfg, occluders=occ)
         assert abs(scene.visible_fraction - 0.5) < 0.1
 
     def test_vis_pixels_near_surface(self):
@@ -157,7 +157,7 @@ class TestRender:
         model = make_model("blob", 2500, 0.12, 3)
         cfg = small_config(2)
         pose = random_pose(np.random.default_rng(5), cfg)
-        depth, vis_mask = _dense(render(model, pose, cfg))
+        depth, vis_mask = _dense(_render(model, pose, cfg))
         ys, xs = np.nonzero(vis_mask)
         z = depth[ys, xs]
         pts = np.column_stack([
@@ -173,7 +173,7 @@ class TestRender:
         model = make_model("cube", 600, 0.1, 0)
         cfg = small_config(3)
         pose = random_pose(np.random.default_rng(8), cfg)
-        depth, vis_mask = _dense(render(model, pose, cfg))
+        depth, vis_mask = _dense(_render(model, pose, cfg))
         cam = pose.apply(model.points)
         u = TEST_K.fx * cam[:, 0] / cam[:, 2] + TEST_K.cx
         v = TEST_K.fy * cam[:, 1] / cam[:, 2] + TEST_K.cy
@@ -187,22 +187,22 @@ class TestRender:
     def test_depth_noise_clamped_positive(self):
         model = make_model("cube", 600, 0.1, 0)
         cfg = small_config(4, depth_sigma=0.05)
-        depth, vis_mask = _dense(render(model, Pose(np.eye(3), [0.0, 0.0, 0.8]), cfg))
+        depth, vis_mask = _dense(_render(model, Pose(np.eye(3), [0.0, 0.0, 0.8]), cfg))
         assert depth[vis_mask].min() > 0
 
     def test_render_deterministic(self):
         model = make_model("blob", 1500, 0.12, 3)
         cfg = small_config(5, occluded=True, depth_sigma=0.002)
         pose = random_pose(np.random.default_rng(6), cfg)
-        a = _dense(render(model, pose, cfg))
-        b = _dense(render(model, pose, cfg))
+        a = _dense(_render(model, pose, cfg))
+        b = _dense(_render(model, pose, cfg))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
     def test_object_out_of_view(self):
         model = ObjectModel("pt", [[0.0, 0.0, 0.0]])
         with pytest.raises(ObjectOutOfView):
-            render(model, Pose(np.eye(3), [0.0, 0.0, -1.0]), small_config(0))
+            _render(model, Pose(np.eye(3), [0.0, 0.0, -1.0]), small_config(0))
 
 
 class TestBenchmark:
@@ -263,7 +263,7 @@ class TestSceneIo:
     def test_tight_roi_square_around_mask(self):
         model = make_model("blob", 2500, 0.12, 3)
         cfg = small_config(14)
-        scene = render(model, random_pose(np.random.default_rng(2), cfg), cfg)
+        scene = _render(model, random_pose(np.random.default_rng(2), cfg), cfg)
         roi = tight_roi(scene, 64)
         ys, xs = np.nonzero(_dense(scene)[1])
         assert roi.size_u == roi.size_v
@@ -406,6 +406,23 @@ def _edge_occluders(cfg, rng):
     return [occ[j] for j in rng.permutation(len(occ))[:rng.integers(1, len(occ) + 1)]]
 
 
+def test_make_benchmark_finishes_only_the_scenes_it_keeps(monkeypatch):
+    # A rejected attempt stops at its visible fraction: it builds no
+    # SceneSample and draws no sensor noise.
+    built, streams = [], []
+    scene_sample, rng = synth.SceneSample, synth._rng
+    monkeypatch.setattr(synth, "SceneSample",
+                        lambda **fields: built.append(1) or scene_sample(**fields))
+    monkeypatch.setattr(synth, "_rng",
+                        lambda seed, stream: streams.append(stream) or rng(seed, stream))
+    model = make_model("blob", 1500, 0.12, 3)
+    cfg = small_config(11, occluded=True, depth_sigma=0.002)
+    scenes = make_benchmark(model, cfg, 6, [0.9, 0.5, 0.2])
+    assert streams.count(synth._STREAM_OCCLUDERS) > len(scenes)  # attempts were rejected
+    assert len(built) == len(scenes) == 6
+    assert streams.count(synth._STREAM_SENSOR) == len(scenes)
+
+
 @pytest.mark.parametrize("shape", ["cube", "blob"])
 @pytest.mark.parametrize("depth_sigma", [0.0, 0.003])
 def test_windowed_render_matches_dense_reference(shape, depth_sigma):
@@ -418,7 +435,7 @@ def test_windowed_render_matches_dense_reference(shape, depth_sigma):
         pose = random_pose(rng, cfg)
         occluders = _edge_occluders(cfg, rng) if i % 3 else None
         try:
-            scene = render(model, pose, cfg, occluders)
+            scene = _render(model, pose, cfg, occluders)
         except ObjectOutOfView:
             continue
         pixels, depth, visible, fraction = _dense_render(model, pose, cfg, occluders)
