@@ -240,10 +240,10 @@ def _sweep(model: ObjectModel, scenes, groups: list[tuple[AnchorSet, list[_Varia
     """
     _check_jobs(jobs)
     # Cached here, so pool workers inherit them; only ADD-S, which a sweep
-    # computes for a symmetric model alone, reads the kd tree and gaps.
+    # computes for a symmetric model alone, reads the neighbour rows and gaps.
     model.diameter
     if model.symmetric:
-        model.kdtree, model.half_gap
+        model.neighbours, model.half_gap
     items = [(i, [draw(g, i) for g in range(len(groups))]) for i in range(len(scenes))]
     by_scene = _pmap((model, scenes, groups, res), items, jobs)
     return [[recs[j] for recs in by_scene] for j in range(sum(len(vs) for _, vs in groups))]

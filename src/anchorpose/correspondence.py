@@ -136,7 +136,7 @@ def ground_truth_maps(scene: SceneSample, anchors: AnchorSet, roi: Roi) -> Dense
     grids = make_grid_maps(u, v, depth, roi, scene.intrinsics)
 
     r = roi.out_res
-    classes = np.full((r, r), anchors.k, dtype=np.intp)
+    classes = np.full((r, r), anchors.k, dtype=np.int64)
     residual = np.zeros((r, r, 3))
     if fg.any():
         pose = scene.gt_pose
@@ -292,7 +292,9 @@ def write_loss_csv(rows, path) -> None:
 # Serialization: one archive (see ``camera_crop.save_archive``) per scene
 
 MAPS_FORMAT = "anchorpose-maps-v2"
-_MAPS_ARRAYS = ("classes", "mask", "residual", "uv", "cam_xyz", "valid")
+# Each array of a maps archive and the dtype ``save_dense_maps`` writes it with.
+_MAPS_ARRAYS = {"classes": np.int64, "mask": np.float64, "residual": np.float64,
+                "uv": np.float64, "cam_xyz": np.float64, "valid": np.bool_}
 
 
 @dataclass(frozen=True)
@@ -327,9 +329,18 @@ def save_dense_maps(maps: DenseMaps, path, header: MapsHeader) -> None:
 
 
 def _maps_from(a: dict, meta: dict) -> tuple[DenseMaps, MapsHeader]:
+    for name, dtype in _MAPS_ARRAYS.items():
+        if a[name].dtype != dtype:
+            raise ValueError(f"{name} is {a[name].dtype}, not {np.dtype(dtype)}")
     grids = GridMaps(a["uv"], a["cam_xyz"], a["valid"], Roi.from_json(meta["roi"]))
     maps = DenseMaps(a["mask"], a["classes"], a["residual"], grids,
                      AnchorSet.from_json(meta["anchors"]))
+    # Maps built in memory meet these two by construction, so only a file is
+    # checked for them.
+    if not np.all((maps.mask >= 0) & (maps.mask <= 1)):
+        raise ValueError("mask values must lie in [0, 1]")
+    if not np.all(grids.cam_xyz[grids.valid, 2] > 0):
+        raise ValueError("a valid cell's camera point must have z > 0")
     header = MapsHeader(meta["scene_id"], meta["object_id"],
                         Intrinsics.from_json(meta["intrinsics"]),
                         Pose.from_json(meta["gt_pose"]))
@@ -343,5 +354,9 @@ def load_dense_maps(path) -> tuple[DenseMaps, MapsHeader]:
     """Returns (DenseMaps, MapsHeader). Raises ``MalformedInput`` for a file
     that is not a readable maps ``.npz``, lacks a header key, whose arrays or
     header values fail validation (a scene or object id that is not a string
-    among them), or whose header names another object than its anchor set."""
+    among them), or whose header names another object than its anchor set.
+
+    Beyond what ``DenseMaps`` checks, each array must have the dtype of
+    ``_MAPS_ARRAYS``, every mask value must lie in [0, 1], and every valid
+    cell's camera point must have z > 0."""
     return load_archive(path, MAPS_FORMAT, _MAPS_ARRAYS, _maps_from)

@@ -88,9 +88,15 @@ class Pose:
         return Pose(np.eye(3), np.zeros(3))
 
     def apply(self, points) -> np.ndarray:
-        """Map object-frame points, shape (3,) or (N, 3), into the camera frame."""
-        p = np.asarray(points, dtype=np.float64)
-        return p @ self.rotation.T + self.translation
+        """Map object-frame points, shape (3,) or (N, 3), into the camera frame.
+
+        The translation is added one coordinate column at a time, in place:
+        the same sums as broadcasting an (N, 3) + (3,) add, without numpy's
+        inner loop running N times over 3 elements."""
+        out = np.asarray(points, dtype=np.float64) @ self.rotation.T
+        for axis in range(3):
+            out[..., axis] += self.translation[axis]
+        return out
 
     def to_json(self) -> dict:
         return {

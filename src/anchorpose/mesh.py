@@ -12,12 +12,9 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 
 class EmptyModel(ValueError):
@@ -63,22 +60,88 @@ class ObjectModel:
         return diameter(self)
 
     @cached_property
-    def kdtree(self) -> cKDTree:
-        """kd-tree over ``points`` (object frame), built on first use. scipy's
-        kd-tree module is imported here, so only ADD-S pays for loading it."""
-        from scipy.spatial import cKDTree
+    def kd(self) -> MedianKd:
+        """Median kd tree over ``points``, built on first use; the diameter
+        and the nearest-point searches walk it."""
+        return _median_kd(self.points)
 
-        return cKDTree(self.points)
+    @cached_property
+    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, reach), computed on first use: ``rows[:, i]`` lists point
+        i, then its K nearest other points, nearest first, and every other
+        point closer to point i than ``reach[i]`` is among them.
+
+        K is ``_NEIGHBOURS``, or N - 1 in a smaller model. The reach is the
+        K-th neighbour's distance, inf where the row holds every other
+        point. ``rows`` is (1 + K, N), so that gathering the rows of many
+        points reads contiguous memory.
+        """
+        rows, reach = _neighbour_rows(self.points, self.kd)
+        rows.setflags(write=False)
+        reach.setflags(write=False)
+        return rows, reach
 
     @cached_property
     def half_gap(self) -> np.ndarray:
         """(N,) half the distance from each point to its nearest other point,
-        from one k=2 query of ``kdtree``, computed on first use: 0 for a
-        repeated point, inf in a one-point model."""
-        d, _ = self.kdtree.query(self.points, k=2)
-        gap = 0.5 * d[:, 1]
+        its first neighbour, computed on first use: 0 for a repeated point,
+        inf in a one-point model."""
+        rows, _ = self.neighbours
+        if len(rows) > 1:
+            gap = 0.5 * np.sqrt(sq_dists_to(self.points, rows[1], self.points.T))
+        else:
+            gap = np.full(len(rows), np.inf)
         gap.setflags(write=False)
         return gap
+
+    def nearest(self, q: np.ndarray, bound2: np.ndarray) -> np.ndarray:
+        """Index of the point nearest to each row of ``q`` (M, 3), given a
+        point within squared distance ``bound2`` (M,) of each (inf will do).
+
+        Each query first descends ``kd`` by its split planes to the leaf it
+        falls in, whose nearest point may lower its bound. Then it walks
+        ``kd`` from the root, ``_WALK_LEVELS`` levels per step, keeping a
+        (query, node) pair while the node's box lies within the bound, and
+        scores the points of the leaves it keeps. Distances are compared as
+        computed, ((dx^2 + dy^2) + dz^2); rounding is monotone, so a box's
+        computed distance never exceeds that of a point inside it, and the
+        leaf that holds the nearest point is never dropped. Ties go to the
+        lowest index.
+        """
+        lo, hi, leaves, _, xyz = self.kd
+        depth = len(lo) - 1
+        q = np.ascontiguousarray(q.T)
+        # first, the bound of the leaf each query falls in
+        cols = np.arange(q.shape[1])
+        node = np.zeros(len(cols), dtype=np.intp)
+        for level in range(depth):
+            axis = np.argmax(hi[level] - lo[level], axis=0).take(node)
+            right = 2 * node + 1
+            split = lo[level + 1].take(axis * (2 << level) + right)
+            node = right - (q.take(axis * len(cols) + cols) < split)
+        bound2 = np.minimum(bound2, _leaf_sq_dists(xyz, node, q).min(axis=0))
+        qi = cols
+        node = np.zeros(len(qi), dtype=np.intp)
+        level = 0
+        while level < depth:
+            step = min(_WALK_LEVELS, depth - level)
+            level += step
+            qi = np.repeat(qi, 1 << step)
+            node = ((node << step)[:, None] + np.arange(1 << step)).ravel()
+            at = q.take(qi, axis=1)
+            keep = _box_gap2(at, at, lo[level].take(node, axis=1),
+                             hi[level].take(node, axis=1)) <= bound2.take(qi)
+            qi, node = qi.compress(keep), node.compress(keep)
+        d2 = _leaf_sq_dists(xyz, node, q.take(qi, axis=1))
+        pair = d2.min(axis=0)
+        # qi is sorted and every query keeps the leaf of its nearest point,
+        # so each query's pairs are one run
+        best = np.minimum.reduceat(pair, _runs(qi))
+        at = np.flatnonzero(pair == best.take(qi))  # the pairs that hold a nearest point
+        qi = qi.take(at)
+        hit = np.where(d2.take(at, axis=1).T == best.take(qi)[:, None],
+                       leaves.take(node.take(at), axis=0), len(self.points))
+        return np.minimum.reduceat(hit.min(axis=1), _runs(qi))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +408,40 @@ def fps(points: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     return idx, float(np.sqrt(min_d.max()))
 
 
-_DIAMETER_LEAF = 16  # at most this many points in a kd leaf of the diameter search
+_KD_LEAF = 16  # at most this many points in a median kd leaf
 _DIAMETER_BATCH = 1 << 15  # squared distances scored per batch of leaf pairs
+_NEIGHBOURS = 16  # K: a neighbour row holds a point and its K nearest others
+_NEIGHBOUR_BATCH = 1 << 16  # squared distances scored per block of leaves
+_WALK_LEVELS = 2  # kd levels descended per step of a nearest-point walk
+
+
+def _sq_sum(parts) -> np.ndarray:
+    """((dx^2 + dy^2) + dz^2) from three coordinate differences, which it
+    squares and sums in place."""
+    dx, dy, dz = parts
+    dx *= dx
+    dy *= dy
+    dz *= dz
+    dx += dy
+    dx += dz
+    return dx
+
+
+def sq_dists_to(points: np.ndarray, ids: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distances from the columns of ``q`` (3, ...) to
+    ``points[ids]``, with ``ids`` broadcast against ``q[0]``."""
+    return _sq_sum([points[:, axis].take(ids) - q[axis] for axis in range(3)])
+
+
+def _leaf_sq_dists(xyz: np.ndarray, node: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(W, M) squared distances from each column of ``q`` (3, M) to the
+    slots of the leaf ``node`` (M,), read from ``MedianKd.xyz``."""
+    return _sq_sum([xyz[axis].take(node, axis=1) - q[axis] for axis in range(3)])
+
+
+def _runs(qi: np.ndarray) -> np.ndarray:
+    """Start of each run of equal values in the sorted ``qi``."""
+    return np.flatnonzero(np.diff(qi, prepend=-1))
 
 
 def _double_normal_d2(points: np.ndarray) -> float:
@@ -367,18 +462,23 @@ def _double_normal_d2(points: np.ndarray) -> float:
     return best
 
 
-def _median_kd(points: np.ndarray):
-    """Median kd split of ``points`` into 2**depth leaves of at most
-    ``_DIAMETER_LEAF`` points.
+class MedianKd(NamedTuple):
+    """Median kd split of a point set into 2**depth leaves of at most
+    ``_KD_LEAF`` points. At level l, node i holds positions
+    [i*N >> l, (i+1)*N >> l) of the leaf-by-leaf order, split at its middle
+    along its widest axis."""
 
-    Returns (depth, order, lo, hi). ``points[order]`` lists the points leaf
-    by leaf; at level l, node i holds positions [i*N >> l, (i+1)*N >> l) of
-    that order, split at its middle along its widest axis, and ``lo[l]`` /
-    ``hi[l]`` are the (2**l, 3) node bounding boxes.
-    """
+    lo: list  # per level l, the (3, 2**l) low corners of the node bounding boxes
+    hi: list  # and their high corners
+    leaves: np.ndarray  # (2**depth, W) point indices leaf by leaf, padded with the leaf's last
+    size: np.ndarray  # (2**depth,) points per leaf
+    xyz: np.ndarray  # (3, W, 2**depth) coordinates of the ``leaves`` slots
+
+
+def _median_kd(points: np.ndarray) -> MedianKd:
     n = len(points)
     depth = 0
-    while -(-n // (1 << depth)) > _DIAMETER_LEAF:
+    while -(-n // (1 << depth)) > _KD_LEAF:
         depth += 1
     rank = np.empty((3, n), dtype=np.intp)  # per-axis rank: unique integer sort keys
     for axis in range(3):
@@ -388,29 +488,110 @@ def _median_kd(points: np.ndarray):
     for level in range(depth + 1):
         starts = (np.arange(1 << level) * n) >> level
         p = points[order]
-        lo.append(np.minimum.reduceat(p, starts))
-        hi.append(np.maximum.reduceat(p, starts))
+        lo.append(np.ascontiguousarray(np.minimum.reduceat(p, starts).T))
+        hi.append(np.ascontiguousarray(np.maximum.reduceat(p, starts).T))
         if level < depth:
             node = np.repeat(np.arange(1 << level), np.diff(starts, append=n))
-            axis = np.argmax(hi[-1] - lo[-1], axis=1)[node]
+            axis = np.argmax(hi[-1] - lo[-1], axis=0)[node]
             order = order[np.argsort(node * n + rank[axis, order])]
-    return depth, order, lo, hi
+    size = np.diff(starts, append=n)
+    slots = starts[:, None] + np.minimum(np.arange(int(size.max())), size[:, None] - 1)
+    leaves = order[slots]
+    xyz = np.ascontiguousarray(points[leaves].transpose(2, 1, 0))
+    return MedianKd(lo, hi, leaves, size, xyz)
 
 
-def _far_leaf_pairs(lo, hi, best: float):
-    """Leaf pairs (a <= b) whose boxes' farthest corners lie more than
-    sqrt(``best``) apart, found level by level from the root."""
+def _leaf_pairs(lo, hi, keep):
+    """Leaf pairs (a, b), found level by level from the root: a child pair
+    of a kept pair is kept where ``keep(level, a, b)`` holds."""
     a = b = np.zeros(1, dtype=np.intp)
-    for lo_l, hi_l in zip(lo[1:], hi[1:]):
+    for level in range(1, len(lo)):
         ca = (2 * a[:, None] + [0, 0, 1, 1]).ravel()
         cb = (2 * b[:, None] + [0, 1, 0, 1]).ravel()
-        keep = ca <= cb
-        ca, cb = ca[keep], cb[keep]
-        e = np.maximum(hi_l[ca] - lo_l[cb], hi_l[cb] - lo_l[ca])
-        e *= e
-        keep = e[:, 0] + e[:, 1] + e[:, 2] > best
-        a, b = ca[keep], cb[keep]
+        kept = keep(level, ca, cb)
+        a, b = ca[kept], cb[kept]
     return a, b
+
+
+def _box_gap2(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Squared distance between the nearest points of two boxes, per
+    column of (3, M) corners."""
+    g = np.maximum(lo_b - hi_a, lo_a - hi_b)
+    np.maximum(g, 0.0, out=g)
+    return _sq_sum(g)
+
+
+def _k_nearest(points: np.ndarray, kd: MedianKd, a, b, k: int):
+    """Each point's k nearest other points among the leaves b paired with
+    its own leaf a: (N, k) indices, nearest first, and their squared
+    distances.
+
+    Leaves are scored in blocks of about ``_NEIGHBOUR_BATCH`` distances, in
+    order of their partner count, so each block pads its partner lists only
+    to its own longest.
+    """
+    leaves, size = kd.leaves, kd.size
+    width = leaves.shape[1]
+    by_a = np.argsort(a, kind="stable")
+    a, b = a[by_a], b[by_a]
+    count = np.bincount(a, minlength=len(leaves))
+    first = np.cumsum(count) - count
+    rows = np.empty((len(points), k), dtype=np.intp)
+    d2k = np.empty((len(points), k))
+    order = np.argsort(count, kind="stable")
+    s = 0
+    while s < len(order):
+        block = order[s:s + max(1, _NEIGHBOUR_BATCH // (width * width * count[order[s]]))]
+        s += len(block)
+        col = np.arange(count[block[-1]])
+        partner = np.where(col < count[block, None],
+                           b[np.minimum(first[block, None] + col, len(b) - 1)], -1)
+        real = (np.arange(width) < size[partner][..., None]) & (partner >= 0)[..., None]
+        c = np.where(real, leaves[partner], -1).reshape(len(block), -1)  # -1: no point
+        own = leaves[block]
+        d2 = sq_dists_to(points, c[:, None], points.T[:, own, None])
+        d2[(c[:, None] < 0) | (c[:, None] == own[..., None])] = np.inf
+        pick = np.argpartition(d2, k - 1, axis=2)[..., :k]
+        dk = np.take_along_axis(d2, pick, axis=2)
+        by_d = np.argsort(dk, axis=2, kind="stable")
+        pick = np.take_along_axis(pick, by_d, axis=2)
+        rows[own] = np.take_along_axis(np.broadcast_to(c[:, None], d2.shape), pick, axis=2)
+        d2k[own] = np.take_along_axis(dk, by_d, axis=2)
+    return rows, d2k
+
+
+def _neighbour_rows(points: np.ndarray, kd: MedianKd):
+    """``ObjectModel.neighbours``: rows of each point and its K =
+    min(``_NEIGHBOURS``, N - 1) nearest other points, and their reach.
+
+    Two passes over the kd leaves, each scoring a point only against the
+    leaves paired with its own. First, every point's K-th nearest among the
+    leaves of its smallest ancestor node with at least K + 1 points bounds
+    its K-th neighbour's distance; the largest bound in a leaf serves every
+    point in it. Then the leaf pairs (a, b) are found from the root as the
+    diameter's are, keeping a pair while its boxes' nearest corners lie
+    within leaf a's bound, and the true K nearest are read from them. A
+    dropped leaf's box, and so each of its points, lies beyond the bound,
+    which no K-th neighbour exceeds. Both passes compare computed squared
+    distances, and a box's computed gap never exceeds that of a point pair
+    inside it.
+    """
+    n = len(points)
+    k = min(_NEIGHBOURS, n - 1)
+    if k == 0:
+        return np.zeros((1, 1), dtype=np.intp), np.full(1, np.inf)
+    lo, hi, leaves = kd.lo, kd.hi, kd.leaves
+    depth = len(lo) - 1
+    up = depth - max(lv for lv in range(depth + 1) if n >> lv > k)
+    a = np.repeat(np.arange(1 << depth), 1 << up)
+    _, d2k = _k_nearest(points, kd, a, (a >> up << up) + np.arange(len(a)) % (1 << up), k)
+    bound = d2k[leaves, -1].max(axis=1)
+    bounds = [bound.reshape(1 << lv, -1).max(axis=1) for lv in range(depth + 1)]
+    a, b = _leaf_pairs(lo, hi, lambda lv, a, b: _box_gap2(
+        lo[lv][:, a], hi[lv][:, a], lo[lv][:, b], hi[lv][:, b]) <= bounds[lv][a])
+    rows, d2k = _k_nearest(points, kd, a, b, k)
+    reach = np.sqrt(d2k[:, -1]) if k < n - 1 else np.full(n, np.inf)
+    return np.ascontiguousarray(np.vstack([np.arange(n), rows.T])), reach
 
 
 def diameter(model: ObjectModel) -> float:
@@ -418,25 +599,26 @@ def diameter(model: ObjectModel) -> float:
 
     The result equals ``np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1).max())``
     bit for bit, without scoring every pair: farthest-point hops give a
-    lower bound, the points are split into median kd leaves, and every pair
-    of boxes whose farthest corners are no farther apart than the bound is
-    dropped. The surviving leaf pairs are scored as exact coordinate
-    differences, ((dx^2 + dy^2) + dz^2). Rounding is monotone, so a box
-    pair's corner bound is never below the computed distance of a point pair
-    inside it, and no dropped pair can beat the bound. See Har-Peled, "A
+    lower bound, the points are split into median kd leaves (``model.kd``),
+    and every pair of boxes whose farthest corners are no farther apart than
+    the bound is dropped. The surviving leaf pairs are scored as exact
+    coordinate differences, ((dx^2 + dy^2) + dz^2). Rounding is monotone, so
+    a box pair's corner bound is never below the computed distance of a point
+    pair inside it, and no dropped pair can beat the bound. See Har-Peled, "A
     practical approach for computing the diameter of a point set" (SoCG 2001).
     """
     pts = model.points
-    n = len(pts)
     best = _double_normal_d2(pts)
-    depth, order, lo, hi = _median_kd(pts)
-    a, b = _far_leaf_pairs(lo, hi, best)
+    lo, hi, leaves, _, xyz = model.kd
+
+    def far(level, a, b, bound=best):
+        e = np.maximum(hi[level][:, a] - lo[level][:, b], hi[level][:, b] - lo[level][:, a])
+        return (a <= b) & (_sq_sum(e) > bound)
+
+    a, b = _leaf_pairs(lo, hi, far)
     # leaf rows padded with their own last point, which repeats a distance
-    starts = (np.arange(1 << depth) * n) >> depth
-    size = np.diff(starts, append=n)
-    width = int(size.max())
-    slots = starts[:, None] + np.minimum(np.arange(width), size[:, None] - 1)
-    x, y, z = (np.ascontiguousarray(pts[order[slots], axis]) for axis in range(3))
+    width = leaves.shape[1]
+    x, y, z = (np.ascontiguousarray(c.T) for c in xyz)
     step = max(1, _DIAMETER_BATCH // (width * width))
     diff_buf, d2_buf = np.empty((2, step, width, width))
     for s in range(0, len(a), step):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import ObjectModel
+from .mesh import ObjectModel, sq_dists_to
 from .geom import Pose
 
 AUC_MAX_THRESHOLD = 0.10  # meters; community convention, the AUC range evaluate_batch reports
@@ -60,44 +60,61 @@ def add_metric(model: ObjectModel, pred: Pose, gt: Pose) -> float:
 def adds_metric(model: ObjectModel, pred: Pose, gt: Pose, method: str = "kdtree") -> float:
     """Mean closest-point distance from predicted-pose points to gt-pose points.
 
-    ``method`` selects the kd-tree search, used at every model size, or the
-    exact O(N^2) scan kept as its reference; both compute the same nearest
-    distances.
+    ``method`` selects the search over the model's own neighbour rows and
+    kd tree, used at every model size, or the exact O(N^2) scan kept as its
+    reference. Both compute the same nearest distances and take their mean
+    the same way, so they agree bit for bit.
 
     Closest-point distances do not change when one rigid motion moves both
-    sets, so the kd-tree path maps the predicted points back by gt^-1 and
-    queries ``model.kdtree``, the model's cached tree. Point i's own partner
-    lies at its paired (ADD) distance, so the largest paired distance bounds
-    every query; enlarged by a relative 1e-9 and an absolute term that keeps
-    its square above zero, it excludes no nearest point and prunes most of
-    the tree. A point whose paired distance is below half the gap to its
-    nearest other model point (``model.half_gap``, with 1e-9 relative
-    margins) has its own partner as its unique nearest point, by the
-    triangle inequality, so only the other points are queried; the tree
-    would return the same partners. The distance of each found pair is
-    taken between the camera-frame points, as in the exact scan, so
-    ``pred == gt`` gives 0.0.
+    sets, so the ``"kdtree"`` path maps the predicted points back by gt^-1
+    and searches the model points for each query q_i. Its own partner,
+    point i, lies at the paired (ADD) distance d_i. Every test below keeps
+    1e-9 relative margins:
+
+    - If d_i is below ``model.half_gap[i]``, the partner is the unique
+      nearest point (triangle inequality) and is kept.
+    - Otherwise q_i is scored against point i's neighbour row
+      (``model.neighbours``). The row's best lies at u <= d_i, so the
+      nearest point lies within d_i + u of point i. If that is below the
+      row's reach, the row holds every such point and its best is the
+      nearest.
+    - The queries left walk the kd tree (``model.nearest``), pruned by box
+      distance <= u.
+
+    Each step compares the same computed squared distances,
+    ((dx^2 + dy^2) + dz^2), and ties go to the lowest index. The distance of
+    each found pair is taken between the camera-frame points, as in the
+    exact scan, so ``pred == gt`` gives 0.0.
     """
     a = pred.apply(model.points)
     b = gt.apply(model.points)
     if method == "kdtree":
+        pts = model.points
         q = (a - gt.translation) @ gt.rotation
-        d = np.linalg.norm(q - model.points, axis=1)
-        bound = float(d.max())
-        j = np.arange(len(q))
+        e = q - pts
+        e *= e
+        d = np.sqrt((e[:, 0] + e[:, 1]) + e[:, 2])
         rest = np.flatnonzero(~(d * (1 + 1e-9) < model.half_gap * (1 - 1e-9)))
         if len(rest):
-            _, j[rest] = model.kdtree.query(
-                q[rest], distance_upper_bound=bound * (1 + 1e-9) + 1e-150)
-        return float(np.linalg.norm(a - b[j], axis=1).mean())
+            rows, reach = model.neighbours
+            cand = rows.take(rest, axis=1)
+            d2 = sq_dists_to(pts, cand, q.take(rest, axis=0).T)
+            u2 = d2.min(axis=0)
+            j = np.arange(len(q))
+            j[rest] = np.where(d2 == u2, cand, len(q)).min(axis=0)
+            far = ~((d[rest] + np.sqrt(u2)) * (1 + 1e-9) < reach.take(rest) * (1 - 1e-9))
+            if far.any():
+                j[rest[far]] = model.nearest(q.take(rest[far], axis=0), u2[far])
+            b = b.take(j, axis=0)
+        return float(np.linalg.norm(a - b, axis=1).mean())
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
-    total = 0.0
+    near = np.empty(len(a))
     block = 1024
     for i in range(0, len(a), block):
         d2 = ((a[i : i + block, None, :] - b[None, :, :]) ** 2).sum(-1)
-        total += np.sqrt(d2.min(axis=1)).sum()
-    return float(total / len(a))
+        near[i : i + block] = np.sqrt(d2.min(axis=1))
+    return float(near.mean())
 
 
 def add_auc(distances, max_threshold: float = AUC_MAX_THRESHOLD) -> float:

@@ -258,6 +258,11 @@ def _class_k_plus_1(arrays) -> None:
     arrays["classes"][0, 0] = k + 1
 
 
+def _zero_valid_cam_xyz(arrays) -> None:
+    valid = np.argwhere(arrays["valid"])[0]
+    arrays["cam_xyz"][tuple(valid)] = 0.0
+
+
 def _edit_field(key, field, edit):
     """A fault that replaces ``meta[key][field]`` of an .npz archive by
     ``edit`` of it."""
@@ -283,6 +288,15 @@ _MAPS_FAULTS = {
     "bool_covering_radius": _edit_field("anchors", "covering_radius", lambda r: True),
     "string_anchor": _edit_field("anchors", "anchors",
                                  lambda a: [[str(x) for x in a[0]], *a[1:]]),
+    # a mask value outside [0, 1], a valid cell at z <= 0, and dtypes other
+    # than those save_dense_maps writes
+    "mask_above_one": _edit_arrays(lambda a: a["mask"].__setitem__(a["mask"] > 0.5, 1e9)),
+    "negative_mask": _edit_arrays(lambda a: a["mask"].__setitem__((0, 0), -1.0)),
+    "valid_cell_at_camera_centre": _edit_arrays(_zero_valid_cam_xyz),
+    "float32_mask": _edit_arrays(lambda a: a.update(mask=a["mask"].astype(np.float32))),
+    "float16_cam_xyz": _edit_arrays(
+        lambda a: a.update(cam_xyz=a["cam_xyz"].astype(np.float16))),
+    "int32_classes": _edit_arrays(lambda a: a.update(classes=a["classes"].astype(np.int32))),
 }
 
 
@@ -837,38 +851,44 @@ def test_readme_walkthrough_runs(tmp_path):
 
 
 # Runs each argv list given on its command line through one process's
-# cli.main and prints, after the import and after each command, whether
-# scipy.spatial has been imported.
-_SPATIAL_PROBE = """
+# cli.main and prints, after the import and after each command, the scipy
+# modules that have been imported.
+_SCIPY_PROBE = """
 import json, sys
 from anchorpose.cli import main
-loaded = ["scipy.spatial" in sys.modules]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = [scipy_modules()]
 for argv in sys.argv[1:]:
     assert main(json.loads(argv)) == 0, argv
-    loaded.append("scipy.spatial" in sys.modules)
+    loaded.append(scipy_modules())
 print(json.dumps(loaded))
 """
 
 
-def test_scipy_spatial_loads_only_for_adds(tmp_path):
-    # Only ADD-S builds a kd-tree: eval always does, sweeps only for a
-    # symmetric model, so no other command on a blob bench imports scipy's
-    # kd-tree module.
-    bench, maps, noisy, poses = (str(tmp_path / name)
-                                 for name in ("bench", "maps", "noisy", "poses.json"))
-    runs = [
-        ["gen", "--out", bench, "--shape", "blob", "--scenes", "2", "--points", "800",
-         "--width", "256", "--height", "192", "--fx", "260", "--fy", "260"],
-        ["encode", "--out", maps, "--scenes", bench, "--k", "16", "--res", "32"],
-        ["corrupt", "--out", noisy, "--maps", maps],
-        ["solve", "--out", poses, "--maps", noisy, "--mode", "3d3d"],
-        ["ablate-corr", "--out", str(tmp_path / "corr.csv"), "--scenes", bench,
-         "--k", "16", "--res", "32"],
-        ["eval", "--out", str(tmp_path / "summary.csv"), "--pred", poses, "--scenes", bench],
-    ]
+def test_no_command_imports_scipy(tmp_path):
+    # numpy is the only runtime dependency: ADD-S searches the model's own
+    # neighbour rows and kd tree. eval scores ADD-S on the symmetric cube,
+    # and so does ablate-k there.
+    runs = []
+    for shape in ("blob", "cube"):
+        bench, maps, noisy, poses = (str(tmp_path / f"{shape}_{name}")
+                                     for name in ("bench", "maps", "noisy", "poses.json"))
+        runs += [
+            ["gen", "--out", bench, "--shape", shape, "--scenes", "2", "--points", "800",
+             "--width", "256", "--height", "192", "--fx", "260", "--fy", "260"],
+            ["encode", "--out", maps, "--scenes", bench, "--k", "16", "--res", "32"],
+            ["corrupt", "--out", noisy, "--maps", maps],
+            ["solve", "--out", poses, "--maps", noisy, "--mode", "3d3d"],
+            ["eval", "--out", str(tmp_path / f"{shape}_summary.csv"), "--pred", poses,
+             "--scenes", bench],
+        ]
+        sweep = "ablate-corr" if shape == "blob" else "ablate-k"
+        runs.append([sweep, "--out", str(tmp_path / f"{shape}_sweep.csv"), "--scenes", bench,
+                     "--k", "16", "--res", "32"])
     env = {**os.environ, "PYTHONPATH": str(Path(anchorpose.__file__).resolve().parents[1])}
     out = subprocess.run(
-        [sys.executable, "-c", _SPATIAL_PROBE,
+        [sys.executable, "-c", _SCIPY_PROBE,
          *(json.dumps([*argv, "--seed", "7"]) for argv in runs)],
         capture_output=True, text=True, env=env, check=True).stdout
-    assert json.loads(out.splitlines()[-1]) == [False] * 6 + [True]
+    assert json.loads(out.splitlines()[-1]) == [[]] * (1 + len(runs))

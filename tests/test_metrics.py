@@ -3,6 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scipy.spatial import cKDTree
+
+from anchorpose import metrics
 from anchorpose.geom import Pose
 from anchorpose.mesh import ObjectModel
 from anchorpose.metrics import (
@@ -98,7 +101,7 @@ class TestAddS:
 
 
 class TestAddSModelFrameTree:
-    """The kd-tree path (above 512 points) against the exact scan."""
+    """The default search path against the exact scan."""
 
     MODEL = ObjectModel("r", np.random.default_rng(5).normal(size=(900, 3)) * 0.05)
     DUPLICATED = ObjectModel("d", np.repeat(MODEL.points[:400], 2, axis=0))
@@ -159,8 +162,8 @@ class TestAddSModelFrameTree:
         return Pose(err @ gt.rotation,
                     gt.translation + rng.normal(size=3) * 10.0 ** log_shift), gt
 
-    # Up to 1024 points the exact scan sums in one block, as the kd path does,
-    # so the two agree bit for bit.
+    # Both paths average the same per-point distances the same way, so they
+    # agree bit for bit.
     @given(seed=st.integers(0, 2**32 - 1), log_angle=st.floats(-9.0, 0.5),
            log_shift=st.floats(-9.0, -1.0))
     @example(seed=0, log_angle=-9.0, log_shift=-9.0)  # every point keeps its own partner
@@ -192,12 +195,121 @@ class TestAddSModelFrameTree:
             assert (adds_metric(model, pred, gt, method="kdtree")
                     == adds_metric(model, pred, gt, method="exact"))
 
-    def test_tree_built_once(self):
+    def test_neighbour_rows_built_once(self):
         model = ObjectModel("t", np.random.default_rng(10).normal(size=(600, 3)))
-        tree = model.kdtree
+        rows, reach = model.neighbours
         adds_metric(model, Pose.identity(), Pose(np.eye(3), [0.01, 0.0, 0.0]))
-        assert model.kdtree is tree
-        np.testing.assert_array_equal(tree.data, model.points)
+        assert model.neighbours[0] is rows and model.neighbours[1] is reach
+        assert not rows.flags.writeable and not reach.flags.writeable
+
+
+def _brute_neighbours(points, k):
+    """Sorted squared distances from each point to every other point, as
+    the search computes them, ((dx^2 + dy^2) + dz^2)."""
+    e = (points[None, :, :] - points[:, None, :]) ** 2
+    d2 = (e[..., 0] + e[..., 1]) + e[..., 2]
+    np.fill_diagonal(d2, np.inf)
+    return np.sort(d2, axis=1)[:, :k], d2
+
+
+class TestNeighbourRows:
+    """``ObjectModel.neighbours`` and ``half_gap`` against brute force and
+    scipy's kd tree."""
+
+    @pytest.mark.parametrize("n, seed, dup", [
+        (1, 0, False), (2, 0, False), (9, 1, False), (17, 2, False), (18, 3, False),
+        (300, 4, False), (900, 5, False), (900, 6, True), (3000, 7, False)])
+    def test_rows_are_the_k_nearest(self, n, seed, dup):
+        pts = np.random.default_rng(seed).normal(size=(n, 3)) * 0.05
+        if dup:
+            pts = np.repeat(pts[: n // 3], 3, axis=0)
+        model = ObjectModel("r", pts)
+        rows, reach = model.neighbours
+        k = min(16, len(pts) - 1)
+        assert rows.shape == (1 + k, len(pts))
+        np.testing.assert_array_equal(rows[0], np.arange(len(pts)))
+        want, d2 = _brute_neighbours(model.points, k)
+        got = np.take_along_axis(d2, rows[1:].T, axis=1)
+        np.testing.assert_array_equal(got, want)  # the k nearest, nearest first
+        assert (rows[1:] != rows[0]).all()
+        if k < len(pts) - 1:
+            np.testing.assert_array_equal(reach, np.sqrt(want[:, -1]))
+        else:
+            assert np.isinf(reach).all()
+
+    @pytest.mark.parametrize("shape", ["blob", "cube", "cylinder", "icosphere"])
+    def test_half_gap_matches_kdtree_query(self, shape):
+        # the cKDTree k=2 query that half_gap came from, bit for bit
+        model = make_model(shape, 2500, 0.12, 7)
+        d, _ = cKDTree(model.points).query(model.points, k=2)
+        np.testing.assert_array_equal(model.half_gap, 0.5 * d[:, 1])
+        # the rows hold the 16 nearest; which of a tie is kept may differ
+        d, _ = cKDTree(model.points).query(model.points, k=17)
+        rows, reach = model.neighbours
+        e = (model.points[rows[1:]] - model.points) ** 2
+        np.testing.assert_array_equal(np.sqrt((e[..., 0] + e[..., 1]) + e[..., 2]).T, d[:, 1:])
+        np.testing.assert_array_equal(reach, d[:, -1])
+
+    def test_nearest_walk_matches_brute_force(self):
+        rng = np.random.default_rng(11)
+        model = ObjectModel("w", rng.normal(size=(2000, 3)) * 0.05)
+        q = rng.normal(size=(400, 3)) * 0.06
+        e = (model.points[None, :, :] - q[:, None, :]) ** 2
+        d2 = (e[..., 0] + e[..., 1]) + e[..., 2]
+        want = d2.argmin(axis=1)
+        # any bound at or above the nearest point's distance gives the same answer
+        for bound2 in (d2.min(axis=1), d2[np.arange(len(q)), rng.integers(0, 2000, len(q))],
+                       np.full(len(q), np.inf)):
+            np.testing.assert_array_equal(model.nearest(q, bound2), want)
+
+
+class TestAddSNeighbourSearch:
+    """Each step of the default ADD-S search (own-partner shortcut, neighbour
+    rows, kd walk) fires on the 2500-point README blob and on a model whose
+    points all repeat, and the result equals the exact scan's."""
+
+    BLOB = make_model("blob", 2500, 0.12, 7)
+    DUPLICATED = ObjectModel("d", np.repeat(BLOB.points[:1250], 2, axis=0))
+    GT = Pose(rodrigues([0.3, -0.5, 0.8], 0.7), [0.02, -0.01, 0.9])
+
+    @staticmethod
+    def _steps(monkeypatch, model, pred, gt):
+        """ADD-S and the number of points each step settled: the own-partner
+        shortcut, the neighbour rows and the kd walk."""
+        scored, walked = [], []
+        score, nearest = metrics.sq_dists_to, ObjectModel.nearest
+
+        def spy_score(points, ids, q):
+            scored.append(ids.shape[1])
+            return score(points, ids, q)
+
+        def spy_nearest(self, q, bound2):
+            walked.append(len(q))
+            return nearest(self, q, bound2)
+
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "sq_dists_to", spy_score)
+            m.setattr(ObjectModel, "nearest", spy_nearest)
+            value = adds_metric(model, pred, gt)
+        rows = sum(scored)
+        return value, (len(model.points) - rows, rows - sum(walked), sum(walked))
+
+    # (model, error angle in rad, x shift in m, which steps settle points)
+    @pytest.mark.parametrize("name, angle, shift, fires", [
+        ("BLOB", 1e-7, 0.0, (True, False, False)),
+        ("BLOB", 0.05, 0.0, (True, True, False)),
+        ("BLOB", 0.1, 0.003, (True, True, True)),
+        ("BLOB", 0.4, 0.0, (True, True, True)),
+        ("DUPLICATED", 1e-7, 0.0, (False, True, False)),
+        ("DUPLICATED", 0.1, 0.003, (False, True, True)),
+    ])
+    def test_steps_fire_and_match_exact(self, monkeypatch, name, angle, shift, fires):
+        model = getattr(self, name)
+        pred = Pose(rodrigues([1.0, 2.0, -0.5], angle) @ self.GT.rotation,
+                    self.GT.translation + [shift, 0.0, 0.0])
+        value, steps = self._steps(monkeypatch, model, pred, self.GT)
+        assert tuple(count > 0 for count in steps) == fires
+        assert value == adds_metric(model, pred, self.GT, method="exact")
 
 
 class TestAuc:

@@ -187,21 +187,21 @@ def test_sweep_shares_maps_and_skips_unread_adds(root, monkeypatch, bench, argv,
 
 @pytest.mark.parametrize("bench", ["blob", "cube"])
 def test_adds_structures_cached_for_symmetric_models_only(root, monkeypatch, bench):
-    # The sweep caches the kd tree and gaps before the pool starts, so the
-    # workers inherit them, but only ADD-S reads them, and only a symmetric
-    # object's sweep computes ADD-S.
+    # The sweep caches the neighbour rows and gaps before the pool starts, so
+    # the workers inherit them, but only ADD-S reads them, and only a
+    # symmetric object's sweep computes ADD-S.
     at_pool, models, pmap = [], [], cli._pmap
 
     def spy(shared, *args):
         models.append(shared[0])
-        at_pool.append({"kdtree", "half_gap"} & set(vars(shared[0])))
+        at_pool.append({"neighbours", "half_gap"} & set(vars(shared[0])))
         return pmap(shared, *args)
 
     monkeypatch.setattr(cli, "_pmap", spy)
     run_case(root, bench, ["ablate-k", "--res", "24", "--k", "8"], 1)
-    adds = {"kdtree", "half_gap"} if bench == "cube" else set()
+    adds = {"neighbours", "half_gap"} if bench == "cube" else set()
     assert at_pool == [adds]
-    assert {"kdtree", "half_gap"} & set(vars(models[0])) == adds
+    assert {"neighbours", "half_gap"} & set(vars(models[0])) == adds
 
 
 @pytest.fixture
