@@ -609,7 +609,7 @@ def diameter(model: ObjectModel) -> float:
     """
     pts = model.points
     best = _double_normal_d2(pts)
-    lo, hi, leaves, _, xyz = model.kd
+    lo, hi, _, _, xyz = model.kd
 
     def far(level, a, b, bound=best):
         e = np.maximum(hi[level][:, a] - lo[level][:, b], hi[level][:, b] - lo[level][:, a])
@@ -617,7 +617,7 @@ def diameter(model: ObjectModel) -> float:
 
     a, b = _leaf_pairs(lo, hi, far)
     # leaf rows padded with their own last point, which repeats a distance
-    width = leaves.shape[1]
+    width = xyz.shape[1]
     x, y, z = (np.ascontiguousarray(c.T) for c in xyz)
     step = max(1, _DIAMETER_BATCH // (width * width))
     diff_buf, d2_buf = np.empty((2, step, width, width))

@@ -218,7 +218,7 @@ class TestNeighbourRows:
 
     @pytest.mark.parametrize("n, seed, dup", [
         (1, 0, False), (2, 0, False), (9, 1, False), (17, 2, False), (18, 3, False),
-        (300, 4, False), (900, 5, False), (900, 6, True), (3000, 7, False)])
+        (300, 4, False), (900, 5, False), (900, 6, True), (1200, 7, False)])
     def test_rows_are_the_k_nearest(self, n, seed, dup):
         pts = np.random.default_rng(seed).normal(size=(n, 3)) * 0.05
         if dup:
