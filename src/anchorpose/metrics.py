@@ -51,10 +51,18 @@ class EvalRecord:
             raise ValueError("add_s must be >= 0 and cannot exceed add")
 
 
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (N, 3) array, summed as
+    ``np.linalg.norm(d, axis=1)`` sums it, ((x^2 + y^2) + z^2), but over whole
+    columns rather than row by row."""
+    x, y, z = d.T
+    return np.sqrt((x * x + y * y) + z * z)
+
+
 def add_metric(model: ObjectModel, pred: Pose, gt: Pose) -> float:
     """Mean paired distance between the two transformed point sets."""
     diff = pred.apply(model.points) - gt.apply(model.points)
-    return float(np.linalg.norm(diff, axis=1).mean())
+    return float(_row_norms(diff).mean())
 
 
 def adds_metric(model: ObjectModel, pred: Pose, gt: Pose, method: str = "kdtree") -> float:
@@ -106,7 +114,7 @@ def adds_metric(model: ObjectModel, pred: Pose, gt: Pose, method: str = "kdtree"
             if far.any():
                 j[rest[far]] = model.nearest(q.take(rest[far], axis=0), u2[far])
             b = b.take(j, axis=0)
-        return float(np.linalg.norm(a - b, axis=1).mean())
+        return float(_row_norms(a - b).mean())
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
     near = np.empty(len(a))

@@ -27,14 +27,26 @@ correspondence. 3d-3d RANSAC stops at full consensus: when a hypothesis
 with the full subset vote holds every correspondence (with a 1e-9 relative
 margin) and the set is not collinear, every tied winner's inliers are all
 rows, so the leaders' tie-break cannot change the refit on them and is
-skipped. All solvers are pure functions of their inputs (and seed), and
-reports carry the route used as ``mode`` metadata.
+skipped. The first ``PREEMPT_LEADERS`` (8) hypotheses are built and tested
+first, and the other hypotheses are built only when those do not settle
+full consensus; that answer is the one a test of all hypotheses gives.
+When a pair-length test shows that no hypothesis can have the full vote,
+all are built in one pass.
+All solvers are pure functions of their inputs (and seed), and reports
+carry the route used as ``mode`` metadata.
+
+A ``CorrSet`` is immutable: it owns read-only copies of its arrays. So it
+caches the spread test of its object points and its all-rows 3d-3d
+alignment, and every solve of the set reads those: the 3d-3d solve, the
+2d-3d default start pose and the full-consensus refit. A sweep that solves
+one set in several modes computes each once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,12 +91,24 @@ class NoConsensus(RuntimeError):
 SOLVE_ERRORS = (NoForeground, Degenerate, NoConsensus)
 
 
-@dataclass
+def _owned(a) -> np.ndarray:
+    """A C-contiguous float64 copy of ``a``, so the caller's array is never shared."""
+    return np.array(a, dtype=np.float64, order="C")
+
+
+@dataclass(frozen=True)
 class CorrSet:
     """Dense correspondences: object points plus camera points and/or pixels.
 
     ``img_pts`` are in the crop (output-cell) frame, matching the crop
     intrinsics; ``weights`` are nonnegative per-correspondence confidences.
+
+    A set is an immutable value: it copies its arrays and makes the copies
+    read-only. It can therefore cache two results that depend on its rows
+    alone, and every solve of the set reads them: the spread test of its
+    object points and the pose and rmse of ``solve_3d3d`` on all rows. A
+    sweep solves one set in several modes, and each mode would otherwise
+    redo both. ``subset`` builds a new set with its own cache.
     """
 
     obj_pts: np.ndarray                 # (N, 3) object frame, meters
@@ -93,37 +117,48 @@ class CorrSet:
     weights: np.ndarray | None = None   # (N,) nonnegative
 
     def __post_init__(self):
-        self.obj_pts = np.ascontiguousarray(np.asarray(self.obj_pts, dtype=np.float64))
-        n = len(self.obj_pts)
-        if self.obj_pts.ndim != 2 or self.obj_pts.shape[1] != 3:
+        obj = _owned(self.obj_pts)
+        n = len(obj)
+        if obj.ndim != 2 or obj.shape[1] != 3:
             raise ValueError("obj_pts must be (N, 3)")
         if self.cam_pts is None and self.img_pts is None:
             raise ValueError("need cam_pts and/or img_pts")
-        if self.cam_pts is not None:
-            self.cam_pts = np.ascontiguousarray(np.asarray(self.cam_pts, dtype=np.float64))
-            if self.cam_pts.shape != (n, 3):
-                raise ValueError("cam_pts length/shape mismatch")
-        if self.img_pts is not None:
-            self.img_pts = np.ascontiguousarray(np.asarray(self.img_pts, dtype=np.float64))
-            if self.img_pts.shape != (n, 2):
-                raise ValueError("img_pts length/shape mismatch")
-        for name in ("obj_pts", "cam_pts", "img_pts"):
-            pts = getattr(self, name)
-            if pts is not None and not np.all(np.isfinite(pts)):
+        arrays = {"obj_pts": obj}
+        for name, cols in (("cam_pts", 3), ("img_pts", 2)):
+            if getattr(self, name) is not None:
+                arrays[name] = _owned(getattr(self, name))
+                if arrays[name].shape != (n, cols):
+                    raise ValueError(f"{name} length/shape mismatch")
+        for name, pts in arrays.items():
+            if not np.all(np.isfinite(pts)):
                 raise ValueError(f"{name} must be finite")
-        if self.weights is None:
-            self.weights = np.ones(n)
-        else:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if self.weights.shape != (n,):
-                raise ValueError("weights length mismatch")
-        if not np.all(np.isfinite(self.weights)) or self.weights.min() < 0:
+        w = arrays["weights"] = np.ones(n) if self.weights is None else _owned(self.weights)
+        if w.shape != (n,):
+            raise ValueError("weights length mismatch")
+        if not np.all(np.isfinite(w)) or w.min() < 0:
             raise ValueError("weights must be finite and >= 0")
-        if not self.weights.sum() > 0:
+        if not w.sum() > 0:
             raise ValueError("weights must not all be zero")
+        for name, a in arrays.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
         return len(self.obj_pts)
+
+    @cached_property
+    def _spread(self) -> bool:
+        """``_spread_ok`` of the object points."""
+        return bool(_spread_ok(self.obj_pts))
+
+    @cached_property
+    def _alignment(self) -> tuple[Pose, float]:
+        """``solve_3d3d``'s weighted alignment of all rows and its weighted
+        rmse; that function checks the set first."""
+        w = self.weights / self.weights.sum()
+        pose = Pose(*_kabsch(self.obj_pts, self.cam_pts, w))
+        resid = pose.apply(self.obj_pts) - self.cam_pts
+        return pose, float(np.sqrt((w * (resid ** 2).sum(axis=1)).sum()))
 
     def subset(self, indices) -> "CorrSet":
         idx = np.asarray(indices)
@@ -172,7 +207,7 @@ def extract_correspondences(maps: DenseMaps, anchors: AnchorSet) -> CorrSet:
         raise NoForeground("no cell passes mask/class/validity selection")
     obj = decode_points(classes[sel], maps.residual[sel], anchors)
     img = crop_affine(maps.grids.roi).apply(maps.grids.uv[sel])
-    return CorrSet(obj, maps.grids.cam_xyz[sel].copy(), img, maps.mask[sel].copy())
+    return CorrSet(obj, maps.grids.cam_xyz[sel], img, maps.mask[sel])
 
 
 def _spread_ok(pts: np.ndarray) -> np.ndarray:
@@ -203,11 +238,11 @@ def _triple_spread_ok(tri: np.ndarray) -> np.ndarray:
     return s1 > 1e-9 * np.maximum(s0, 1e-12)
 
 
-def _check_spread(pts: np.ndarray, minimum: int) -> None:
+def _check_spread(corr: CorrSet, minimum: int) -> None:
     """Reject sets that are too small or (near-)collinear."""
-    if len(pts) < minimum:
-        raise Degenerate(f"need >= {minimum} points, got {len(pts)}")
-    if not _spread_ok(pts):
+    if len(corr) < minimum:
+        raise Degenerate(f"need >= {minimum} points, got {len(corr)}")
+    if not corr._spread:
         raise Degenerate("points are (near-)collinear")
 
 
@@ -231,15 +266,15 @@ def _kabsch(obj: np.ndarray, cam: np.ndarray, w: np.ndarray):
 
 
 def solve_3d3d(corr: CorrSet) -> SolveReport:
-    """Weighted closed-form alignment minimizing sum w ||R a + t - b||^2."""
+    """Weighted closed-form alignment minimizing sum w ||R a + t - b||^2.
+
+    The alignment is computed once per set and cached on it; each call
+    returns a new report of it.
+    """
     if corr.cam_pts is None:
         raise Degenerate("3d-3d solving requires cam_pts")
-    _check_spread(corr.obj_pts, 3)
-    w = corr.weights / corr.weights.sum()
-    rot, t = _kabsch(corr.obj_pts, corr.cam_pts, w)
-    pose = Pose(rot, t)
-    resid = pose.apply(corr.obj_pts) - corr.cam_pts
-    rmse = float(np.sqrt((w * (resid ** 2).sum(axis=1)).sum()))
+    _check_spread(corr, 3)
+    pose, rmse = corr._alignment
     return SolveReport(pose, len(corr), rmse, 1, "3d3d")
 
 
@@ -431,7 +466,7 @@ def solve_2d3d(corr: CorrSet, k: Intrinsics, init: Pose | None = None) -> SolveR
     """
     if corr.img_pts is None:
         raise Degenerate("2d-3d solving requires img_pts")
-    _check_spread(corr.obj_pts, 6)
+    _check_spread(corr, 6)
     if init is None:
         if corr.cam_pts is not None:
             init = solve_3d3d(corr).pose
@@ -462,7 +497,7 @@ def solve_fused(corr: CorrSet, k: Intrinsics, *, sigma_m: float = SIGMA_M,
     check_solve_values(sigma_m=sigma_m, sigma_px=sigma_px)
     if corr.cam_pts is None or corr.img_pts is None:
         raise ValueError("fused solving requires both cam_pts and img_pts")
-    _check_spread(corr.obj_pts, 3)
+    _check_spread(corr, 3)
     if init is None:
         init = ransac(corr, "3d3d", inlier_tol=RANSAC_INLIER_TOL["3d3d"],
                       max_iters=ransac_iters, seed=seed).pose
@@ -562,11 +597,11 @@ def _best_3d3d(corr: CorrSet, rot: np.ndarray, t: np.ndarray, votes: np.ndarray,
 
 
 def _full_consensus(corr: CorrSet, rot: np.ndarray, t: np.ndarray, votes: np.ndarray,
-                    n_sub: int, inlier_tol: float) -> SolveReport | None:
+                    n_sub: int, inlier_tol: float, limit: int) -> SolveReport | None:
     """``solve_3d3d`` of every row when a hypothesis provably holds every row.
 
     Only a hypothesis with the full vote ``n_sub`` can hold every row; the
-    first ``PREEMPT_LEADERS`` of them are scored on all rows against
+    first ``limit`` of them are scored on all rows against
     ``inlier_tol * (1 - 1e-9)``, a margin far above the rounding of any
     product order, so ``_best_3d3d`` would count every row of such a one
     too. Its winner's inlier mask is then all rows, whichever hypothesis
@@ -576,7 +611,7 @@ def _full_consensus(corr: CorrSet, rot: np.ndarray, t: np.ndarray, votes: np.nda
     degenerate: ``ransac`` then returns the winner's own pose, which the
     tie-break decides.
     """
-    top = np.nonzero(votes == n_sub)[0][:PREEMPT_LEADERS]
+    top = np.nonzero(votes == n_sub)[0][:limit]
     if not len(top):
         return None
     sq = _sq_planes(corr.obj_pts, corr.cam_pts, rot[top], t[top])
@@ -586,6 +621,55 @@ def _full_consensus(corr: CorrSet, rot: np.ndarray, t: np.ndarray, votes: np.nda
         return solve_3d3d(corr)
     except Degenerate:
         return None
+
+
+def _no_full_vote(obj: np.ndarray, cam: np.ndarray, inlier_tol: float) -> bool:
+    """Whether no rigid motion can hold every row within ``inlier_tol``.
+
+    A motion (R, t) within tol of rows i and j maps a_i - a_j to within
+    2 tol of b_i - b_j, and R keeps lengths, so ||a_i - a_j|| and
+    ||b_i - b_j|| differ by less than 2 tol. Consecutive rows are compared.
+    The margins, 1e-9 of tol and of the largest coordinate, are far above
+    the rounding of these lengths and of any hypothesis's computed errors,
+    so True means that no hypothesis counts every row as an inlier.
+    """
+    gap = np.abs(np.linalg.norm(np.diff(obj, axis=0), axis=1)
+                 - np.linalg.norm(np.diff(cam, axis=0), axis=1))
+    scale = max(np.abs(obj).max(), np.abs(cam).max())
+    return bool(gap.max() > 2.0 * inlier_tol * (1.0 + 1e-9) + 1e-9 * scale)
+
+
+def _consensus_3d3d(corr: CorrSet, samples: np.ndarray, subset: np.ndarray,
+                    inlier_tol: float):
+    """``_hypotheses_3d3d`` of ``samples``, built only as far as
+    ``_full_consensus`` of all of them needs to look.
+
+    The first ``PREEMPT_LEADERS`` hypotheses are built first. Their full-vote
+    ones are the first that ``_full_consensus`` of all hypotheses tests, so
+    when one of them settles full consensus its refit is that call's answer,
+    and the other hypotheses are never built. Otherwise the rest are built
+    into the same arrays, and their first full-vote ones are tested, up to
+    ``PREEMPT_LEADERS`` tested in all. When ``_no_full_vote`` shows that no
+    hypothesis can hold every ``subset`` row, all are built in one pass.
+    Returns ((R, t, votes), None) or (None, the full-consensus refit).
+    """
+    h, n_sub = len(samples), len(subset)
+    lead = min(h, PREEMPT_LEADERS)
+    if _no_full_vote(corr.obj_pts[subset], corr.cam_pts[subset], inlier_tol):
+        lead = 0
+    hyps = np.empty((h, 3, 3)), np.empty((h, 3)), np.empty(h, dtype=np.intp)
+    tested = 0
+    for part in (slice(0, lead), slice(lead, h)):
+        if part.start == part.stop:
+            continue
+        built = tuple(a[part] for a in hyps)
+        for dst, src in zip(built, _hypotheses_3d3d(corr, samples[part], subset, inlier_tol)):
+            dst[...] = src
+        refit = _full_consensus(corr, *built, n_sub, inlier_tol, PREEMPT_LEADERS - tested)
+        if refit is not None:
+            return None, refit
+        tested += np.count_nonzero(built[2] == n_sub)
+    return hyps, None
 
 
 def _best_2d3d(corr: CorrSet, samples: np.ndarray, inlier_tol: float, k: Intrinsics):
@@ -618,10 +702,12 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = RANSAC_
     lower rmse, lower hypothesis index), so results are bit-reproducible.
     All minimal samples are drawn up front in one vectorized pass, then the
     3d3d scoring subset of min(n, ``PREEMPT_SUBSET``) correspondences; 3d3d
-    hypotheses are solved in one batched pass and scored preemptively. At
+    hypotheses are solved in batched passes and scored preemptively. At
     full consensus (``_full_consensus``: a hypothesis holds every row and
     the set is not collinear) 3d3d skips the leaders' scoring and returns
-    the refit on every row, the pose and rmse the full scoring would give.
+    the refit on every row, the pose and rmse the full scoring would give;
+    when the first ``PREEMPT_LEADERS`` hypotheses settle it, the rest are
+    never built (``_consensus_3d3d``).
     ``max_iters`` must be >= 1 and ``inlier_tol`` a finite value > 0
     (ValueError otherwise).
     """
@@ -644,8 +730,7 @@ def ransac(corr: CorrSet, mode: str, inlier_tol: float, max_iters: int = RANSAC_
     samples = _draw_samples(rng, n, minimal, max_iters)
     if mode == "3d3d":
         subset = np.sort(rng.choice(n, min(n, PREEMPT_SUBSET), replace=False))
-        hyps = _hypotheses_3d3d(corr, samples, subset, inlier_tol)
-        refit = _full_consensus(corr, *hyps, len(subset), inlier_tol)
+        hyps, refit = _consensus_3d3d(corr, samples, subset, inlier_tol)
         if refit is not None:
             return SolveReport(refit.pose, n, refit.rmse, max_iters, mode)
         best = _best_3d3d(corr, *hyps, inlier_tol)

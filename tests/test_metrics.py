@@ -51,6 +51,11 @@ class TestAdd:
         ])
         assert add_metric(CUBE, pred, gt) == pytest.approx(brute, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 1e3])
+    def test_row_norms_equal_linalg_norm(self, scale):
+        d = np.random.default_rng(1).normal(size=(50_000, 3)) * scale
+        assert metrics._row_norms(d).tobytes() == np.linalg.norm(d, axis=1).tobytes()
+
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -328,15 +329,19 @@ def _draws(n, iters, seed):
 
 @pytest.fixture
 def stops(monkeypatch):
-    """Whether each ``ransac`` 3d3d call stopped at full consensus, in order."""
-    fired, inner = [], solver._full_consensus
+    """Whether each ``ransac`` 3d3d call stopped at full consensus, in order.
+
+    ``_consensus_3d3d`` runs once per call; it may test for full consensus
+    twice, before and after building the hypotheses past the first
+    ``PREEMPT_LEADERS``."""
+    fired, inner = [], solver._consensus_3d3d
 
     def spy(*args):
-        refit = inner(*args)
+        hyps, refit = inner(*args)
         fired.append(refit is not None)
-        return refit
+        return hyps, refit
 
-    monkeypatch.setattr(solver, "_full_consensus", spy)
+    monkeypatch.setattr(solver, "_consensus_3d3d", spy)
     return fired
 
 
@@ -529,6 +534,81 @@ class TestFullConsensus:
         rep = ransac(CorrSet(corr.obj_pts, cam), "3d3d", 0.01, 128, 302)
         assert stops == [False] and rep.inlier_count == 533
         assert len(columns) == 2 and columns[0] == 128
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The sample rows of each ``_hypotheses_3d3d`` call, in order."""
+        rows, inner = [], solver._hypotheses_3d3d
+
+        def spy(corr, samples, *args):
+            rows.append(samples)
+            return inner(corr, samples, *args)
+
+        monkeypatch.setattr(solver, "_hypotheses_3d3d", spy)
+        return rows
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("n", [60, 800])
+    def test_consensus_builds_only_the_first_leaders(self, built, stops, n, weighted):
+        _, corr = _consensus_corr(300, n, 0.001, weighted)
+        ransac(corr, "3d3d", 0.01, 128, 300)
+        samples, _ = _draws(n, 128, seed=300)
+        assert stops == [True]
+        assert len(built) == 1
+        np.testing.assert_array_equal(built[0], samples[:PREEMPT_LEADERS])
+
+    @pytest.mark.parametrize("seed", [302, 303])
+    def test_outliers_build_each_hypothesis_once(self, built, stops, seed):
+        _, corr = _consensus_corr(seed, 800, 0.001, False)
+        cam = corr.cam_pts.copy()
+        cam[::3] += 0.05
+        ransac(CorrSet(corr.obj_pts, cam), "3d3d", 0.01, 128, seed)
+        samples, subset = _draws(800, 128, seed)
+        assert solver._no_full_vote(corr.obj_pts[subset], cam[subset], 0.01)
+        assert stops == [False]
+        assert len(built) == 1
+        np.testing.assert_array_equal(built[0], samples)
+
+    def test_unsettled_prefix_builds_the_rest_once(self, built, stops):
+        # One row sits 1.5 tol off exact correspondences: every pair length
+        # stays within 2 tol, so the first hypotheses are built and tested,
+        # but none holds that row and the other 120 are built after them.
+        tol, n = 0.01, 2 * PREEMPT_SUBSET
+        pose, corr = _consensus_corr(301, n, 0.0, False)
+        samples, subset = _draws(n, 128, seed=301)
+        row = np.setdiff1d(subset, samples)[0]
+        cam = corr.cam_pts.copy()
+        cam[row] += 1.5 * tol * pose.rotation[:, 0]
+        corr = CorrSet(corr.obj_pts, cam)
+        assert not solver._no_full_vote(corr.obj_pts[subset], cam[subset], tol)
+        rep = ransac(corr, "3d3d", tol, 128, 301)
+        assert stops == [False] and rep.inlier_count == n - 1
+        assert [len(rows) for rows in built] == [PREEMPT_LEADERS, 128 - PREEMPT_LEADERS]
+        np.testing.assert_array_equal(np.concatenate(built), samples)
+        ref, _ = _reference_best_3d3d(corr, samples, tol, subset)
+        refit = solve_3d3d(corr.subset(np.nonzero(ref[4])[0])).pose
+        assert rep.pose.rotation.tobytes() == refit.rotation.tobytes()
+        assert rep.pose.translation.tobytes() == refit.translation.tobytes()
+
+    @pytest.mark.parametrize("n", [60, 800])
+    @pytest.mark.parametrize("sigma", [0.0, 0.001, 0.004, 0.008])
+    def test_no_full_vote_never_rules_out_a_consensus(self, n, sigma):
+        # The pair test may only answer True when no hypothesis gets the full
+        # vote: check it against the votes of many hypotheses.
+        for seed in range(5):
+            _, corr = _consensus_corr(400 + seed, n, sigma, False)
+            samples, subset = _draws(n, 128, seed)
+            votes = _hypotheses_3d3d(corr, samples, subset, 0.01)[2]
+            if solver._no_full_vote(corr.obj_pts[subset], corr.cam_pts[subset], 0.01):
+                assert not (votes == len(subset)).any()
+            elif sigma == 0.0:
+                assert (votes == len(subset)).all()
+
+    @pytest.mark.parametrize("iters", [1, PREEMPT_LEADERS])
+    def test_few_hypotheses_are_built_in_one_pass(self, built, stops, iters):
+        _, corr = _consensus_corr(300, 100, 0.001, False)
+        ransac(corr, "3d3d", 0.01, iters, 300)
+        assert [len(rows) for rows in built] == [iters]
 
     def test_degenerate_refit_returns_the_winner(self, stops):
         # 1000 points on a line, one of them 1e-9 m off it: the set as a whole
@@ -1028,6 +1108,54 @@ class TestCorrSetValidation:
         arrays[field][2, 1] = bad
         with pytest.raises(ValueError, match=field):
             CorrSet(**arrays)
+
+    def test_arrays_are_read_only_copies(self):
+        rng = np.random.default_rng(0)
+        arrays = {"obj_pts": rng.normal(size=(4, 3)), "cam_pts": rng.normal(size=(4, 3)),
+                  "img_pts": rng.normal(size=(4, 2)), "weights": rng.uniform(0.5, 1.0, 4)}
+        corr = CorrSet(**arrays)
+        for name, a in arrays.items():
+            a[0] = 7.0  # the caller's arrays stay writeable and are not shared
+            assert getattr(corr, name)[0].max() != 7.0
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(corr, name)[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            corr.weights = np.ones(4)
+        with pytest.raises(ValueError, match="read-only"):
+            CorrSet(np.zeros((4, 3)), img_pts=np.zeros((4, 2))).weights[0] = 2.0
+
+    def test_solves_share_one_cache_per_set(self, monkeypatch):
+        spread, kabsch = [], []
+        monkeypatch.setattr(solver, "_spread_ok",
+                            lambda pts: spread.append(pts) or _spread_ok(pts))
+        inner = solver._kabsch
+        monkeypatch.setattr(solver, "_kabsch",
+                            lambda obj, cam, w: kabsch.append(obj) or inner(obj, cam, w))
+        _, corr = _noisy_fused_corr(3, n=200)
+        a = solve_3d3d(corr)
+        solve_2d3d(corr, K)
+        b = solve_3d3d(corr)
+        assert [p is corr.obj_pts for p in spread + kabsch] == [True, True]
+        assert a is not b and (a.pose, a.rmse) == (b.pose, b.rmse)
+
+        part = corr.subset(np.arange(100))
+        c = solve_3d3d(part)
+        assert [p is part.obj_pts for p in spread[1:] + kabsch[1:]] == [True, True]
+        assert c.rmse != a.rmse
+
+    def test_a_report_cannot_change_the_cache(self):
+        _, corr = _noisy_fused_corr(4, n=100)
+        first = solve_3d3d(corr)
+        rmse, rot = first.rmse, first.pose.rotation.copy()
+        first.rmse, first.inlier_count = -1.0, 0
+        first.trace.append(1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            first.pose.rotation[0, 0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.pose.rotation = np.eye(3)
+        again = solve_3d3d(corr)
+        assert (again.rmse, again.inlier_count, again.trace) == (rmse, 100, [])
+        assert again.pose.rotation.tobytes() == rot.tobytes()
 
     def test_weight_rules(self):
         obj = np.random.default_rng(0).normal(size=(4, 3))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from anchorpose import cli
+from anchorpose import cli, solver
 from anchorpose.cli import main
 from anchorpose.codec import build_anchor_set
 from anchorpose.synth import make_model
@@ -183,6 +183,40 @@ def test_sweep_shares_maps_and_skips_unread_adds(root, monkeypatch, bench, argv,
     scenes = 4
     assert len(maps) == builds_per_scene * scenes
     assert len(adds) == (variants * scenes if bench == "cube" else 0)
+
+
+@pytest.mark.parametrize("argv, variants", [
+    (["ablate-corr", "--res", "24", "--k", "8"], 3),
+    (["ablate-k", "--res", "24", "--k", "8"], 2),
+], ids=["corr", "k"])
+def test_sweep_scene_solves_its_set_once(root, monkeypatch, argv, variants):
+    # Every variant of a scene solves from one CorrSet, which caches its
+    # spread test and its all-rows Kabsch alignment: each runs once per set.
+    # (Batched Kabsch calls are RANSAC's minimal-sample hypotheses.)
+    make_bench(root, "blob")
+    sets, spread, kabsch = [], [], []
+    record, spread_ok, align = cli.scene_eval_record, solver._spread_ok, solver._kabsch
+
+    def solved(model, scene, corr, *args, **kwargs):
+        sets.append(corr)
+        return record(model, scene, corr, *args, **kwargs)
+
+    def all_rows(obj, cam, w):
+        if obj.ndim == 2:
+            kabsch.append(obj)
+        return align(obj, cam, w)
+
+    monkeypatch.setattr(cli, "scene_eval_record", solved)
+    monkeypatch.setattr(solver, "_spread_ok", lambda pts: spread.append(pts) or spread_ok(pts))
+    monkeypatch.setattr(solver, "_kabsch", all_rows)
+    run_case(root, "blob", argv, 1)
+    scenes = 4
+    assert len(sets) == variants * scenes
+    distinct = sets[::variants]
+    assert all(corr is distinct[i // variants] for i, corr in enumerate(sets))
+    for calls in (spread, kabsch):
+        assert [pts is corr.obj_pts for pts, corr in zip(calls, distinct)] == [True] * scenes
+        assert len(calls) == scenes
 
 
 @pytest.mark.parametrize("bench", ["blob", "cube"])
