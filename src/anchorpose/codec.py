@@ -77,14 +77,20 @@ def nearest_anchor(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Index of the nearest anchor for (N, 3) points.
 
     Ties resolve to the lowest anchor index. The squared distances are built
-    as (N, K) planes, one coordinate at a time and summed x + y + z: the
+    as (B, K) planes, one coordinate at a time and summed x + y + z: the
     order of ``((p - a) ** 2).sum(-1)``, so the indices equal that
     formula's without its (N, K, 3) temporary.
+
+    Rows go in blocks of B = max(1, 16384 // K), so each plane holds at
+    most 16384 distances (128 KiB) whatever K is. Planes sized by N would
+    reach 49 MiB at 20,000 points and K = 128, and pages that large go back
+    to the OS after each call and are faulted in again on the next. The
+    block size does not change any row's argmin.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     a = np.asarray(anchors, dtype=np.float64)
     idx = np.empty(len(pts), dtype=np.intp)
-    block = 16384
+    block = max(1, 16384 // max(len(a), 1))
     for i in range(0, len(pts), block):
         p = pts[i : i + block]
         d2 = np.subtract.outer(p[:, 0], a[:, 0])

@@ -55,7 +55,9 @@ def json_number(x) -> float:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    """A read-only C-contiguous float64 copy of ``a``; the caller's array
+    stays writeable."""
+    a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
 

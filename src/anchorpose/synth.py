@@ -380,6 +380,23 @@ def _splat(model: ObjectModel, pose: Pose, config: SceneConfig,
                   n_vis / np.count_nonzero(zbuf < np.inf))
 
 
+def _window_noise(rng: np.random.Generator, sigma: float, w: int,
+                  v0: int, v1: int, u0: int, u1: int) -> np.ndarray:
+    """Rows v0:v1, columns u0:u1 of the row-major (h, w) normal field of
+    ``rng``. ``normal`` fills row-major, so drawing rows 0..v1 in blocks of
+    at most 16384 values (one row when w is larger) gives the same values
+    as the full field; the rows from v1 on are never drawn."""
+    step = max(1, 16384 // w)
+    out = np.empty((v1 - v0, u1 - u0))
+    for r0 in range(0, v1, step):
+        r1 = min(r0 + step, v1)
+        block = rng.normal(0.0, sigma, (r1 - r0, w))
+        if r1 > v0:
+            lo = max(r0, v0)
+            out[lo - v0:r1 - v0] = block[lo - r0:, u0:u1]
+    return out
+
+
 def _finish(model: ObjectModel, pose: Pose, config: SceneConfig, s: _Splat) -> SceneSample:
     """The scene of splat ``s``: z-buffer the window that can hold depth,
     the object's box united with the occluder rectangles, then add noise."""
@@ -402,8 +419,9 @@ def _finish(model: ObjectModel, pose: Pose, config: SceneConfig, s: _Splat) -> S
     has_depth = zbuf < np.inf
     depth = zbuf[has_depth]
     if config.depth_sigma > 0:
-        noise = _rng(config.seed, _STREAM_SENSOR).normal(0.0, config.depth_sigma, (h, w))
-        depth = np.maximum(depth + noise[v0:v1, u0:u1][has_depth], 1e-6)
+        noise = _window_noise(_rng(config.seed, _STREAM_SENSOR), config.depth_sigma,
+                              w, v0, v1, u0, u1)
+        depth = np.maximum(depth + noise[has_depth], 1e-6)
     rows, cols = np.nonzero(has_depth)
 
     return SceneSample(

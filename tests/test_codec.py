@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,10 +176,26 @@ class TestNearestAnchor:
             assert i == tied[0]
             assert d_all[i] == d_all.min()
 
-    def test_rows_beyond_one_block(self):
+    @pytest.mark.parametrize("k", [1, 32, 128])
+    def test_rows_beyond_one_block(self, k):
+        # three blocks of 16384 // k rows, then a partial one
         rng = np.random.default_rng(4)
-        points = rng.uniform(-0.1, 0.1, size=(2 * 16384 + 5, 3))
-        self._assert_matches_reference(points, rng.uniform(-0.1, 0.1, size=(32, 3)))
+        points = rng.uniform(-0.1, 0.1, size=(3 * (16384 // k) + 5, 3))
+        self._assert_matches_reference(points, rng.uniform(-0.1, 0.1, size=(k, 3)))
+
+    def test_scratch_is_bounded_whatever_k(self):
+        # blocks of 16384 rows would peak at 49 MiB here; blocks of
+        # 16384 // K rows keep each (rows, K) plane at 16384 distances
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-0.1, 0.1, size=(20000, 3))
+        anchors = rng.uniform(-0.1, 0.1, size=(128, 3))
+        tracemalloc.start()
+        try:
+            nearest_anchor(points, anchors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 @pytest.mark.parametrize("shape", SHAPES)

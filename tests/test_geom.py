@@ -91,6 +91,16 @@ class TestPoseAlgebra:
             Pose(**values)
         assert not isinstance(exc.value, NotARotation)
 
+    def test_callers_arrays_stay_writeable(self):
+        r, t = np.eye(3), np.zeros(3)
+        pose = Pose(r, t)
+        assert r.flags.writeable and t.flags.writeable
+        assert not (pose.rotation.flags.writeable or pose.translation.flags.writeable)
+        r[0, 0] = 2.0
+        t[0] = 1.0
+        np.testing.assert_array_equal(pose.rotation, np.eye(3))
+        np.testing.assert_array_equal(pose.translation, np.zeros(3))
+
 
 class TestSerialization:
     def test_pose_json_round_trip(self):

@@ -447,6 +447,20 @@ def test_windowed_render_matches_dense_reference(shape, depth_sigma):
     assert checked >= 20
 
 
+@pytest.mark.parametrize("w, h, window", [
+    (640, 480, (0, 480, 0, 640)),     # the whole field, 25-row blocks
+    (640, 480, (37, 38, 5, 6)),       # one pixel inside the second block
+    (640, 480, (25, 75, 100, 300)),   # rows start and end on block edges
+    (320, 240, (51, 240, 0, 320)),    # a partial last block
+    (20000, 3, (1, 3, 19990, 20000)),  # rows wider than a block
+])
+def test_window_noise_equals_the_full_field(w, h, window):
+    v0, v1, u0, u1 = window
+    full = np.random.default_rng(9).normal(0.0, 0.002, (h, w))
+    got = synth._window_noise(np.random.default_rng(9), 0.002, w, v0, v1, u0, u1)
+    assert np.array_equal(got, full[v0:v1, u0:u1])
+
+
 def test_scene_config_validation():
     with pytest.raises(ValueError):
         SceneConfig(seed=0, depth_range=(2.0, 1.0))
