@@ -6,10 +6,11 @@ ablations (`ablate_anchors_rows`, `ablate_corr_rows`, `ablate_k_rows`) are
 plain functions over in-memory benchmarks: each declares its map groups, an
 anchor set with the variants (solver mode, intrinsics, fused sigmas) that
 solve from it, and hands them to one sweep driver, which runs one task per
-scene on `--jobs` worker processes. On a scene, each group's maps are built,
-corrupted and read once, and every variant of the group solves from those
-correspondences; each variant is then scored through `scene_eval_record`,
-which computes ADD-S only for a symmetric object.
+scene and spreads the scenes over `--jobs` processes: the calling process
+runs one share and forked workers run the rest. On a scene, each group's
+maps are built, corrupted and read once, and every variant of the group
+solves from those correspondences; each variant is then scored through
+`scene_eval_record`, which computes ADD-S only for a symmetric object.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import argparse
 import functools
 import json
 import math
+import multiprocessing
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,39 +94,74 @@ def _child_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-_shared = None  # the sweep inputs, set once in each pool worker (never in the caller)
-
-
-def _set_shared(shared) -> None:
-    global _shared
-    _shared = shared
-
-
-def _shared_scene_task(item):
-    return _scene_task(_shared, item)
-
-
 def _check_jobs(jobs: int) -> None:
     """Raise ValueError unless ``jobs`` (the sweeps' worker count) is >= 1."""
     if not jobs >= 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs!r}")
 
 
-def _pmap(shared, items, jobs: int) -> list:
-    """``[_scene_task(shared, it) for it in items]``, on min(``jobs``,
-    ``len(items)``) worker processes when that is more than one.
+# Where the sweeps' worker processes come from: the platform's default start
+# method (fork on Linux before Python 3.14).
+_mp_context = multiprocessing.get_context()
 
-    ``shared`` (the model, scenes and map groups) reaches each worker once,
-    through the pool initializer, so a task sends only its small ``item``
-    (a scene index and that scene's draws) rather than megabytes of depth
-    images. Both are plain data, so any start method can ship them.
+
+def _run_share(conn, shared, share) -> None:
+    """A worker's body: send ``(True, records)`` for its ``share`` of the
+    items, or ``(False, exception)``, back to the caller over ``conn``."""
+    try:
+        result = (True, [_scene_task(shared, it) for it in share])
+    except Exception as exc:  # noqa: BLE001 - the caller raises it again
+        result = (False, exc)
+    with conn:
+        conn.send(result)
+
+
+def _pmap(shared, items, jobs: int) -> list:
+    """``[_scene_task(shared, it) for it in items]``, spread over n =
+    min(``jobs``, ``len(items)``) processes when n is more than one.
+
+    The calling process runs the share ``items[0::n]`` itself, after it has
+    started n - 1 worker processes on the shares ``items[w::n]``; each worker
+    sends its records back over a one-way pipe, which the caller reads
+    before it joins that worker. A worker's exception is raised again here,
+    with its own class. On any exception every worker is terminated and
+    joined before the error propagates, so none outlives the call. ``shared``
+    (the model, scenes and map groups) and the items are plain data, so any
+    start method can ship them.
     """
-    workers = min(jobs, len(items))
-    if workers <= 1:
+    n = min(jobs, len(items))
+    if n <= 1:
         return [_scene_task(shared, it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_set_shared,
-                             initargs=(shared,)) as ex:
-        return list(ex.map(_shared_scene_task, items))
+    workers = []
+    try:
+        for w in range(1, n):
+            recv, send = _mp_context.Pipe(duplex=False)
+            proc = _mp_context.Process(target=_run_share, args=(send, shared, items[w::n]))
+            proc.start()
+            send.close()  # the worker holds the only write end, so its death reads as EOF
+            workers.append((proc, recv))
+        out = [None] * len(items)
+        out[0::n] = [_scene_task(shared, it) for it in items[0::n]]
+        for w, (proc, recv) in enumerate(workers, 1):
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a sweep worker died (exit code {proc.exitcode})") from None
+            if not ok:
+                raise value
+            proc.join()
+            out[w::n] = value
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        for proc, _ in workers:
+            proc.join()
+        raise
+    finally:
+        for _, recv in workers:
+            recv.close()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +270,14 @@ def _sweep(model: ObjectModel, scenes, groups: list[tuple[AnchorSet, list[_Varia
     that solve from its maps). ``draw(g, i)`` gives group ``g``'s
     (NoiseSpec, solver seed) on scene ``i``. The draws are evaluated here
     and shipped in each scene's item, so no closure reaches a worker. There
-    is one pool task per scene (``_scene_task``); the model, scenes and
-    groups reach each worker once. The variants come back in group order,
-    each group's in turn, whatever ``jobs`` is (ValueError below 1).
+    is one task per scene (``_scene_task``), and ``_pmap`` spreads the
+    scenes over ``jobs`` processes, the caller among them; the model,
+    scenes and groups reach each worker once, when it starts. The variants
+    come back in group order, each group's in turn, whatever ``jobs`` is
+    (ValueError below 1).
     """
     _check_jobs(jobs)
-    # Cached here, so pool workers inherit them; only ADD-S, which a sweep
+    # Cached here, so the workers inherit them; only ADD-S, which a sweep
     # computes for a symmetric model alone, reads the neighbour rows and gaps.
     model.diameter
     if model.symmetric:

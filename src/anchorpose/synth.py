@@ -167,9 +167,14 @@ def _circle(n: int):
 
 
 def _dedupe(pts: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``pts``, sorted as ``np.unique(pts, axis=0)``
+    sorts them (first column first), with -0.0 read as 0.0."""
     pts = pts.copy()
-    pts[pts == 0.0] = 0.0  # normalize -0.0 so bitwise dedupe works
-    return np.unique(pts, axis=0)
+    pts[pts == 0.0] = 0.0  # normalize -0.0 so the rows compare bitwise
+    pts = pts[np.lexsort(pts.T[::-1])]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    return pts[keep]
 
 
 # Coordinate grid for procedural models: 2^-53 m. Snapping to an absolute

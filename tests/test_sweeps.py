@@ -8,12 +8,13 @@ The count tests pin how often a sweep builds maps and computes ADD-S.
 
 import functools
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import signal
 from pathlib import Path
 
 import pytest
 
-from anchorpose import cli, solver
+from anchorpose import cli, correspondence, solver
 from anchorpose.cli import main
 from anchorpose.codec import build_anchor_set
 from anchorpose.synth import make_model
@@ -129,20 +130,37 @@ def root(tmp_path_factory):
     return tmp_path_factory.mktemp("sweeps")
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+# jobs 3 splits the 4 scenes of a bench into uneven shares (2, 1, 1)
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 @pytest.mark.parametrize("name, bench, argv", CASES, ids=[c[0] for c in CASES])
 def test_csv_bytes_are_pinned(root, name, bench, argv, jobs):
     assert run_case(root, bench, argv, jobs) == GOLDEN[name]
 
 
+def _recording(monkeypatch, context) -> list:
+    """Make the sweeps start their workers from ``context``; returns the list
+    of worker processes they start."""
+    started = []
+
+    class Recording:
+        Pipe = staticmethod(context.Pipe)
+
+        @staticmethod
+        def Process(**kwargs):
+            started.append(context.Process(**kwargs))
+            return started[-1]
+
+    monkeypatch.setattr(cli, "_mp_context", Recording)
+    return started
+
+
 def test_spawned_workers_match_pinned_csv(root, monkeypatch):
-    # A spawned worker inherits nothing from the parent but what the pool
-    # pickles, as under forkserver, the default start method from Python 3.14.
-    spawn = multiprocessing.get_context("spawn")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
-                        functools.partial(ProcessPoolExecutor, mp_context=spawn))
+    # A spawned worker inherits nothing from the parent but what it is sent,
+    # as under forkserver, the default start method from Python 3.14.
+    started = _recording(monkeypatch, multiprocessing.get_context("spawn"))
     name, bench, argv = next(c for c in CASES if c[0] == "blob-corr")
     assert run_case(root, bench, argv, 2) == GOLDEN[name]
+    assert [p.exitcode for p in started] == [0]
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -238,42 +256,83 @@ def test_adds_structures_cached_for_symmetric_models_only(root, monkeypatch, ben
     assert {"neighbours", "half_gap"} & set(vars(models[0])) == adds
 
 
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """Replace the process pool by one that records its size and runs every
-    task in this process; returns the list of sizes."""
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(cli, "_shared", None)  # the initializer sets it here
-    return sizes
-
-
-def test_pool_never_outnumbers_the_scenes(root, inline_pool):
+def test_pool_never_outnumbers_the_scenes(root, monkeypatch):
+    started = _recording(monkeypatch, cli._mp_context)
     argv = ["ablate-corr", "--res", "24", "--k", "8"]
     assert run_case(root, "three", argv, 64) == run_case(root, "three", argv, 1)
-    assert inline_pool == [3]
+    assert len(started) == 2  # the calling process runs the third share
 
 
-def test_pool_of_one_runs_serially(monkeypatch, inline_pool):
+def test_pool_of_one_runs_serially(monkeypatch):
+    started = _recording(monkeypatch, cli._mp_context)
     monkeypatch.setattr(cli, "_scene_task", lambda shared, item: item)
     assert cli._pmap(None, ["a"], 64) == ["a"]
-    assert cli._pmap(None, ["a", "b"], 64) == ["a", "b"]
-    assert inline_pool == [2]
+    assert cli._pmap(None, [], 64) == []
+    assert started == []
+
+
+@pytest.fixture
+def forked_failures(monkeypatch):
+    """Fork the sweeps' workers, so a patched ``cli._scene_task`` reaches
+    them, and bound each test by an alarm instead of letting a hung worker
+    hang the suite. Afterwards every worker has been joined and no child
+    process is left."""
+    started = _recording(monkeypatch, multiprocessing.get_context("fork"))
+
+    def timed_out(*_):
+        raise TimeoutError("the sweep did not return")
+
+    old = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert None not in [p.exitcode for p in started]
+    assert multiprocessing.active_children() == []
+
+
+def _fail_on_scene(monkeypatch, scene: int, fail) -> None:
+    task = cli._scene_task
+
+    def failing(shared, item):
+        if item[0] == scene:
+            fail()
+        return task(shared, item)
+
+    monkeypatch.setattr(cli, "_scene_task", failing)
+
+
+def _raise_nonfinite():
+    raise correspondence.NonFinite("scene maps hold NaN")
+
+
+# At --jobs 2 on 4 scenes the caller runs scenes 0 and 2, the worker 1 and 3.
+@pytest.mark.parametrize("scene, jobs", [(1, 1), (0, 2), (1, 2)],
+                         ids=["serial", "caller-share", "worker-share"])
+def test_scene_error_keeps_its_exit_code(root, monkeypatch, forked_failures, scene, jobs):
+    make_bench(root, "blob")
+    _fail_on_scene(monkeypatch, scene, _raise_nonfinite)
+    out = root / f"nonfinite-{scene}-{jobs}.csv"
+    assert main(["ablate-corr", "--seed", "3", "--out", str(out), "--scenes",
+                 str(root / "blob"), "--res", "24", "--k", "8", "--jobs", str(jobs)]) == 4
+    assert not out.exists()
+
+
+def test_dead_worker_fails_the_sweep(root, monkeypatch, forked_failures):
+    make_bench(root, "blob")
+    caller = os.getpid()
+
+    def die_in_worker():
+        if os.getpid() != caller:
+            os._exit(1)
+
+    _fail_on_scene(monkeypatch, 1, die_in_worker)
+    out = root / "dead-worker.csv"
+    assert main(["ablate-corr", "--seed", "3", "--out", str(out), "--scenes",
+                 str(root / "blob"), "--res", "24", "--k", "8", "--jobs", "2"]) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -121,6 +121,20 @@ def test_model_bytes_are_pinned(case):
     assert hashlib.sha256(points.tobytes()).hexdigest() == PINNED_MODELS[case]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_dedupe_equals_numpy_unique_rows(seed):
+    # Rows drawn with repeats from a pool that shares leading columns and
+    # holds both signs of zero.
+    rng = np.random.default_rng(seed)
+    pool = np.vstack([rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=(40, 3)),
+                      rng.normal(size=(40, 3))])
+    pts = pool[rng.integers(0, len(pool), 300)]
+    got = synth._dedupe(pts)
+    assert np.array_equal(got, np.unique(pts, axis=0))
+    # x + 0.0 turns -0.0 into 0.0, which is the zero _dedupe keeps
+    assert got.tobytes() == np.unique(pts + 0.0, axis=0).tobytes()
+
+
 def _dense(scene):
     """The scene's (height, width) depth and visibility images."""
     depth = np.zeros(scene.height * scene.width)
